@@ -405,7 +405,7 @@ def _export(args, t):
     return internal_logic.export_presentation(
         a, gen_depth=args.gen_depth, max_size=args.max_size,
         generators=_generators(args, t),
-    ), a
+    )
 
 
 def _cmd_thf(args):
@@ -430,7 +430,7 @@ def _cmd_thf(args):
               "cutoff": args.cutoff, "gen_depth": args.gen_depth,
               "max_size": args.max_size}
     if args.action == "build":
-        pres, _ = _export(args, t)
+        pres = _export(args, t)
         th = internal_logic.th_of(pres)
         obj = internal_logic.presentation_to_json(pres)
         if args.out:
@@ -449,11 +449,7 @@ def _cmd_thf(args):
         return EXIT_HOLDS, rep, lines
 
     # action == "roundtrip": theory -> presentation -> theory comparison
-    out = internal_logic.roundtrip_theory(
-        t, N=args.cutoff, B=args.bound, d=args.formula_depth,
-        gen_depth=args.gen_depth, cap=args.cap, max_size=args.max_size,
-        generators=_generators(args, t),
-    )
+    out = internal_logic.roundtrip_theory(t, _export(args, t), cap=args.cap)
     verdict = ("Fails" if not out.ok
                else "Unknown" if out.unknown else "Holds")
     rep = _report(
@@ -480,12 +476,9 @@ def _cmd_roundtrip(args):
     verdicts = []
     code = EXIT_HOLDS
     lines = []
+    pres = _export(args, t)
     if args.mode in ("theory", "both"):
-        out = internal_logic.roundtrip_theory(
-            t, N=args.cutoff, B=args.bound, d=args.formula_depth,
-            gen_depth=args.gen_depth, cap=args.cap, max_size=args.max_size,
-            generators=_generators(args, t),
-        )
+        out = internal_logic.roundtrip_theory(t, pres, cap=args.cap)
         verdict = ("Fails" if not out.ok
                    else "Unknown" if out.unknown else "Holds")
         verdicts.append({"verdict": verdict, "direction": "theory",
@@ -499,7 +492,6 @@ def _cmd_roundtrip(args):
         elif verdict == "Unknown" and code == EXIT_HOLDS:
             code = EXIT_UNKNOWN
     if args.mode in ("functor", "both"):
-        pres, _ = _export(args, t)
         out = internal_logic.roundtrip_functor(pres)
         verdict = "Holds" if out["ok"] else "Fails"
         verdicts.append({"verdict": verdict, "direction": "functor",
@@ -559,8 +551,6 @@ def build_parser():
                         version=json.dumps(SCHEMA_VERSIONS, sort_keys=True))
     parser.add_argument("--json", action="store_true",
                         help="emit a machine-readable run report")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (results are independent of it)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse and pretty-print a theory file")
@@ -667,6 +657,9 @@ def main(argv=None):
             internal_logic.InternalLogicError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except semantics.ResourceGuard as e:
+        print(f"unknown: {e}", file=sys.stderr)
+        return EXIT_UNKNOWN
     _emit(args, rep, lines)
     return code
 

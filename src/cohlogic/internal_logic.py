@@ -26,7 +26,7 @@ from .lattice import (
     left_adjoint,
     prime_filters,
 )
-from .semantics import FiniteModel, enumerate_models, is_model
+from .semantics import FiniteModel, is_model, profile
 from .syntax import (
     BOT,
     TOP,
@@ -55,43 +55,13 @@ from .typespace import (
     direct_image_formula,
     identity_index_map,
     preimage_formula,
+    pushout_of_span,
     times_k,
 )
 
 
 class InternalLogicError(Exception):
     pass
-
-
-# ---------------------------------------------------------------------------
-# pushouts of index-map spans
-
-
-def pushout_of_span(h, f, dn, bn, cn):
-    """Pushout of b <-h- d -f-> c in finite sets.
-
-    Returns (an, u, v) with injections u: b -> a and v: c -> a, classes
-    numbered by first occurrence scanning b then c."""
-    parent = list(range(bn + cn))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x in range(dn):
-        a, b = find(h[x] - 1), find(bn + f[x] - 1)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    cls = {}
-    for i in range(bn + cn):
-        r = find(i)
-        if r not in cls:
-            cls[r] = len(cls)
-    u = tuple(cls[find(i)] + 1 for i in range(bn))
-    v = tuple(cls[find(bn + j)] + 1 for j in range(cn))
-    return len(cls), u, v
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +83,7 @@ class FunctorPresentation:
     approx: object = None  # originating approximation (exported only)
     name: str = "F"
     _adjoints: dict = field(default_factory=dict, init=False, repr=False)
+    _induced: tuple = field(default=None, init=False, repr=False)
 
     def hom(self, f, n, m):
         key = (n, m, tuple(f))
@@ -420,11 +391,12 @@ def export_presentation(approx, gen_depth=1, max_size=80, name=None,
 
 def induced_models(pres):
     """One model of th_of(pres) per model behind the approximation: R_U
-    holds of a tuple exactly when the tuple's type lies in the extent of U."""
+    holds of a tuple exactly when the tuple's type lies in the extent of U.
+    Computed once per presentation."""
     if pres.approx is None:
         raise InternalLogicError("presentation has no model provenance")
-    from .typespace import _profile
-
+    if pres._induced is not None:
+        return pres._induced
     approx = pres.approx
     out = []
     for m in approx.models:
@@ -432,13 +404,14 @@ def induced_models(pres):
         for n in range(pres.cutoff + 1):
             idx = approx.point_index(n)
             pts = {
-                a: idx[_profile(m, a, approx.formulas[n])]
+                a: idx[profile(m, a, approx.formulas[n])]
                 for a in product(range(m.size), repeat=n)
             }
             for u, ext in enumerate(pres.extents[n]):
                 tables[rel_symbol(n, u)] = {a for a, p in pts.items() if p in ext}
         out.append(FiniteModel(m.size, tables))
-    return tuple(out)
+    pres._induced = tuple(out)
+    return pres._induced
 
 
 # ---------------------------------------------------------------------------
@@ -567,21 +540,17 @@ class RoundTripReport:
         return self.refuted == 0 and not self.failures
 
 
-def roundtrip_theory(theory, N=2, B=3, d=2, gen_depth=1, cap=10, budgets=None,
-                     approx=None, generators=None, max_size=80):
-    """Export S(theory), rebuild a theory from the presentation, and check
-    the interpretation R_[phi] |-> phi back into the original theory.
+def roundtrip_theory(theory, pres, cap=10, budgets=None):
+    """Rebuild a theory from pres, a presentation exported from an
+    approximation of S(theory), and check the interpretation
+    R_[phi] |-> phi back into the original theory.  The arity cutoff, the
+    formula depth and the models come from the approximation behind pres.
 
     Verifies (a) the extent of every translated formula matches its internal
     value, and (b) on capped formula pairs, provability in the rebuilt
     theory, provability of the translation, and the lattice order agree.
     Unknown verdicts are retried at doubled budget before being counted."""
     budgets = budgets or calculus.Budgets()
-    if approx is None:
-        approx = compute_typespace(theory, N=N, B=B, d=d)
-    pres = export_presentation(
-        approx, gen_depth=gen_depth, generators=generators, max_size=max_size
-    )
     gen_th = th_of(pres)
     mapping = {"=": Eq(1, 2)}
     for n in range(pres.cutoff + 1):
@@ -590,12 +559,13 @@ def roundtrip_theory(theory, N=2, B=3, d=2, gen_depth=1, cap=10, budgets=None,
     gamma = Interpretation(gen_th, theory, 1, mapping)
     report = RoundTripReport()
     pool = induced_models(pres)
+    approx = pres.approx
     gen_b = calculus.Budgets(budgets.depth, budgets.size, budgets.model_size, pool)
     tgt_b = calculus.Budgets(
         budgets.depth, budgets.size, budgets.model_size, tuple(approx.models)
     )
-    for n in range(N + 1):
-        formulas = enum_formulas(gen_th.signature, n, d, cap=200)[:cap]
+    for n in range(pres.cutoff + 1):
+        formulas = enum_formulas(gen_th.signature, n, approx.d, cap=200)[:cap]
         values = {phi: denote(pres, phi, n) for phi in formulas}
         for phi in formulas:
             translated = apply_interpretation(gamma, phi, n)

@@ -69,47 +69,46 @@ class FiniteModel:
 
     def ext(self, phi, ctx):
         """Extension of phi in context ctx as a frozenset of ctx-tuples."""
-        key = (phi, ctx)
-        hit = self._ext_cache.get(key)
-        if hit is not None:
-            return hit
-        out = self._ext(phi, ctx)
-        self._ext_cache[key] = out
+        return extension(self, phi, ctx, self._ext_cache)
+
+
+def extension(m, phi, n, memo):
+    """Set of n-tuples of m satisfying phi, computed bottom-up with sharing
+    of subformula extensions through memo, a dict keyed by (formula,
+    context).  A symbol without a table in m has an empty extension."""
+    key = (phi, n)
+    out = memo.get(key)
+    if out is not None:
         return out
-
-    def _all_tuples(self, ctx):
-        return frozenset(product(range(self.size), repeat=ctx))
-
-    def _ext(self, phi, ctx):
-        if isinstance(phi, Top):
-            return self._all_tuples(ctx)
-        if isinstance(phi, Bot):
-            return frozenset()
-        if isinstance(phi, Atom):
-            rows = self.tables.get(phi.sym, frozenset())
-            return frozenset(
-                t
-                for t in self._all_tuples(ctx)
-                if tuple(t[a - 1] for a in phi.args) in rows
-            )
-        if isinstance(phi, Eq):
-            return frozenset(
-                t for t in self._all_tuples(ctx) if t[phi.i - 1] == t[phi.j - 1]
-            )
-        if isinstance(phi, And):
-            out = self._all_tuples(ctx)
-            for p in phi.parts:
-                out &= self.ext(p, ctx)
-            return out
-        if isinstance(phi, Or):
-            out = frozenset()
-            for p in phi.parts:
-                out |= self.ext(p, ctx)
-            return out
-        if isinstance(phi, Exists):
-            body = self.ext(phi.body, ctx + 1)
-            return frozenset(t[:-1] for t in body)
+    if isinstance(phi, Atom):
+        table = m.tables.get(phi.sym, frozenset())
+        out = frozenset(
+            a for a in product(range(m.size), repeat=n)
+            if tuple(a[i - 1] for i in phi.args) in table
+        )
+    elif isinstance(phi, Eq):
+        out = frozenset(
+            a for a in product(range(m.size), repeat=n)
+            if a[phi.i - 1] == a[phi.j - 1]
+        )
+    elif isinstance(phi, And):
+        out = frozenset(product(range(m.size), repeat=n))
+        for p in phi.parts:
+            out &= extension(m, p, n, memo)
+    elif isinstance(phi, Or):
+        out = frozenset()
+        for p in phi.parts:
+            out |= extension(m, p, n, memo)
+    elif isinstance(phi, Exists):
+        out = frozenset(a[:-1] for a in extension(m, phi.body, n + 1, memo))
+    elif isinstance(phi, Top):
+        out = frozenset(product(range(m.size), repeat=n))
+    elif isinstance(phi, Bot):
+        out = frozenset()
+    else:
         raise SemanticsError(f"not a formula: {phi!r}")
+    memo[key] = out
+    return out
 
 
 def eval_formula(m, phi, a):
@@ -118,8 +117,6 @@ def eval_formula(m, phi, a):
 
 
 def is_model(m, t):
-    for sym, _ in t.signature.relations:
-        m.tables.setdefault(sym, frozenset())
     for ax in t.axioms:
         if not m.ext(ax.lhs, ax.ctx) <= m.ext(ax.rhs, ax.ctx):
             return False
@@ -164,7 +161,11 @@ def enumerate_models(t, max_size, guard_bits=22):
 def ctp(m, a, t, d, cap=2000):
     """Truth profile of the tuple a in m over the canonical depth-d formula
     enumeration: the frozenset of indices of satisfied formulas."""
-    formulas = enum_formulas(t.signature, len(a), d, cap)
+    return profile(m, a, enum_formulas(t.signature, len(a), d, cap))
+
+
+def profile(m, a, formulas):
+    """Indices of the formulas that hold of the tuple a in m."""
     return frozenset(i for i, phi in enumerate(formulas) if eval_formula(m, phi, a))
 
 

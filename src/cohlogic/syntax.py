@@ -243,10 +243,6 @@ def shift(phi, n):
     return substitute(phi, tuple(range(1, n + 1)), n + 1)
 
 
-def identity_map(n):
-    return tuple(range(1, n + 1))
-
-
 @lru_cache(maxsize=None)
 def normalize(phi):
     """Canonical form: flatten and/or, dedupe, sort, unit and zero laws.
@@ -393,6 +389,10 @@ _TOKEN = re.compile(
 
 _KEYWORDS = {"theory", "sig", "axiom", "true", "false", "exists"}
 
+# Parentheses and existentials nested deeper than this are rejected: the
+# parser and every later pass over formulas recurse once per level.
+MAX_NESTING = 200
+
 
 class _Tokens:
     def __init__(self, text):
@@ -413,6 +413,7 @@ class _Tokens:
                 pos = m.end()
             self.toks.append(("\n", lineno, len(line) + 1))
         self.pos = 0
+        self.nesting = 0
 
     def peek(self):
         return self.toks[self.pos][0] if self.pos < len(self.toks) else None
@@ -437,6 +438,11 @@ class _Tokens:
     def skip_newlines(self):
         while self.peek() == "\n":
             self.next()
+
+    def enter(self, line, col):
+        if self.nesting == MAX_NESTING:
+            raise SyntaxError_(f"nesting deeper than {MAX_NESTING} levels", line, col)
+        self.nesting += 1
 
 
 def parse_formula(text, ctx_names, sig):
@@ -478,8 +484,10 @@ def _parse_atomic(toks, names, sig):
     line, col = toks.loc()
     tok = toks.next()
     if tok == "(":
+        toks.enter(line, col)
         phi = _parse_or(toks, names, sig)
         toks.expect(")")
+        toks.nesting -= 1
         return phi
     if tok == "true":
         return TOP
@@ -493,7 +501,9 @@ def _parse_atomic(toks, names, sig):
         if v in names:
             raise SyntaxError_(f"variable {v!r} shadows the context", vline, vcol)
         toks.expect(".")
+        toks.enter(line, col)
         body = _parse_or(toks, names + [v], sig)
+        toks.nesting -= 1
         return Exists(body)
     if tok is None or tok == "\n":
         raise SyntaxError_("unexpected end of formula", line, col)

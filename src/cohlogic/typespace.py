@@ -12,10 +12,14 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from . import calculus, lattice
-from .semantics import FiniteModel, enumerate_models, eval_formula, gamma_star
+from .semantics import (
+    enumerate_models,
+    eval_formula,
+    extension,
+    gamma_star,
+    profile,
+)
 from .syntax import (
-    BOT,
-    TOP,
     And,
     Atom,
     Eq,
@@ -497,7 +501,7 @@ class TypeSpaceApprox:
         index = self.point_index(n)
         for mi, a in self.realizations[m]:
             b = tuple(a[v - 1] for v in f)
-            prof = _profile(self.models[mi], b, self.formulas[n])
+            prof = profile(self.models[mi], b, self.formulas[n])
             out.append(index[prof])
         return tuple(out)
 
@@ -505,53 +509,11 @@ class TypeSpaceApprox:
         return lattice.MonotoneMap(self.poset(m), self.poset(n), self.s_map(f, n, m))
 
 
-def _profile(m, a, formulas):
-    return frozenset(i for i, phi in enumerate(formulas) if eval_formula(m, phi, a))
-
-
-def _extension(m, phi, n, memo):
-    """Set of n-tuples of m satisfying phi, computed bottom-up with sharing
-    of subformula extensions (much faster than per-tuple evaluation when
-    many formulas are profiled over the same model)."""
-    key = (phi, n)
-    out = memo.get(key)
-    if out is not None:
-        return out
-    if isinstance(phi, Atom):
-        table = m.tables[phi.sym]
-        out = frozenset(
-            a for a in product(range(m.size), repeat=n)
-            if tuple(a[i - 1] for i in phi.args) in table
-        )
-    elif isinstance(phi, Eq):
-        out = frozenset(
-            a for a in product(range(m.size), repeat=n)
-            if a[phi.i - 1] == a[phi.j - 1]
-        )
-    elif isinstance(phi, And):
-        parts = [_extension(m, p, n, memo) for p in phi.parts]
-        out = frozenset(product(range(m.size), repeat=n))
-        for p in parts:
-            out &= p
-    elif isinstance(phi, Or):
-        out = frozenset()
-        for p in phi.parts:
-            out |= _extension(m, p, n, memo)
-    elif isinstance(phi, Exists):
-        out = frozenset(a[:-1] for a in _extension(m, phi.body, n + 1, memo))
-    elif phi == BOT:
-        out = frozenset()
-    else:  # TOP
-        out = frozenset(product(range(m.size), repeat=n))
-    memo[key] = out
-    return out
-
-
 def _collect_points(models, formulas, n):
     seen = {}
     for mi, m in enumerate(models):
         memo = {}
-        exts = [_extension(m, phi, n, memo) for phi in formulas]
+        exts = [extension(m, phi, n, memo) for phi in formulas]
         for a in product(range(m.size), repeat=n):
             prof = frozenset(i for i, e in enumerate(exts) if a in e)
             if prof not in seen:
@@ -651,7 +613,7 @@ def s_of_interpretation(g, source_approx, target_approx, N=2):
             blocks = tuple(
                 q.class_of[tuple(a[i * k : (i + 1) * k])] for i in range(n)
             )
-            prof = _profile(q, blocks, source_approx.formulas[n])
+            prof = profile(q, blocks, source_approx.formulas[n])
             if prof not in index:
                 raise TypeSpaceError(
                     f"quotient type at arity {n} missing from the source "
@@ -734,42 +696,46 @@ def check_strict_bc(pnt, f, n, m):
 # pushouts in FinSet and the functor-level Beck-Chevalley check
 
 
+def pushout_of_span(h, f, dn, bn, cn):
+    """Pushout of b <-h- d -f-> c in finite sets.
+
+    Returns (an, u, v) with injections u: b -> a and v: c -> a, classes
+    numbered by first occurrence scanning b then c."""
+    parent = list(range(bn + cn))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x in range(dn):
+        a, b = find(h[x] - 1), find(bn + f[x] - 1)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    cls = {}
+    for i in range(bn + cn):
+        r = find(i)
+        if r not in cls:
+            cls[r] = len(cls)
+    u = tuple(cls[find(i)] + 1 for i in range(bn))
+    v = tuple(cls[find(bn + j)] + 1 for j in range(cn))
+    return len(cls), u, v
+
+
 def is_pushout(h, f, dn, bn, cn, an, u, v):
-    """Is (u: b -> a, v: c -> a) the pushout of b <-h- d -f-> c?
+    """Is (u: b -> a, v: c -> a) the pushout of b <-h- d -f-> c?  It is iff
+    it relabels the apex of pushout_of_span's pushout bijectively.
 
     Maps are index tuples; dn, bn, cn, an are the set sizes."""
     if len(h) != dn or len(f) != dn or len(u) != bn or len(v) != cn:
         return False
-    for x in range(1, dn + 1):
-        if u[h[x - 1] - 1] != v[f[x - 1] - 1]:
+    _, u0, v0 = pushout_of_span(h, f, dn, bn, cn)
+    relabel = {}
+    for old, new in zip((*u0, *v0), (*u, *v)):
+        if relabel.setdefault(old, new) != new:
             return False
-    # classes of b (+) c under h(x) ~ f(x)
-    parent = list(range(bn + cn))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for x in range(1, dn + 1):
-        a, b = find(h[x - 1] - 1), find(bn + f[x - 1] - 1)
-        parent[a] = b
-    classes = sorted({find(i) for i in range(bn + cn)})
-    if len(classes) != an:
-        return False
-    label = {}
-    for i in range(bn):
-        r = find(i)
-        if r in label and label[r] != u[i]:
-            return False
-        label[r] = u[i]
-    for i in range(cn):
-        r = find(bn + i)
-        if r in label and label[r] != v[i]:
-            return False
-        label[r] = v[i]
-    return len(set(label.values())) == an
+    return sorted(relabel.values()) == list(range(1, an + 1))
 
 
 def check_functor_bc(approx, h, f, dn, bn, cn, an, u, v):

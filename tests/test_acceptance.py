@@ -318,9 +318,10 @@ def test_criterion_09_roundtrip_theory():
     # generated open sublattices: R(x) for the P/Q/R theory (its depth-1
     # lattice of opens is too large to close off), default depth-1
     # generators for partial equivalence
-    out_pqr = roundtrip_theory(PQR, approx=approx("pqr"), cap=6,
-                               generators={1: [Atom("R", (1,))]})
-    out_peq = roundtrip_theory(PEQ, approx=approx("peq"), cap=6)
+    pqr_pres = export_presentation(approx("pqr"),
+                                   generators={1: [Atom("R", (1,))]})
+    out_pqr = roundtrip_theory(PQR, pqr_pres, cap=6)
+    out_peq = roundtrip_theory(PEQ, export_presentation(approx("peq")), cap=6)
     for name, out in (("pqr", out_pqr), ("peq", out_peq)):
         total = out.proved + out.refuted + out.unknown
         assert out.refuted == 0 and not out.failures, name

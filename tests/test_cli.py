@@ -105,6 +105,21 @@ def test_prove_unknown_on_exhausted_budget(capsys, pqr_file):
     assert rep["verdicts"][0]["verdict"] == "Unknown"
 
 
+def test_models_resource_guard_is_unknown(capsys, tmp_path):
+    p = tmp_path / "three.thy"
+    p.write_text("theory three\nsig { E/2, F/2, G/2 }\n")
+    code, _, err = run(capsys, "models", str(p), "--bound", "3")
+    assert code == 2
+    assert "2^27" in err and "Traceback" not in err
+
+
+def test_prove_deep_nesting_is_input_error(capsys, pqr_file):
+    deep = "[x] " + "(" * 3000 + "P(x)" + ")" * 3000 + " |- R(x)"
+    code, _, err = run(capsys, "prove", pqr_file, deep)
+    assert code == 3
+    assert "nesting" in err and "Traceback" not in err
+
+
 def test_eval(capsys, pqr_file, tmp_path):
     m = tmp_path / "m.json"
     m.write_text(json.dumps(
@@ -238,6 +253,33 @@ def test_roundtrip_with_generators(capsys, pqr_file, tmp_path):
     v = rep["verdicts"][0]
     assert v["direction"] == "theory"
     assert v["refuted"] == 0 and not v["failures"]
+
+
+def test_roundtrip_builds_one_type_space(capsys, monkeypatch, empty_file):
+    # one type space of the input theory per run, and no stability pass
+    from cohlogic import internal_logic, typespace
+
+    builds, stability = [], []
+    compute, stable = typespace.compute_typespace, typespace._stability
+
+    def counted_compute(t, *args, **kwargs):
+        builds.append(t.name)
+        return compute(t, *args, **kwargs)
+
+    def counted_stability(*args):
+        stability.append(args)
+        return stable(*args)
+
+    monkeypatch.setattr(typespace, "compute_typespace", counted_compute)
+    monkeypatch.setattr(internal_logic, "compute_typespace", counted_compute)
+    monkeypatch.setattr(typespace, "_stability", counted_stability)
+    for argv in (("roundtrip", "--theory", empty_file, "--mode", "both"),
+                 ("thf", "roundtrip", empty_file)):
+        builds.clear()
+        stability.clear()
+        code, _, _ = run(capsys, *argv, "--bound", "2")
+        assert code == 0
+        assert builds.count("nothing") == 1 and not stability, argv
 
 
 def test_json_reports_deterministic(capsys, pqr_file):

@@ -303,21 +303,19 @@ def test_beta_from_quotient_interpretation():
 
 
 def test_roundtrip_theory_pqr():
-    rep = roundtrip_theory(
-        PQR, approx=approx("pqr"), cap=6, generators={1: [Atom("R", (1,))]}
-    )
+    rep = roundtrip_theory(PQR, pqr_pres(), cap=6)
     assert rep.refuted == 0 and not rep.failures
     assert rep.unknown == 0
     assert rep.proved >= 150
 
 
 def test_roundtrip_theory_peq():
-    rep = roundtrip_theory(PEQ, approx=approx("peq"), cap=6)
+    rep = roundtrip_theory(PEQ, peq_pres(), cap=6)
     assert rep.refuted == 0 and not rep.failures and rep.unknown == 0
 
 
 def test_roundtrip_theory_empty():
-    rep = roundtrip_theory(EMPTY, approx=approx("empty"), cap=6)
+    rep = roundtrip_theory(EMPTY, empty_pres(), cap=6)
     assert rep.refuted == 0 and not rep.failures
 
 

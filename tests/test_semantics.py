@@ -64,6 +64,16 @@ def test_is_model():
     assert is_model(FiniteModel(0, {}), PQR)
 
 
+def test_is_model_leaves_missing_tables_missing():
+    # a symbol without a table is read as empty; the model is not changed
+    for tables, expected in (({"P": {(0,)}, "Q": set()}, True),
+                             ({"P": {(0,)}, "Q": {(0,)}}, False)):
+        m = FiniteModel(1, tables)
+        before, h = dict(m.tables), hash(m)
+        assert is_model(m, PQR) == expected
+        assert m.tables == before and hash(m) == h
+
+
 def test_enumerate_models_pqr_size1():
     ms = enumerate_models(PQR, 1)
     # empty model plus 7 of the 8 single-point valuations

@@ -87,6 +87,20 @@ def test_parse_errors():
         parse_theory("theory t\nsig { P/1 }\naxiom [x] P(y) |- true\n")
 
 
+def test_parse_nesting_limit():
+    # parentheses and existentials both count toward the 200 levels
+    sig = Signature("s", (("P", 1),))
+    parens = "(" * 200 + "P(x)" + ")" * 200
+    assert parse_formula(parens, ["x"], sig) == Atom("P", (1,))
+    exists = " ".join(f"exists y{i}." for i in range(199)) + " (P(x))"
+    phi = parse_formula(exists, ["x"], sig)
+    assert formula_depth(phi) == 199
+    for text in ("(" + parens + ")", "exists y. " + parens,
+                 "(" * 3000 + "P(x)" + ")" * 3000):
+        with pytest.raises(SyntaxError_, match="nesting"):
+            parse_formula(text, ["x"], sig)
+
+
 def test_substitute_rename():
     phi = Atom("P", (1,))
     assert substitute(phi, (2,), 2) == Atom("P", (2,))

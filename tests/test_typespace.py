@@ -1,3 +1,5 @@
+from itertools import permutations, product
+
 import pytest
 
 from cohlogic import calculus
@@ -42,6 +44,7 @@ from cohlogic.typespace import (
     identity_interpretation,
     is_pushout,
     preimage_formula,
+    pushout_of_span,
     s_of_interpretation,
     times_k,
 )
@@ -189,10 +192,10 @@ def test_typespace_pqr_p_and_q_distinct():
     a = approx("pqr")
     m1 = FiniteModel(2, {"P": {(0,), (1,)}, "Q": {(1,)}, "R": {(1,)}})
     m2 = FiniteModel(2, {"P": {(1,)}, "Q": {(0,), (1,)}, "R": {(1,)}})
-    from cohlogic.typespace import _profile
+    from cohlogic.semantics import profile
 
-    p = _profile(m1, (0,), a.formulas[1])
-    q = _profile(m2, (0,), a.formulas[1])
+    p = profile(m1, (0,), a.formulas[1])
+    q = profile(m2, (0,), a.formulas[1])
     assert p != q
     idx = a.point_index(1)
     assert p in idx and q in idx
@@ -257,6 +260,29 @@ def test_pushout_recognition():
     assert not is_pushout((), (), 0, 1, 1, 1, (1,), (1,))
     # identity square
     assert is_pushout((1,), (1,), 1, 1, 1, 1, (1,), (1,))
+
+
+def test_pushout_recognition_all_small_spans():
+    # among all pairs of maps into an apex of the pushout's size, exactly
+    # the relabellings of the apex are pushouts; merging two apex points
+    # gives no pushout
+    for dn, bn, cn in product(range(3), repeat=3):
+        for h in all_maps(dn, bn):
+            for f in all_maps(dn, cn):
+                an, u, v = pushout_of_span(h, f, dn, bn, cn)
+                relabelled = {
+                    (tuple(p[x - 1] for x in u), tuple(p[x - 1] for x in v))
+                    for p in permutations(range(1, an + 1))
+                }
+                for pu in all_maps(bn, an):
+                    for pv in all_maps(cn, an):
+                        assert is_pushout(h, f, dn, bn, cn, an, pu, pv) == (
+                            (pu, pv) in relabelled
+                        ), (h, f, pu, pv)
+                if an >= 2:
+                    mu = tuple(min(x, an - 1) for x in u)
+                    mv = tuple(min(x, an - 1) for x in v)
+                    assert not is_pushout(h, f, dn, bn, cn, an - 1, mu, mv)
 
 
 def test_functor_bc_pushout_1_0_1():
