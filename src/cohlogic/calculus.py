@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .semantics import enumerate_models, eval_formula
+from .semantics import enumerate_models, extension, tuple_at
 from .syntax import (
     BOT,
     TOP,
@@ -600,9 +600,11 @@ def find_countermodel(t, s, max_size=3, pool=None):
     if pool is None:
         pool = enumerate_models(t, max_size)
     for m in pool:
-        bad = m.ext(s.lhs, s.ctx) - m.ext(s.rhs, s.ctx)
+        bad = (extension(m, s.lhs, s.ctx, m._ext_cache)
+               & ~extension(m, s.rhs, s.ctx, m._ext_cache))
         if bad:
-            return m, min(bad)
+            # the lowest set bit is the lexicographically least tuple
+            return m, tuple_at(m.size, s.ctx, (bad & -bad).bit_length() - 1)
     return None
 
 

@@ -34,10 +34,12 @@ class FinPoset:
             if not self.leq[i][i]:
                 raise LatticeError(f"not reflexive at {i}")
             for j in range(n):
-                if i != j and self.leq[i][j] and self.leq[j][i]:
+                if not self.leq[i][j]:
+                    continue  # (i, j) can break neither law
+                if i != j and self.leq[j][i]:
                     raise LatticeError(f"not antisymmetric at ({i},{j})")
                 for k in range(n):
-                    if self.leq[i][j] and self.leq[j][k] and not self.leq[i][k]:
+                    if self.leq[j][k] and not self.leq[i][k]:
                         raise LatticeError(f"not transitive at ({i},{j},{k})")
 
     def __eq__(self, other):

@@ -1,9 +1,15 @@
 """Finite classical models: satisfaction, exhaustive enumeration up to
 isomorphism, coherent types of tuples, quotient models of interpretations,
-and the homomorphism induced by a 2-cell."""
+and the homomorphism induced by a 2-cell.
+
+Formula extensions are int bitsets over the n-tuples of the carrier: bit j
+stands for the j-th tuple of ``itertools.product(range(size), repeat=n)``,
+that is the tuple whose base-``size`` digits, most significant first, are
+the digits of j.  ``FiniteModel.ext`` decodes them to sets of tuples."""
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations, product
 
 from .syntax import (
@@ -68,43 +74,101 @@ class FiniteModel:
         return (self.size, tuple(syms), best)
 
     def ext(self, phi, ctx):
-        """Extension of phi in context ctx as a frozenset of ctx-tuples."""
-        return extension(self, phi, ctx, self._ext_cache)
+        """Extension of phi in context ctx as a frozenset of ctx-tuples,
+        decoded from the bitset of ``extension`` on the model's cache."""
+        bits = extension(self, phi, ctx, self._ext_cache)
+        return frozenset(
+            a for j, a in enumerate(product(range(self.size), repeat=ctx))
+            if bits >> j & 1
+        )
+
+
+@lru_cache(maxsize=None)
+def _coord_masks(size, n):
+    """masks[k][v]: bitset of the n-tuples over range(size) whose entry k
+    (0-based) is v."""
+    if size == 0:
+        return ((),) * n
+    total = size ** n
+    masks = []
+    for k in range(n):
+        width = size ** (n - 1 - k)  # weight of entry k in the tuple index
+        period = width * size
+        comb = ((1 << total) - 1) // ((1 << period) - 1)  # bit at each period
+        masks.append(tuple((((1 << width) - 1) << v * width) * comb
+                           for v in range(size)))
+    return tuple(masks)
+
+
+def tuple_index(size, a):
+    """Index of the tuple a in the bitset order, or None when an entry of a
+    lies outside range(size)."""
+    j = 0
+    for v in a:
+        if not 0 <= v < size:
+            return None
+        j = j * size + v
+    return j
+
+
+def tuple_at(size, n, j):
+    """The n-tuple at index j of the bitset order: j's base-size digits;
+    inverse of ``tuple_index``."""
+    out = []
+    for _ in range(n):
+        j, v = divmod(j, size)
+        out.append(v)
+    return tuple(reversed(out))
 
 
 def extension(m, phi, n, memo):
-    """Set of n-tuples of m satisfying phi, computed bottom-up with sharing
-    of subformula extensions through memo, a dict keyed by (formula,
-    context).  A symbol without a table in m has an empty extension."""
+    """Bitset of the n-tuples of m satisfying phi: bit j holds for the j-th
+    tuple of ``product(range(m.size), repeat=n)``.  Computed bottom-up with
+    sharing of subformula extensions through memo, a dict keyed by
+    (formula, context).  A symbol without a table in m has an empty
+    extension."""
     key = (phi, n)
     out = memo.get(key)
     if out is not None:
         return out
+    size = m.size
     if isinstance(phi, Atom):
-        table = m.tables.get(phi.sym, frozenset())
-        out = frozenset(
-            a for a in product(range(m.size), repeat=n)
-            if tuple(a[i - 1] for i in phi.args) in table
-        )
+        masks = _coord_masks(size, n)
+        full = (1 << size ** n) - 1
+        out = 0
+        for row in m.tables.get(phi.sym, ()):
+            bits = full
+            for i, v in zip(phi.args, row):
+                bits &= masks[i - 1][v]
+            out |= bits
     elif isinstance(phi, Eq):
-        out = frozenset(
-            a for a in product(range(m.size), repeat=n)
-            if a[phi.i - 1] == a[phi.j - 1]
-        )
+        masks = _coord_masks(size, n)
+        out = 0
+        for v in range(size):
+            out |= masks[phi.i - 1][v] & masks[phi.j - 1][v]
     elif isinstance(phi, And):
-        out = frozenset(product(range(m.size), repeat=n))
+        out = (1 << size ** n) - 1
         for p in phi.parts:
             out &= extension(m, p, n, memo)
     elif isinstance(phi, Or):
-        out = frozenset()
+        out = 0
         for p in phi.parts:
             out |= extension(m, p, n, memo)
     elif isinstance(phi, Exists):
-        out = frozenset(a[:-1] for a in extension(m, phi.body, n + 1, memo))
+        # the bound variable is the last entry, so tuple j of the context
+        # owns the block of bits j*size .. j*size+size-1 of the body
+        body = extension(m, phi.body, n + 1, memo)
+        out = 0
+        if body:
+            folded = body
+            for v in range(1, size):
+                folded |= body >> v
+            digits = format(folded, f"0{size ** (n + 1)}b")
+            out = int(digits[size - 1::size], 2)
     elif isinstance(phi, Top):
-        out = frozenset(product(range(m.size), repeat=n))
+        out = (1 << size ** n) - 1
     elif isinstance(phi, Bot):
-        out = frozenset()
+        out = 0
     else:
         raise SemanticsError(f"not a formula: {phi!r}")
     memo[key] = out
@@ -112,13 +176,16 @@ def extension(m, phi, n, memo):
 
 
 def eval_formula(m, phi, a):
-    """M |= phi(a) for an assignment tuple a matching the context size."""
-    return tuple(a) in m.ext(phi, len(a))
+    """M |= phi(a) for an assignment tuple a matching the context size.
+    False when an entry of a lies outside the carrier."""
+    j = tuple_index(m.size, a)
+    return j is not None and extension(m, phi, len(a), m._ext_cache) >> j & 1 == 1
 
 
 def is_model(m, t):
+    memo = m._ext_cache
     for ax in t.axioms:
-        if not m.ext(ax.lhs, ax.ctx) <= m.ext(ax.rhs, ax.ctx):
+        if extension(m, ax.lhs, ax.ctx, memo) & ~extension(m, ax.rhs, ax.ctx, memo):
             return False
     return True
 
@@ -166,8 +233,29 @@ def ctp(m, a, t, d, cap=2000):
 
 def profile(m, a, formulas):
     """Indices of the formulas that hold of the tuple a in m."""
-    return frozenset(i for i, phi in enumerate(formulas) if eval_formula(m, phi, a))
+    j = tuple_index(m.size, a)
+    if j is None:
+        return frozenset()
+    n, memo = len(a), m._ext_cache
+    return frozenset(
+        i for i, phi in enumerate(formulas) if extension(m, phi, n, memo) >> j & 1
+    )
 
+
+
+def profile_bits(m, formulas, n):
+    """The profile of every n-tuple of m over formulas, in tuple-index
+    order, each as an int whose bit i says that formula i holds: tuple j's
+    profile gathers bit j of every extension.  Evaluates with a fresh memo,
+    so the subformula extensions are dropped afterwards, not kept on m."""
+    width = m.size ** n
+    if not width or not formulas:
+        return [0] * width
+    memo = {}
+    rows = [format(extension(m, phi, n, memo), f"0{width}b") for phi in formulas]
+    # column c of the rows belongs to tuple width-1-c; reversing the column
+    # puts formula i on bit i
+    return [int("".join(col)[::-1], 2) for col in reversed(list(zip(*rows)))]
 
 # ---------------------------------------------------------------------------
 # interpreted models

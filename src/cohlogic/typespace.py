@@ -15,9 +15,9 @@ from . import calculus, lattice
 from .semantics import (
     enumerate_models,
     eval_formula,
-    extension,
     gamma_star,
     profile,
+    profile_bits,
 )
 from .syntax import (
     And,
@@ -509,17 +509,20 @@ class TypeSpaceApprox:
         return lattice.MonotoneMap(self.poset(m), self.poset(n), self.s_map(f, n, m))
 
 
+def _indices(bits):
+    """Profile as an int -> as the frozenset of its set bit positions."""
+    return frozenset(i for i, c in enumerate(format(bits, "b")[::-1]) if c == "1")
+
+
 def _collect_points(models, formulas, n):
     seen = {}
     for mi, m in enumerate(models):
-        memo = {}
-        exts = [extension(m, phi, n, memo) for phi in formulas]
-        for a in product(range(m.size), repeat=n):
-            prof = frozenset(i for i, e in enumerate(exts) if a in e)
-            if prof not in seen:
-                seen[prof] = (mi, a)
-    pts = sorted(seen, key=lambda p: sorted(p))
-    return pts, [seen[p] for p in pts]
+        tuples = product(range(m.size), repeat=n)
+        for a, bits in zip(tuples, profile_bits(m, formulas, n)):
+            seen.setdefault(bits, (mi, a))
+    found = {_indices(bits): r for bits, r in seen.items()}
+    pts = sorted(found, key=sorted)
+    return pts, [found[p] for p in pts]
 
 
 def compute_typespace(t, N=2, B=3, d=2, cap=600, check_stability=True,
@@ -557,12 +560,18 @@ def compute_typespace(t, N=2, B=3, d=2, cap=600, check_stability=True,
 
 def _stability(t, approx):
     """Per-arity diagnostic: does the point set survive growing the model
-    bound or the formula depth by one step each?"""
-    bigger = enumerate_models(t, approx.B + 1)
+    bound or the formula depth by one step each?
+
+    The enumeration up to B+1 starts with approx.models, in order, so only
+    its models of size B+1 can add a point; the first profile missing from
+    approx.points settles the arity as unstable."""
+    bigger = enumerate_models(t, approx.B + 1)[len(approx.models):]
     out = []
     for n in range(approx.N + 1):
-        pts, _ = _collect_points(bigger, approx.formulas[n], n)
-        if set(pts) != set(approx.points[n]):
+        known = set(approx.points[n])
+        formulas = approx.formulas[n]
+        if any(_indices(bits) not in known
+               for m in bigger for bits in profile_bits(m, formulas, n)):
             out.append(False)
             continue
         deeper = enum_formulas(t.signature, n, approx.d + 1, approx.cap)

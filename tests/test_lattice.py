@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from cohlogic.lattice import (
@@ -235,3 +237,31 @@ def test_prime_filters_match_brute_force():
 
     for l in all_dist_lattices(6):
         assert prime_filters(l) == _prime_filters_brute(l)
+
+
+def reference_poset_error(n, leq):
+    """The first law the original FinPoset constructor found broken."""
+    for i in range(n):
+        if not leq[i][i]:
+            return f"not reflexive at {i}"
+        for j in range(n):
+            if i != j and leq[i][j] and leq[j][i]:
+                return f"not antisymmetric at ({i},{j})"
+            for k in range(n):
+                if leq[i][j] and leq[j][k] and not leq[i][k]:
+                    return f"not transitive at ({i},{j},{k})"
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_finposet_checks_match_reference(n):
+    # every 0/1 matrix on n <= 3 points, the reflexive ones among them
+    for bits in product((False, True), repeat=n * n):
+        leq = [list(bits[i * n:(i + 1) * n]) for i in range(n)]
+        want = reference_poset_error(n, leq)
+        try:
+            FinPoset(n, leq)
+            got = None
+        except LatticeError as e:
+            got = str(e)
+        assert got == want, leq

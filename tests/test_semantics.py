@@ -56,6 +56,20 @@ def test_eval_atom_at_point():
     assert eval_formula(M1, Atom("P", (1,)), (0,))
 
 
+def test_eval_assignment_outside_carrier_is_false():
+    # a tuple index computed from such entries would alias another tuple
+    # (entry 2 of a 2-element carrier) or shift by a negative count
+    m = FiniteModel(2, {"E": {(0, 0), (0, 1), (1, 0), (1, 1)}})
+    for phi in (TOP, Atom("E", (1, 2)), Or((Eq(1, 2), TOP))):
+        for a in ((0, 2), (2, 0), (1, 3), (-1, 0), (0, -1), (-1, -1), (5, 5)):
+            assert eval_formula(m, phi, a) is False, (phi, a)
+        assert eval_formula(m, phi, (1, 1)) is True
+    for a in ((2,), (-1,), (-2,)):
+        assert eval_formula(M1, TOP, a) is False
+        assert eval_formula(M1, Atom("P", (1,)), a) is False
+    assert eval_formula(FiniteModel(0, {}), TOP, (0,)) is False
+
+
 def test_is_model():
     assert is_model(M1, PQR)
     assert is_model(M2, PQR)

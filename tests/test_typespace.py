@@ -11,6 +11,7 @@ from cohlogic.semantics import (
     gamma_star,
     hom_from_theta,
 )
+from cohlogic.lattice import chain
 from cohlogic.syntax import (
     TOP,
     And,
@@ -18,6 +19,7 @@ from cohlogic.syntax import (
     Eq,
     Exists,
     Or,
+    build_lattice_theory,
     enum_formulas,
     normalize,
     parse_theory,
@@ -48,6 +50,7 @@ from cohlogic.typespace import (
     s_of_interpretation,
     times_k,
 )
+from cohlogic.typespace import _collect_points, _stability
 
 PQR = parse_theory(
     "theory pqr\nsig { P/1, Q/1, R/1 }\naxiom [x,y] P(x) & Q(y) |- R(x) | R(y)\n"
@@ -420,3 +423,34 @@ def test_all_weak_bc_for_e_interpretation():
 def test_times_k():
     assert times_k((2, 1), 2) == (3, 4, 1, 2)
     assert times_k((1,), 3) == (1, 2, 3)
+
+
+def reference_stability(t, approx):
+    """_stability before the early exit: both point sets in full."""
+    bigger = enumerate_models(t, approx.B + 1)
+    out = []
+    for n in range(approx.N + 1):
+        pts, _ = _collect_points(bigger, approx.formulas[n], n)
+        if set(pts) != set(approx.points[n]):
+            out.append(False)
+            continue
+        deeper = enum_formulas(t.signature, n, approx.d + 1, approx.cap)
+        pts2, _ = _collect_points(approx.models, deeper, n)
+        out.append(len(pts2) == len(approx.points[n]))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("which, kw", [
+    ("peq", dict(N=2, B=3, d=2)),
+    ("peq", dict(N=2, B=2, d=1)),
+    ("peq", dict(N=3, B=1, d=1, cap=60)),
+    ("empty", dict(N=2, B=3, d=2)),
+    ("empty", dict(N=3, B=1, d=1)),
+    ("chain2", dict(N=2, B=3, d=2)),
+    ("pqr", dict(N=2, B=2, d=1)),
+])
+def test_stability_matches_reference(which, kw):
+    t = {"peq": PEQ, "empty": EMPTY, "pqr": PQR,
+         "chain2": build_lattice_theory(chain(2))}[which]
+    a = compute_typespace(t, check_stability=False, **kw)
+    assert _stability(t, a) == reference_stability(t, a)
