@@ -26,7 +26,7 @@ from .lattice import (
     left_adjoint,
     prime_filters,
 )
-from .semantics import FiniteModel, is_model, profile
+from .semantics import FiniteModel, is_model
 from .syntax import (
     BOT,
     TOP,
@@ -399,16 +399,13 @@ def induced_models(pres):
         return pres._induced
     approx = pres.approx
     out = []
-    for m in approx.models:
+    for mi, m in enumerate(approx.models):
         tables = {}
         for n in range(pres.cutoff + 1):
-            idx = approx.point_index(n)
-            pts = {
-                a: idx[profile(m, a, approx.formulas[n])]
-                for a in product(range(m.size), repeat=n)
-            }
+            rows = list(zip(product(range(m.size), repeat=n),
+                            approx.tuple_points[n][mi]))
             for u, ext in enumerate(pres.extents[n]):
-                tables[rel_symbol(n, u)] = {a for a, p in pts.items() if p in ext}
+                tables[rel_symbol(n, u)] = {a for a, p in rows if p in ext}
         out.append(FiniteModel(m.size, tables))
     pres._induced = tuple(out)
     return pres._induced

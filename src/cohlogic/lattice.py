@@ -295,21 +295,9 @@ def chain(n):
     return FinDistLattice(n, [[i <= j for j in range(n)] for i in range(n)])
 
 
-def lattice_iso(l1, l2):
-    """An order isomorphism l1 -> l2 as a tuple, or None."""
-    if l1.n != l2.n:
-        return None
-    for perm in permutations(range(l1.n)):
-        if all(
-            l1.leq[a][b] == l2.leq[perm[a]][perm[b]]
-            for a in range(l1.n)
-            for b in range(l1.n)
-        ):
-            return perm
-    return None
-
-
 def poset_iso(p1, p2):
+    """An order isomorphism p1 -> p2 as a tuple, or None; lattices are
+    compared as posets."""
     if p1.n != p2.n:
         return None
     for perm in permutations(range(p1.n)):
@@ -320,6 +308,9 @@ def poset_iso(p1, p2):
         ):
             return perm
     return None
+
+
+lattice_iso = poset_iso
 
 
 class LatticeHom:
@@ -612,12 +603,15 @@ def all_dist_lattices(max_n):
                     q = FinPoset(p.n + 1, leq)
                 except LatticeError:
                     continue
+                # isomorphic posets have equal counts, so a poset rejected
+                # here is never needed for dedupe
+                if _count_downsets(q) > max_n:
+                    continue
                 key = q.canonical()
                 if key in seen:
                     continue
                 seen.add(key)
-                if _count_downsets(q) <= max_n:
-                    nxt.append(q)
+                nxt.append(q)
         frontier = nxt
     out.sort(key=lambda l: l.canonical())
     return out

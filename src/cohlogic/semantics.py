@@ -5,7 +5,12 @@ and the homomorphism induced by a 2-cell.
 Formula extensions are int bitsets over the n-tuples of the carrier: bit j
 stands for the j-th tuple of ``itertools.product(range(size), repeat=n)``,
 that is the tuple whose base-``size`` digits, most significant first, are
-the digits of j.  ``FiniteModel.ext`` decodes them to sets of tuples."""
+the digits of j.  ``FiniteModel.ext`` decodes them to sets of tuples.
+
+A ``ModelBatch`` lays K models of one size s end to end, so that one
+evaluation serves all of them: bit ``i * s**n + j`` of a batch extension is
+tuple j of model i.  A run of s bits never straddles two models, and a lone
+``FiniteModel`` is the batch of one."""
 
 from __future__ import annotations
 
@@ -36,6 +41,8 @@ class ResourceGuard(Exception):
 
 class FiniteModel:
     """Carrier 0..size-1 plus a set of tuples per relation symbol."""
+
+    blocks = 1  # models in the batch: a lone model is the batch of one
 
     def __init__(self, size, tables):
         self.size = size
@@ -83,13 +90,23 @@ class FiniteModel:
         )
 
 
+class ModelBatch:
+    """Models of one size laid end to end for ``extension``: bit
+    ``i * size**n + j`` of an extension is tuple j of models[i]."""
+
+    def __init__(self, models):
+        self.models = tuple(models)
+        self.size = self.models[0].size
+        self.blocks = len(self.models)
+
+
 @lru_cache(maxsize=None)
-def _coord_masks(size, n):
+def _coord_masks(size, n, blocks=1):
     """masks[k][v]: bitset of the n-tuples over range(size) whose entry k
-    (0-based) is v."""
+    (0-based) is v, repeated in each of blocks consecutive models."""
     if size == 0:
         return ((),) * n
-    total = size ** n
+    total = blocks * size ** n
     masks = []
     for k in range(n):
         width = size ** (n - 1 - k)  # weight of entry k in the tuple index
@@ -123,31 +140,38 @@ def tuple_at(size, n, j):
 
 def extension(m, phi, n, memo):
     """Bitset of the n-tuples of m satisfying phi: bit j holds for the j-th
-    tuple of ``product(range(m.size), repeat=n)``.  Computed bottom-up with
-    sharing of subformula extensions through memo, a dict keyed by
-    (formula, context).  A symbol without a table in m has an empty
-    extension."""
+    tuple of ``product(range(m.size), repeat=n)``.  m may be a
+    ``ModelBatch``; then bit ``i * m.size**n + j`` is tuple j of model i.
+    Computed bottom-up with sharing of subformula extensions through memo, a
+    dict keyed by (formula, context).  A symbol without a table in m has an
+    empty extension."""
     key = (phi, n)
     out = memo.get(key)
     if out is not None:
         return out
     size = m.size
     if isinstance(phi, Atom):
-        masks = _coord_masks(size, n)
-        full = (1 << size ** n) - 1
-        out = 0
-        for row in m.tables.get(phi.sym, ()):
-            bits = full
-            for i, v in zip(phi.args, row):
-                bits &= masks[i - 1][v]
-            out |= bits
+        if isinstance(m, ModelBatch):
+            span = size ** n
+            out = 0
+            for i, part in enumerate(m.models):
+                out |= extension(part, phi, n, {}) << i * span
+        else:
+            masks = _coord_masks(size, n)
+            full = (1 << size ** n) - 1
+            out = 0
+            for row in m.tables.get(phi.sym, ()):
+                bits = full
+                for i, v in zip(phi.args, row):
+                    bits &= masks[i - 1][v]
+                out |= bits
     elif isinstance(phi, Eq):
-        masks = _coord_masks(size, n)
+        masks = _coord_masks(size, n, m.blocks)
         out = 0
         for v in range(size):
             out |= masks[phi.i - 1][v] & masks[phi.j - 1][v]
     elif isinstance(phi, And):
-        out = (1 << size ** n) - 1
+        out = (1 << m.blocks * size ** n) - 1
         for p in phi.parts:
             out &= extension(m, p, n, memo)
     elif isinstance(phi, Or):
@@ -163,10 +187,10 @@ def extension(m, phi, n, memo):
             folded = body
             for v in range(1, size):
                 folded |= body >> v
-            digits = format(folded, f"0{size ** (n + 1)}b")
+            digits = format(folded, f"0{m.blocks * size ** (n + 1)}b")
             out = int(digits[size - 1::size], 2)
     elif isinstance(phi, Top):
-        out = (1 << size ** n) - 1
+        out = (1 << m.blocks * size ** n) - 1
     elif isinstance(phi, Bot):
         out = 0
     else:
@@ -242,20 +266,48 @@ def profile(m, a, formulas):
     )
 
 
+_CHUNK = 256  # tuples per transposed slice of profile_bits
+
 
 def profile_bits(m, formulas, n):
     """The profile of every n-tuple of m over formulas, in tuple-index
     order, each as an int whose bit i says that formula i holds: tuple j's
-    profile gathers bit j of every extension.  Evaluates with a fresh memo,
-    so the subformula extensions are dropped afterwards, not kept on m."""
-    width = m.size ** n
+    profile gathers bit j of every extension.  m may be a ``ModelBatch``;
+    then the list runs over the tuples of each model in turn.  Evaluates
+    with a fresh memo, dropped before the formula-by-tuple bit matrix is
+    transposed in slices of ``_CHUNK`` tuples, so neither the subformula
+    extensions nor a whole transposed matrix are kept."""
+    width = m.blocks * m.size ** n
     if not width or not formulas:
         return [0] * width
     memo = {}
-    rows = [format(extension(m, phi, n, memo), f"0{width}b") for phi in formulas]
-    # column c of the rows belongs to tuple width-1-c; reversing the column
-    # puts formula i on bit i
-    return [int("".join(col)[::-1], 2) for col in reversed(list(zip(*rows)))]
+    rows = [extension(m, phi, n, memo) for phi in formulas]
+    del memo
+    out = []
+    for lo in range(0, width, _CHUNK):
+        w = min(_CHUNK, width - lo)
+        mask = (1 << w) - 1
+        cols = zip(*[format(r >> lo & mask, f"0{w}b") for r in rows])
+        # column c of the slice belongs to tuple lo+w-1-c; reversing the
+        # column puts formula i on bit i
+        out.extend(int("".join(col)[::-1], 2) for col in reversed(list(cols)))
+    return out
+
+
+def model_profiles(models, formulas, n):
+    """``profile_bits`` of each model, in the order of models, from one
+    ``ModelBatch`` evaluation per carrier size."""
+    by_size = {}
+    for mi, m in enumerate(models):
+        by_size.setdefault(m.size, []).append(mi)
+    out = [None] * len(models)
+    for size, group in by_size.items():
+        span = size ** n
+        flat = profile_bits(ModelBatch(models[mi] for mi in group), formulas, n)
+        for i, mi in enumerate(group):
+            out[mi] = flat[i * span:(i + 1) * span]
+    return out
+
 
 # ---------------------------------------------------------------------------
 # interpreted models

@@ -16,8 +16,9 @@ from .semantics import (
     enumerate_models,
     eval_formula,
     gamma_star,
+    model_profiles,
     profile,
-    profile_bits,
+    tuple_index,
 )
 from .syntax import (
     And,
@@ -469,6 +470,9 @@ class TypeSpaceApprox:
     points: dict  # n -> list of profiles (frozensets of formula indices)
     realizations: dict  # n -> list of (model index, tuple)
     opens: dict  # n -> list of frozensets of point indices, per formula
+    # n -> per model, the point index of each n-tuple in tuple_index order:
+    # tuple_points[n][mi][j] is the point of tuple j of models[mi]
+    tuple_points: dict
     stable: bool = False
     stable_arities: tuple = ()  # per-arity stability diagnostic, n = 0..N
 
@@ -496,14 +500,12 @@ class TypeSpaceApprox:
 
     def s_map(self, f, n, m):
         """Restriction map S_f: points of arity m -> points of arity n, for
-        f: n -> m, computed semantically at the realizations."""
-        out = []
-        index = self.point_index(n)
-        for mi, a in self.realizations[m]:
-            b = tuple(a[v - 1] for v in f)
-            prof = profile(self.models[mi], b, self.formulas[n])
-            out.append(index[prof])
-        return tuple(out)
+        f: n -> m: the point of each realization restricted along f."""
+        table = self.tuple_points[n]
+        return tuple(
+            table[mi][tuple_index(self.models[mi].size, tuple(a[v - 1] for v in f))]
+            for mi, a in self.realizations[m]
+        )
 
     def s_monotone(self, f, n, m):
         return lattice.MonotoneMap(self.poset(m), self.poset(n), self.s_map(f, n, m))
@@ -514,15 +516,27 @@ def _indices(bits):
     return frozenset(i for i, c in enumerate(format(bits, "b")[::-1]) if c == "1")
 
 
-def _collect_points(models, formulas, n):
+def _collect(models, formulas, n):
+    """Points (profiles, sorted), the first realization (model index,
+    tuple) of each in model order, and the point index of every tuple of
+    every model."""
+    profiles = model_profiles(models, formulas, n)
     seen = {}
     for mi, m in enumerate(models):
         tuples = product(range(m.size), repeat=n)
-        for a, bits in zip(tuples, profile_bits(m, formulas, n)):
+        for a, bits in zip(tuples, profiles[mi]):
             seen.setdefault(bits, (mi, a))
-    found = {_indices(bits): r for bits, r in seen.items()}
+    found = {_indices(bits): bits for bits in seen}
     pts = sorted(found, key=sorted)
-    return pts, [found[p] for p in pts]
+    index = {found[p]: i for i, p in enumerate(pts)}
+    table = [[index[bits] for bits in prof] for prof in profiles]
+    return pts, [seen[found[p]] for p in pts], table
+
+
+def _collect_points(models, formulas, n):
+    """The points and realizations of ``_collect``."""
+    pts, reals, _ = _collect(models, formulas, n)
+    return pts, reals
 
 
 def compute_typespace(t, N=2, B=3, d=2, cap=600, check_stability=True,
@@ -541,17 +555,17 @@ def compute_typespace(t, N=2, B=3, d=2, cap=600, check_stability=True,
     points = {}
     realizations = {}
     opens = {}
+    tuple_points = {}
     for n in range(N + 1):
         formulas[n] = enum_formulas(t.signature, n, d, cap)
-        pts, reals = _collect_points(models, formulas[n], n)
+        pts, realizations[n], tuple_points[n] = _collect(models, formulas[n], n)
         points[n] = pts
-        realizations[n] = reals
         opens[n] = [
             frozenset(j for j, p in enumerate(pts) if i in p)
             for i in range(len(formulas[n]))
         ]
     approx = TypeSpaceApprox(t, N, B, d, cap, models, formulas, points,
-                             realizations, opens)
+                             realizations, opens, tuple_points)
     if check_stability:
         approx.stable_arities = _stability(t, approx)
         approx.stable = all(approx.stable_arities)
@@ -563,15 +577,15 @@ def _stability(t, approx):
     bound or the formula depth by one step each?
 
     The enumeration up to B+1 starts with approx.models, in order, so only
-    its models of size B+1 can add a point; the first profile missing from
-    approx.points settles the arity as unstable."""
+    its models of size B+1 can add a point; one profile of theirs missing
+    from approx.points settles the arity as unstable."""
     bigger = enumerate_models(t, approx.B + 1)[len(approx.models):]
     out = []
     for n in range(approx.N + 1):
         known = set(approx.points[n])
-        formulas = approx.formulas[n]
-        if any(_indices(bits) not in known
-               for m in bigger for bits in profile_bits(m, formulas, n)):
+        new = {bits for prof in model_profiles(bigger, approx.formulas[n], n)
+               for bits in prof}
+        if any(_indices(bits) not in known for bits in new):
             out.append(False)
             continue
         deeper = enum_formulas(t.signature, n, approx.d + 1, approx.cap)

@@ -32,6 +32,7 @@ from cohlogic.lattice import (
     spec,
     universal_map_surjective,
 )
+from cohlogic.lattice import _count_downsets, _downset_lattice
 
 
 def diamond():
@@ -213,6 +214,53 @@ def test_all_dist_lattices_counts():
         except LatticeError:
             pass
     assert brute == 1 + 1 + 1 + 2 + 3
+
+
+def reference_all_dist_lattices(max_n):
+    """all_dist_lattices as first written: every grown poset is
+    canonicalised before its down-set count is tested."""
+    out = []
+    frontier = [FinPoset(0, [])]
+    seen = {FinPoset(0, []).canonical()}
+    while frontier:
+        nxt = []
+        for p in frontier:
+            out.append(_downset_lattice(p))
+            for bits in range(1 << p.n):
+                below = [i for i in range(p.n) if bits >> i & 1]
+                leq = [list(row) + [False] for row in p.leq]
+                leq.append([False] * p.n + [True])
+                for i in below:
+                    for j in range(p.n):
+                        if p.leq[j][i]:
+                            leq[j][p.n] = True
+                try:
+                    q = FinPoset(p.n + 1, leq)
+                except LatticeError:
+                    continue
+                key = q.canonical()
+                if key in seen:
+                    continue
+                seen.add(key)
+                if _count_downsets(q) <= max_n:
+                    nxt.append(q)
+        frontier = nxt
+    out.sort(key=lambda l: l.canonical())
+    return out
+
+
+@pytest.mark.parametrize("max_n", range(8))
+def test_all_dist_lattices_match_reference(max_n):
+    got = all_dist_lattices(max_n)
+    want = reference_all_dist_lattices(max_n)
+    assert [l.canonical() for l in got] == [l.canonical() for l in want]
+    assert got == want
+
+
+def test_lattice_iso_is_poset_iso():
+    assert lattice_iso is poset_iso
+    assert lattice_iso(chain(3), diamond()) is None
+    assert lattice_iso(diamond(), diamond()) is not None
 
 
 def test_prime_filters_diamond():
