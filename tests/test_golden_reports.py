@@ -1,5 +1,6 @@
 """Golden ``--json`` run reports for the CLI scenarios of ``reproduce.sh``
-plus ``typespace`` on peq.
+plus ``typespace``, ``models``, ``interpret``, ``thf roundtrip``, ``eval``
+and ``parse``.
 
 Each scenario runs in-process through ``cli.main(["--json", ...])``; its
 exit code and report, with the ``wall_time_s`` key dropped, must equal the
@@ -36,6 +37,7 @@ PEQ = (
     "axiom [x,y] E(x,y) |- E(y,x)\n"
     "axiom [x,y,z] E(x,y) & E(y,z) |- E(x,z)\n"
 )
+EMPTY = "theory nothing\nsig { }\n"
 
 # name -> argv after "--json"; "{d}" is the directory holding the inputs
 SCENARIOS = {
@@ -51,6 +53,16 @@ SCENARIOS = {
     "thf_build_peq": ["thf", "build", "{d}/peq.thy", "--out", "{d}/pres.json"],
     "thf_validate_peq": ["thf", "validate", "{d}/pres.json"],
     "typespace_peq": ["typespace", "{d}/peq.thy"],
+    "models_peq": ["models", "{d}/peq.thy", "--bound", "3"],
+    "interpret_pqr_peq": ["interpret", "{d}/pqr.thy", "{d}/peq.thy",
+                          "--map", "{d}/gmap.json"],
+    "interpret_broken": ["interpret", "{d}/empty.thy", "{d}/s.thy",
+                         "--map", "{d}/bad.json"],
+    "thf_roundtrip_empty": ["thf", "roundtrip", "{d}/empty.thy", "--bound", "2",
+                            "--cap", "4"],
+    "eval_pqr": ["eval", "{d}/pqr.thy", "{d}/m.json", "P(x) & Q(y)",
+                 "--vars", "x,y", "--args", "0,1"],
+    "parse_pqr": ["parse", "{d}/pqr.thy"],
 }
 # scenario -> files it writes, compared as well
 WRITES = {"thf_build_peq": ["pres.json"]}
@@ -61,6 +73,17 @@ NEEDS = {"thf_validate_peq": "thf_build_peq"}
 def _write_inputs(d):
     (d / "pqr.thy").write_text(PQR)
     (d / "peq.thy").write_text(PEQ)
+    (d / "empty.thy").write_text(EMPTY)
+    (d / "s.thy").write_text("theory s\nsig { S/2 }\n")
+    # the pqr -> peq interpretation that holds, and equality sent to a
+    # non-symmetric relation, which is refuted
+    (d / "gmap.json").write_text(json.dumps({
+        "k": 1, "=": "x1 = x2",
+        "P": "E(x1,x1)", "Q": "E(x1,x1)", "R": "E(x1,x1)",
+    }))
+    (d / "bad.json").write_text(json.dumps({"k": 1, "=": "S(x1,x2)"}))
+    (d / "m.json").write_text(json.dumps(
+        {"carrier": 2, "relations": {"P": [[0]], "Q": [[1]], "R": []}}))
     (d / "gens.json").write_text(json.dumps({"1": ["R(x1)"]}))
     (d / "chain3.json").write_text(json.dumps(lattice_to_json(chain(3))))
     (d / "map.json").write_text(json.dumps({
