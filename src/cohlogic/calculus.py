@@ -12,25 +12,27 @@ finite model with a falsifying assignment, Unknown means budget exhaustion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .semantics import enumerate_models, extension, tuple_at
 from .syntax import (
     BOT,
     TOP,
     And,
-    Bot,
     Eq,
     Exists,
     Or,
     Sequent,
     Top,
+    all_maps,
     check_formula,
     conj,
     disj,
     formula_key,
     normalize,
     normalize_sequent,
+    print_formula,
+    print_sequent,
     shift,
     substitute,
 )
@@ -58,8 +60,7 @@ class Budgets:
     model_pool: tuple | None = None
 
     def scaled(self, factor):
-        return Budgets(self.depth * factor, self.size * factor,
-                       self.model_size, self.model_pool)
+        return replace(self, depth=self.depth * factor, size=self.size * factor)
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,41 @@ class Refuted:
 @dataclass(frozen=True)
 class Unknown:
     reason: str = "budget exhausted"
+
+
+@dataclass
+class Tally:
+    """Verdict counts over a batch of checks.  ``failures`` collects the
+    witnesses of failed checks for callers that keep them all, and
+    ``first_failure`` is the witness of the first verdict added that was
+    not Proved.  ``verdict`` decides Fails, Unknown or Holds."""
+
+    proved: int = 0
+    refuted: int = 0
+    unknown: int = 0
+    failures: list = field(default_factory=list)
+    first_failure: object = None
+
+    def add(self, verdict, witness):
+        if isinstance(verdict, Proved):
+            self.proved += 1
+            return
+        if isinstance(verdict, Refuted):
+            self.refuted += 1
+        else:
+            self.unknown += 1
+        if self.first_failure is None:
+            self.first_failure = witness
+
+    @property
+    def verdict(self):
+        if self.refuted or self.failures:
+            return "Fails"
+        return "Unknown" if self.unknown else "Holds"
+
+    @property
+    def ok(self):
+        return self.verdict == "Holds"
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +368,7 @@ def _axiom_instances(t, n):
         return cache[n]
     out = []
     for ai, ax in enumerate(t.axioms):
-        k = ax.ctx
-        maps = [()]
-        for _ in range(k):
-            maps = [m + (v,) for m in maps for v in range(1, n + 1)]
-        if k > 0 and n == 0:
-            maps = []
-        for f in maps:
+        for f in all_maps(ax.ctx, n):
             al = normalize(substitute(ax.lhs, f, n))
             ar = normalize(substitute(ax.rhs, f, n))
             if al == ar or ar == TOP:
@@ -647,8 +677,6 @@ def equivalent(t, phi, psi, ctx, budgets=Budgets()):
 
 
 def derivation_to_json(d):
-    from .syntax import print_sequent
-
     return {
         "rule": d.rule,
         "conclusion": print_sequent(d.concl),
@@ -658,8 +686,6 @@ def derivation_to_json(d):
 
 
 def _params_json(params):
-    from .syntax import print_formula
-
     out = []
     for p in params:
         if isinstance(p, (int, str)):

@@ -27,9 +27,8 @@ SCHEMA_VERSIONS = {
     "presentation": "1",
 }
 
-EXIT_HOLDS = 0
-EXIT_FAILS = 1
-EXIT_UNKNOWN = 2
+# exit code per verdict; a run exits with the code of its worst verdict
+EXIT = {"Holds": 0, "Fails": 1, "Unknown": 2}
 EXIT_INPUT = 3
 
 
@@ -80,7 +79,7 @@ def _jsonable(x):
     return x
 
 
-def _report(command, inputs, bounds, verdicts, extra=None, started=None):
+def _report(command, inputs, bounds, verdicts, extra=None):
     rep = {
         "schema": SCHEMA_VERSIONS["run-report"],
         "command": command,
@@ -90,7 +89,6 @@ def _report(command, inputs, bounds, verdicts, extra=None, started=None):
     }
     if extra:
         rep.update(_jsonable(extra))
-    rep["wall_time_s"] = round(time.monotonic() - started, 3) if started else 0.0
     return rep
 
 
@@ -109,12 +107,16 @@ def _read(path):
     return p.read_text()
 
 
-def _load_theory(path):
-    return syntax.parse_theory(_read(path))
-
-
 def _budgets(args):
     return calculus.Budgets(depth=args.depth, model_size=args.model_size)
+
+
+def _tally(out):
+    """Report fields and summary line of a ``calculus.Tally``."""
+    line = (f"{out.verdict}: proved {out.proved}, refuted {out.refuted}, "
+            f"unknown {out.unknown}")
+    return {"verdict": out.verdict, "proved": out.proved,
+            "refuted": out.refuted, "unknown": out.unknown}, line
 
 
 def _verdict_name(v):
@@ -125,17 +127,11 @@ def _verdict_name(v):
     return "Unknown"
 
 
-def _verdict_exit(v):
-    return {"Holds": EXIT_HOLDS, "Fails": EXIT_FAILS}.get(_verdict_name(v),
-                                                          EXIT_UNKNOWN)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_parse(args):
-    started = time.monotonic()
     text = _read(args.theory)
     t = syntax.parse_theory(text)
     rep = _report(
@@ -144,13 +140,11 @@ def _cmd_parse(args):
         {"name": t.name,
          "relations": [list(r) for r in t.signature.relations],
          "axioms": len(t.axioms)},
-        started,
     )
-    return EXIT_HOLDS, rep, [syntax.print_theory(t)]
+    return rep, [syntax.print_theory(t)]
 
 
 def _cmd_prove(args, want="prove"):
-    started = time.monotonic()
     text = _read(args.theory)
     t = syntax.parse_theory(text)
     s = syntax.parse_sequent(args.sequent, t.signature)
@@ -169,9 +163,9 @@ def _cmd_prove(args, want="prove"):
     rep = _report(
         want, {"theory": text, "sequent": args.sequent},
         {"depth": args.depth, "model_size": args.model_size},
-        [verdict], None, started,
+        [verdict],
     )
-    return _verdict_exit(v), rep, lines
+    return rep, lines
 
 
 def _cmd_refute(args):
@@ -179,11 +173,13 @@ def _cmd_refute(args):
 
 
 def _cmd_eval(args):
-    started = time.monotonic()
     text = _read(args.theory)
     t = syntax.parse_theory(text)
     mtext = _read(args.model)
     m = semantics.model_from_json(json.loads(mtext))
+    for sym, ar in t.signature.relations:
+        if any(len(row) != ar for row in m.tables.get(sym, ())):
+            raise CliError(f"a row of {sym} does not have its arity {ar}")
     names = [v for v in args.vars.split(",") if v] if args.vars else []
     phi = syntax.parse_formula(args.formula, names, t.signature)
     a = tuple(int(v) for v in args.args.split(",") if v) if args.args else ()
@@ -195,13 +191,11 @@ def _cmd_eval(args):
     rep = _report(
         "eval", {"theory": text, "model": mtext, "formula": args.formula},
         {}, [{"verdict": "Holds" if value else "Fails", "value": value}],
-        None, started,
     )
-    return (EXIT_HOLDS if value else EXIT_FAILS), rep, [str(value).lower()]
+    return rep, [str(value).lower()]
 
 
 def _cmd_models(args):
-    started = time.monotonic()
     text = _read(args.theory)
     t = syntax.parse_theory(text)
     ms = semantics.enumerate_models(t, args.bound)
@@ -209,16 +203,15 @@ def _cmd_models(args):
     rep = _report(
         "models", {"theory": text}, {"bound": args.bound},
         [{"verdict": "Holds", "count": len(ms)}],
-        {"models": shown}, started,
+        {"models": shown},
     )
     lines = [f"{len(ms)} models up to size {args.bound} (up to isomorphism)"]
     for m in shown:
         lines.append(json.dumps(semantics.model_to_json(m)))
-    return EXIT_HOLDS, rep, lines
+    return rep, lines
 
 
 def _cmd_typespace(args):
-    started = time.monotonic()
     text = _read(args.theory)
     t = syntax.parse_theory(text)
     a = typespace.compute_typespace(t, N=args.cutoff, B=args.bound,
@@ -230,17 +223,15 @@ def _cmd_typespace(args):
          "cutoff": args.cutoff},
         [{"verdict": "Holds", "points": points}],
         {"stable": a.stable, "stable_arities": list(a.stable_arities)},
-        started,
     )
     lines = [f"arity {n}: {points[n]} points"
              f" ({'stable' if a.stable_arities[n] else 'not stable'})"
              for n in range(args.cutoff + 1)]
     lines.append(f"stable at every arity: {a.stable}")
-    return EXIT_HOLDS, rep, lines
+    return rep, lines
 
 
 def _cmd_duality(args):
-    started = time.monotonic()
     if (args.lattice is None) == (args.poset is None):
         raise CliError("give exactly one of --lattice or --poset")
     if args.lattice:
@@ -256,9 +247,8 @@ def _cmd_duality(args):
     rep = _report(
         "duality", {kind: text}, {},
         [{"verdict": "Holds" if ok else "Fails", "kind": kind, "size": size}],
-        None, started,
     )
-    return (EXIT_HOLDS if ok else EXIT_FAILS), rep, [
+    return rep, [
         f"{kind} round trip: {'isomorphism' if ok else 'FAILED'}"
     ]
 
@@ -287,7 +277,6 @@ def _parse_map(text, dn, size):
 
 
 def _cmd_check_bc(args):
-    started = time.monotonic()
     text = _read(args.theory)
     t = syntax.parse_theory(text)
     dn, bn, cn = _parse_span(args.pushout)
@@ -311,7 +300,6 @@ def _cmd_check_bc(args):
         {"pushout": {"span": [dn, bn, cn], "apex": an,
                      "left": list(u), "right": list(v)},
          "stable_arities": list(a.stable_arities)},
-        started,
     )
     lines = [
         f"beck-chevalley: {out['bc']}",
@@ -320,11 +308,10 @@ def _cmd_check_bc(args):
     ]
     if out["missed_pair"] is not None:
         lines.append(f"point pair missed by the universal map: {out['missed_pair']}")
-    return (EXIT_HOLDS if out["bc"] else EXIT_FAILS), rep, lines
+    return rep, lines
 
 
 def _cmd_check_frobenius(args):
-    started = time.monotonic()
     text = _read(args.map)
     obj = json.loads(text)
     src = lattice.poset_from_json(obj["source"])
@@ -339,16 +326,14 @@ def _cmd_check_frobenius(args):
         "check-frobenius", {"map": text}, {},
         [{"verdict": verdict, "frobenius": frob, "witness": witness,
           "open_map": open_, "agreement": frob == open_}],
-        None, started,
     )
-    return (EXIT_HOLDS if frob else EXIT_FAILS), rep, [
+    return rep, [
         f"frobenius: {frob}",
         f"open map: {open_}",
     ]
 
 
 def _cmd_interpret(args):
-    started = time.monotonic()
     src_text = _read(args.source)
     tgt_text = _read(args.target)
     map_text = _read(args.map)
@@ -367,22 +352,15 @@ def _cmd_interpret(args):
                                             tgt.signature)
     g = typespace.Interpretation(src, tgt, k, mapping)
     out = typespace.check_interpretation(g, _budgets(args))
-    verdict = ("Holds" if out.ok
-               else "Fails" if out.refuted else "Unknown")
+    verdict, line = _tally(out)
     rep = _report(
         "interpret",
         {"source": src_text, "target": tgt_text, "map": map_text},
         {"depth": args.depth, "model_size": args.model_size},
-        [{"verdict": verdict, "proved": out.proved, "refuted": out.refuted,
-          "unknown": out.unknown, "first_failure": out.first_failure}],
-        {"strong": g.strong}, started,
+        [dict(verdict, first_failure=out.first_failure)],
+        {"strong": g.strong},
     )
-    code = (EXIT_HOLDS if out.ok
-            else EXIT_FAILS if out.refuted else EXIT_UNKNOWN)
-    return code, rep, [
-        f"{verdict}: proved {out.proved}, refuted {out.refuted}, "
-        f"unknown {out.unknown}",
-    ]
+    return rep, [line]
 
 
 def _generators(args, t):
@@ -409,7 +387,6 @@ def _export(args, t):
 
 
 def _cmd_thf(args):
-    started = time.monotonic()
     if args.action == "validate":
         text = _read(args.input)
         pres = internal_logic.presentation_from_json(json.loads(text))
@@ -418,9 +395,8 @@ def _cmd_thf(args):
         rep = _report(
             "thf validate", {"presentation": text}, {},
             [{"verdict": verdict, "failures": out["failures"][:10]}],
-            None, started,
         )
-        return (EXIT_HOLDS if out["ok"] else EXIT_FAILS), rep, [
+        return rep, [
             f"presentation valid: {out['ok']}"
         ]
 
@@ -440,57 +416,39 @@ def _cmd_thf(args):
             "thf build", {"theory": text}, bounds,
             [{"verdict": "Holds", "lattice_sizes": sizes,
               "axioms": len(th.axioms)}],
-            None if args.out else {"presentation": obj}, started,
+            None if args.out else {"presentation": obj},
         )
         lines = [f"arity {n}: lattice of {sizes[n]} opens" for n in sizes]
         lines.append(f"theory of the presentation: {len(th.axioms)} axioms")
         if args.out:
             lines.append(f"wrote {args.out}")
-        return EXIT_HOLDS, rep, lines
+        return rep, lines
 
     # action == "roundtrip": theory -> presentation -> theory comparison
     out = internal_logic.roundtrip_theory(t, _export(args, t), cap=args.cap)
-    verdict = ("Fails" if not out.ok
-               else "Unknown" if out.unknown else "Holds")
+    verdict, line = _tally(out)
     rep = _report(
         "thf roundtrip", {"theory": text}, dict(bounds, cap=args.cap),
-        [{"verdict": verdict, "proved": out.proved, "refuted": out.refuted,
-          "unknown": out.unknown, "failures": out.failures[:10]}],
-        None, started,
+        [dict(verdict, failures=out.failures[:10])],
     )
-    code = {"Holds": EXIT_HOLDS, "Fails": EXIT_FAILS,
-            "Unknown": EXIT_UNKNOWN}[verdict]
-    return code, rep, [
-        f"{verdict}: proved {out.proved}, refuted {out.refuted}, "
-        f"unknown {out.unknown}",
-    ]
+    return rep, [line]
 
 
 def _cmd_roundtrip(args):
-    started = time.monotonic()
     text = _read(args.theory)
     t = syntax.parse_theory(text)
     bounds = {"bound": args.bound, "formula_depth": args.formula_depth,
               "cutoff": args.cutoff, "gen_depth": args.gen_depth,
               "max_size": args.max_size, "cap": args.cap}
     verdicts = []
-    code = EXIT_HOLDS
     lines = []
     pres = _export(args, t)
     if args.mode in ("theory", "both"):
         out = internal_logic.roundtrip_theory(t, pres, cap=args.cap)
-        verdict = ("Fails" if not out.ok
-                   else "Unknown" if out.unknown else "Holds")
-        verdicts.append({"verdict": verdict, "direction": "theory",
-                         "proved": out.proved, "refuted": out.refuted,
-                         "unknown": out.unknown,
-                         "failures": out.failures[:10]})
-        lines.append(f"theory round trip {verdict}: proved {out.proved}, "
-                     f"refuted {out.refuted}, unknown {out.unknown}")
-        if verdict == "Fails":
-            code = EXIT_FAILS
-        elif verdict == "Unknown" and code == EXIT_HOLDS:
-            code = EXIT_UNKNOWN
+        verdict, line = _tally(out)
+        verdicts.append(dict(verdict, direction="theory",
+                             failures=out.failures[:10]))
+        lines.append(f"theory round trip {line}")
     if args.mode in ("functor", "both"):
         out = internal_logic.roundtrip_functor(pres)
         verdict = "Holds" if out["ok"] else "Fails"
@@ -503,11 +461,8 @@ def _cmd_roundtrip(args):
             lines.append(f"arity {n}: {realized} realized types, "
                          f"{filters} prime filters")
         lines.append(f"functor round trip {verdict}")
-        if verdict == "Fails":
-            code = EXIT_FAILS
-    rep = _report("roundtrip", {"theory": text}, bounds, verdicts, None,
-                  started)
-    return code, rep, lines
+    rep = _report("roundtrip", {"theory": text}, bounds, verdicts)
+    return rep, lines
 
 
 # ---------------------------------------------------------------------------
@@ -644,24 +599,20 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        code, rep, lines = args.run(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except (syntax.SyntaxError_, json.JSONDecodeError, KeyError, ValueError,
-            OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except (lattice.LatticeError, semantics.SemanticsError,
-            typespace.TypeSpaceError,
-            internal_logic.InternalLogicError) as e:
+        t0 = time.monotonic()
+        rep, lines = args.run(args)
+    except (CliError, syntax.SyntaxError_, json.JSONDecodeError, KeyError,
+            ValueError, OSError, lattice.LatticeError, semantics.SemanticsError,
+            typespace.TypeSpaceError, internal_logic.InternalLogicError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except semantics.ResourceGuard as e:
         print(f"unknown: {e}", file=sys.stderr)
-        return EXIT_UNKNOWN
+        return EXIT["Unknown"]
+    rep["wall_time_s"] = round(time.monotonic() - t0, 3)
     _emit(args, rep, lines)
-    return code
+    verdicts = {v["verdict"] for v in rep["verdicts"]}
+    return next(EXIT[v] for v in ("Fails", "Unknown", "Holds") if v in verdicts)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ spectrum.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 from . import calculus
@@ -23,6 +23,8 @@ from .lattice import (
     chain,
     check_frobenius,
     identity_hom,
+    lattice_from_json,
+    lattice_to_json,
     left_adjoint,
     prime_filters,
 )
@@ -40,6 +42,7 @@ from .syntax import (
     Signature,
     Theory,
     Top,
+    all_maps,
     conj,
     enum_formulas,
     formula_depth,
@@ -48,7 +51,6 @@ from .syntax import (
 )
 from .typespace import (
     Interpretation,
-    all_maps,
     apply_interpretation,
     compose_maps,
     compute_typespace,
@@ -300,8 +302,7 @@ def th_of(pres):
 # export from a type-space approximation
 
 
-def export_presentation(approx, gen_depth=1, max_size=80, name=None,
-                        generators=None):
+def export_presentation(approx, gen_depth=1, max_size=80, generators=None):
     """Sublattices of opens generated by the shallow definable opens, closed
     under meets, joins, substitution preimages and direct images; each
     element keeps a defining formula and its extent as a set of points.
@@ -385,7 +386,7 @@ def export_presentation(approx, gen_depth=1, max_size=80, name=None,
         formulas,
         extents,
         approx,
-        name or f"S_{approx.theory.name}",
+        f"S_{approx.theory.name}",
     )
 
 
@@ -525,18 +526,6 @@ def th_of_1cell(beta):
 # round trips
 
 
-@dataclass
-class RoundTripReport:
-    proved: int = 0
-    refuted: int = 0
-    unknown: int = 0
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return self.refuted == 0 and not self.failures
-
-
 def roundtrip_theory(theory, pres, cap=10, budgets=None):
     """Rebuild a theory from pres, a presentation exported from an
     approximation of S(theory), and check the interpretation
@@ -554,13 +543,10 @@ def roundtrip_theory(theory, pres, cap=10, budgets=None):
         for u in range(pres.lattices[n].n):
             mapping[rel_symbol(n, u)] = pres.formulas[n][u]
     gamma = Interpretation(gen_th, theory, 1, mapping)
-    report = RoundTripReport()
-    pool = induced_models(pres)
+    report = calculus.Tally()
     approx = pres.approx
-    gen_b = calculus.Budgets(budgets.depth, budgets.size, budgets.model_size, pool)
-    tgt_b = calculus.Budgets(
-        budgets.depth, budgets.size, budgets.model_size, tuple(approx.models)
-    )
+    gen_b = replace(budgets, model_pool=induced_models(pres))
+    tgt_b = replace(budgets, model_pool=tuple(approx.models))
     for n in range(pres.cutoff + 1):
         formulas = enum_formulas(gen_th.signature, n, approx.d, cap=200)[:cap]
         values = {phi: denote(pres, phi, n) for phi in formulas}
@@ -610,9 +596,7 @@ def roundtrip_functor(pres, models=None, d=2, cap=600):
         models = induced_models(pres)
     else:
         models = tuple(m for m in models if is_model(m, gen_th))
-    approx = compute_typespace(
-        gen_th, N=pres.cutoff, d=d, cap=cap, models=models, check_stability=False
-    )
+    approx = compute_typespace(gen_th, N=pres.cutoff, d=d, cap=cap, models=models)
     report = {"ok": True, "failures": [], "unrealized": [], "points": {}}
     filters_by_point = {}
     for n in range(pres.cutoff + 1):
@@ -657,8 +641,6 @@ def roundtrip_functor(pres, models=None, d=2, cap=600):
 
 
 def presentation_to_json(pres):
-    from .lattice import lattice_to_json
-
     return {
         "cutoff": pres.cutoff,
         "lattices": {
@@ -673,8 +655,6 @@ def presentation_to_json(pres):
 
 
 def presentation_from_json(obj):
-    from .lattice import lattice_from_json
-
     cutoff = obj["cutoff"]
     lattices = {int(n): lattice_from_json(l) for n, l in obj["lattices"].items()}
     homs = {}

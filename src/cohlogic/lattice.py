@@ -9,8 +9,8 @@ derived and validated on construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import permutations, product
+from functools import reduce
+from itertools import islice, permutations, product
 
 
 class LatticeError(Exception):
@@ -54,15 +54,13 @@ class FinPoset:
     def up(self, i):
         return frozenset(j for j in range(self.n) if self.leq[i][j])
 
-    def is_up_set(self, s):
-        return all(self.leq[i][j] <= (j in s) for i in s for j in range(self.n))
-
     def up_sets(self):
-        """All up-sets in a fixed deterministic order (by size then bitmask)."""
+        """All up-sets in a fixed deterministic order (by size then
+        contents), found by a scan of all subsets."""
         out = []
         for bits in range(1 << self.n):
             s = frozenset(i for i in range(self.n) if bits >> i & 1)
-            if self.is_up_set(s):
+            if all(self.leq[i][j] <= (j in s) for i in s for j in range(self.n)):
                 out.append(s)
         out.sort(key=lambda s: (len(s), sorted(s)))
         return out
@@ -100,9 +98,7 @@ class MonotoneMap:
     def __init__(self, source, target, values):
         self.source = source
         self.target = target
-        self.values = tuple(values)
-        if len(self.values) != source.n:
-            raise LatticeError("map length mismatch")
+        self.values = _values(values, source.n, target.n)
         for i in range(source.n):
             for j in range(source.n):
                 if source.leq[i][j] and not target.leq[self.values[i]][self.values[j]]:
@@ -166,33 +162,44 @@ def is_open_map(g):
     return True
 
 
+def _values(values, n, m):
+    """values as a tuple, checked to be a function range(n) -> range(m)."""
+    values = tuple(values)
+    if len(values) != n:
+        raise LatticeError(f"expected {n} values, got {len(values)}")
+    for v in values:
+        if type(v) is not int or not 0 <= v < m:
+            raise LatticeError(f"value {v!r} is not one of 0..{m - 1}")
+    return values
+
+
+def _poset_levels(keep):
+    """Lists of posets on 0, 1, 2, ... points, one per isomorphism class in
+    the order found, each list grown from the one before by a new maximal
+    point.  Every poset on n + 1 points arises so, by deleting a maximal
+    point.  A grown poset q is kept, and grown further, only when keep(q)
+    holds, so keep must fail again on every poset grown from one it
+    rejects.  A level is grown only when the next list is asked for."""
+    level = [FinPoset(0, [])]
+    while level:
+        yield level
+        nxt = {}
+        for p in level:
+            # the new point p.n lies above the down-closure of each subset
+            for bits in range(1 << p.n):
+                leq = [list(row) + [any(row[i] for i in range(p.n) if bits >> i & 1)]
+                       for row in p.leq]
+                leq.append([False] * p.n + [True])
+                q = FinPoset(p.n + 1, leq)
+                if keep(q):
+                    nxt.setdefault(q.canonical(), q)
+        level = list(nxt.values())
+
+
 def all_posets(max_n):
     """All posets with at most max_n points, one per isomorphism class."""
-    out = [FinPoset(0, [])]
-    current = {FinPoset(0, []).canonical(): FinPoset(0, [])}
-    for n in range(1, max_n + 1):
-        nxt = {}
-        for p in current.values():
-            # add a new point n-1 with an arbitrary down-set of relations;
-            # every poset on n points arises from deleting a maximal point
-            for bits in range(1 << p.n):
-                below = [i for i in range(p.n) if bits >> i & 1]
-                leq = [list(row) + [False] for row in p.leq]
-                leq.append([False] * p.n + [True])
-                for i in below:
-                    for j in range(p.n):
-                        if p.leq[j][i]:
-                            leq[j][p.n] = True
-                try:
-                    q = FinPoset(p.n + 1, leq)
-                except LatticeError:
-                    continue
-                key = q.canonical()
-                if key not in nxt:
-                    nxt[key] = q
-        out.extend(sorted(nxt.values(), key=lambda p: p.canonical()))
-        current = nxt
-    return out
+    levels = islice(_poset_levels(lambda q: True), max_n + 1)
+    return sorted((p for level in levels for p in level), key=FinPoset.canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +245,6 @@ class FinDistLattice:
             raise LatticeError(f"no {'meet' if lower else 'join'} for ({a},{b})")
         return best[0]
 
-    @staticmethod
-    def _fold(op, items, none):
-        items = list(items)
-        if not items:
-            return none
-        acc = items[0]
-        for x in items[1:]:
-            acc = op(acc, x)
-        return acc
-
     def __eq__(self, other):
         return isinstance(other, FinDistLattice) and self.leq == other.leq
 
@@ -263,14 +260,11 @@ class FinDistLattice:
     def join(self, a, b):
         return self._join[a][b]
 
-    def le(self, a, b):
-        return self.leq[a][b]
-
     def meet_all(self, items):
-        return self._fold(self.meet, items, self.top)
+        return reduce(self.meet, items, self.top)
 
     def join_all(self, items):
-        return self._fold(self.join, items, self.bot)
+        return reduce(self.join, items, self.bot)
 
     def covers(self):
         """All covering pairs (a, b) with a < b and nothing in between."""
@@ -317,9 +311,7 @@ class LatticeHom:
     def __init__(self, source, target, values):
         self.source = source
         self.target = target
-        self.values = tuple(values)
-        if len(self.values) != source.n:
-            raise LatticeError("hom length mismatch")
+        self.values = _values(values, source.n, target.n)
         if self.values[source.bot] != target.bot:
             raise LatticeError("does not preserve bottom")
         if self.values[source.top] != target.top:
@@ -387,28 +379,6 @@ def prime_filters(l):
     out = [
         frozenset(a for a in range(l.n) if l.leq[j][a]) for j in join_irreducibles(l)
     ]
-    out.sort(key=lambda f: (len(f), sorted(f)))
-    return out
-
-
-def _prime_filters_brute(l):
-    """Reference implementation by exhaustive subset search (test oracle)."""
-    out = []
-    for bits in range(1, 1 << l.n):
-        f = frozenset(a for a in range(l.n) if bits >> a & 1)
-        if l.bot in f:
-            continue
-        if not all(l.leq[a][b] <= (b in f) for a in f for b in range(l.n)):
-            continue
-        if not all(l.meet(a, b) in f for a in f for b in f):
-            continue
-        prime = True
-        for a in range(l.n):
-            for b in range(l.n):
-                if l.join(a, b) in f and a not in f and b not in f:
-                    prime = False
-        if prime:
-            out.append(f)
     out.sort(key=lambda f: (len(f), sorted(f)))
     return out
 
@@ -583,59 +553,13 @@ def all_dist_lattices(max_n):
 
     Adding a point to a poset never shrinks its down-set count, so posets are
     grown one maximal point at a time and pruned once the count exceeds
-    max_n."""
-    out = []
-    frontier = [FinPoset(0, [])]
-    seen = {FinPoset(0, []).canonical()}
-    while frontier:
-        nxt = []
-        for p in frontier:
-            out.append(_downset_lattice(p))
-            for bits in range(1 << p.n):
-                below = [i for i in range(p.n) if bits >> i & 1]
-                leq = [list(row) + [False] for row in p.leq]
-                leq.append([False] * p.n + [True])
-                for i in below:
-                    for j in range(p.n):
-                        if p.leq[j][i]:
-                            leq[j][p.n] = True
-                try:
-                    q = FinPoset(p.n + 1, leq)
-                except LatticeError:
-                    continue
-                # isomorphic posets have equal counts, so a poset rejected
-                # here is never needed for dedupe
-                if _count_downsets(q) > max_n:
-                    continue
-                key = q.canonical()
-                if key in seen:
-                    continue
-                seen.add(key)
-                nxt.append(q)
-        frontier = nxt
-    out.sort(key=lambda l: l.canonical())
-    return out
-
-
-def _count_downsets(p):
-    n = 0
-    for bits in range(1 << p.n):
-        s = {i for i in range(p.n) if bits >> i & 1}
-        if all(p.leq[j][i] <= (j in s) for i in s for j in range(p.n)):
-            n += 1
-    return n
-
-
-def _downset_lattice(p):
-    downs = []
-    for bits in range(1 << p.n):
-        s = frozenset(i for i in range(p.n) if bits >> i & 1)
-        if all(p.leq[j][i] <= (j in s) for i in s for j in range(p.n)):
-            downs.append(s)
-    downs.sort(key=lambda s: (len(s), sorted(s)))
-    n = len(downs)
-    leq = [[downs[i] <= downs[j] for j in range(n)] for i in range(n)]
-    return FinDistLattice(n, leq)
+    max_n.  A poset has as many down-sets as up-sets (their complements),
+    and its down-sets are the up-sets of its opposite.  Isomorphic posets
+    have equal counts, so a poset rejected by its count before it is
+    canonicalised is never needed for dedupe."""
+    levels = _poset_levels(lambda q: len(q.up_sets()) <= max_n)
+    opposites = (FinPoset(p.n, list(zip(*p.leq))) for level in levels for p in level)
+    return sorted((k_o(x)[0] for x in opposites), key=FinDistLattice.canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -650,9 +574,15 @@ def poset_to_json(p):
 
 
 def poset_from_json(obj):
-    n = obj["elements"]
+    n, pairs = obj["elements"], obj["leq"]
+    if type(n) is not int or n < 0 or not isinstance(pairs, list):
+        raise LatticeError("a poset needs a natural number of elements and "
+                           "a list of leq pairs")
     leq = [[False] * n for _ in range(n)]
-    for i, j in obj["leq"]:
+    for pair in pairs:
+        if not isinstance(pair, list):
+            raise LatticeError(f"leq entry {pair!r} is not a pair")
+        i, j = _values(pair, 2, n)
         leq[i][j] = True
     return FinPoset(n, leq)
 

@@ -26,8 +26,6 @@ from .syntax import (
     Or,
     Top,
     enum_formulas,
-    normalize,
-    substitute,
 )
 
 
@@ -214,16 +212,19 @@ def is_model(m, t):
     return True
 
 
-def enumerate_models(t, max_size, guard_bits=22):
+GUARD_BITS = 22  # largest table space enumerate_models scans: 2^22 valuations
+
+
+def enumerate_models(t, max_size):
     """All models of t with carrier at most max_size, one per isomorphism
     class, in canonical ascending order.  Raises ResourceGuard if the table
-    space at some size exceeds 2^guard_bits valuations."""
+    space at some size exceeds 2^GUARD_BITS valuations."""
     out = []
     for size in range(max_size + 1):
         bits = sum(size ** ar for _, ar in t.signature.relations)
-        if bits > guard_bits:
+        if bits > GUARD_BITS:
             raise ResourceGuard(
-                f"size {size} needs 2^{bits} valuations (> 2^{guard_bits})"
+                f"size {size} needs 2^{bits} valuations (> 2^{GUARD_BITS})"
             )
         slots = []
         for sym, ar in t.signature.relations:
@@ -423,6 +424,12 @@ def model_to_json(m):
 
 
 def model_from_json(obj):
-    return FiniteModel(
-        obj["carrier"], {s: {tuple(r) for r in rows} for s, rows in obj["relations"].items()}
-    )
+    size, relations = obj["carrier"], obj["relations"]
+    if type(size) is not int or size < 0 or not isinstance(relations, dict):
+        raise SemanticsError("a model needs a natural-number carrier and an "
+                             "object of relations")
+    for sym, rows in relations.items():
+        if not isinstance(rows, list) or not all(
+                isinstance(r, list) and all(type(v) is int for v in r) for r in rows):
+            raise SemanticsError(f"relation {sym} is not a list of integer rows")
+    return FiniteModel(size, {s: {tuple(r) for r in rows} for s, rows in relations.items()})

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -158,9 +158,6 @@ class Signature:
                 return ar
         raise SyntaxError_(f"unknown relation symbol {sym!r}")
 
-    def symbols(self):
-        return [s for s, _ in self.relations]
-
 
 EMPTY_SIGNATURE = Signature("empty", ())
 
@@ -238,6 +235,13 @@ def _subst(phi, f, m):
     return phi
 
 
+def all_maps(n, m):
+    """All index maps n -> m, as the tuples of length n over 1..m in the
+    order of ``itertools.product``, which is lexicographic.  Atoms in
+    ``_enum`` and the prover's axiom instances are listed in this order."""
+    return list(product(range(1, m + 1), repeat=n))
+
+
 def shift(phi, n):
     """Embed a formula from context n into context n+1 (inclusion map)."""
     return substitute(phi, tuple(range(1, n + 1)), n + 1)
@@ -311,11 +315,6 @@ def conj(parts):
 
 def disj(parts):
     return normalize(Or(tuple(parts)))
-
-
-def pad_context(phi, ctx):
-    """phi /\\ x1=x1 /\\ ... so that every context variable occurs."""
-    return conj([phi] + [Eq(i, i) for i in range(1, ctx + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +541,8 @@ def _parse_atomic(toks, names, sig):
     raise SyntaxError_(f"unknown symbol or lone variable {tok!r}", line, col)
 
 
-def parse_sequent(text, sig):
-    """Parse a standalone sequent of the form ``[x,y] lhs |- rhs``."""
-    toks = _Tokens(text)
-    toks.skip_newlines()
+def _parse_sequent(toks, sig):
+    """The sequent ``[x,y] lhs |- rhs`` at the current token."""
     toks.expect("[")
     names = []
     if toks.peek() != "]":
@@ -565,11 +562,19 @@ def parse_sequent(text, sig):
     lhs = _parse_or(toks, names, sig)
     toks.expect("|-")
     rhs = _parse_or(toks, names, sig)
+    return Sequent(len(names), lhs, rhs)
+
+
+def parse_sequent(text, sig):
+    """Parse a standalone sequent of the form ``[x,y] lhs |- rhs``."""
+    toks = _Tokens(text)
+    toks.skip_newlines()
+    s = _parse_sequent(toks, sig)
     toks.skip_newlines()
     if toks.peek() is not None:
         line, col = toks.loc()
         raise SyntaxError_(f"trailing input {toks.peek()!r}", line, col)
-    return Sequent(len(names), lhs, rhs)
+    return s
 
 
 def parse_theory(text):
@@ -611,26 +616,7 @@ def parse_theory(text):
     toks.skip_newlines()
     while toks.peek() == "axiom":
         toks.next()
-        toks.expect("[")
-        names = []
-        if toks.peek() != "]":
-            while True:
-                vline, vcol = toks.loc()
-                v = toks.next()
-                if v is None or not (v[0].isalpha() or v[0] == "_"):
-                    raise SyntaxError_("expected context variable", vline, vcol)
-                if v in names:
-                    raise SyntaxError_(f"duplicate context variable {v!r}", vline, vcol)
-                names.append(v)
-                if toks.peek() == ",":
-                    toks.next()
-                    continue
-                break
-        toks.expect("]")
-        lhs = _parse_or(toks, names, sig)
-        toks.expect("|-")
-        rhs = _parse_or(toks, names, sig)
-        axioms.append(Sequent(len(names), lhs, rhs))
+        axioms.append(_parse_sequent(toks, sig))
         toks.skip_newlines()
     toks.skip_newlines()
     if toks.peek() is not None:
@@ -686,7 +672,7 @@ def enum_formulas(sig, n, depth, cap=2000):
 def _enum(sig, n, depth, cap):
     level = {TOP, BOT}
     for sym, ar in sig.relations:
-        for args in _tuples(n, ar):
+        for args in all_maps(ar, n):
             level.add(Atom(sym, args))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -797,12 +783,3 @@ def _cap_size(counts, cap):
         if total >= cap:
             return s
     return math.inf
-
-
-def _tuples(n, arity):
-    if arity == 0:
-        return [()]
-    out = [()]
-    for _ in range(arity):
-        out = [t + (i,) for t in out for i in range(1, n + 1)]
-    return out

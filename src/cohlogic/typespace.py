@@ -8,7 +8,7 @@ tuples of length n with 1-based values in 1..m, acting by restriction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import product
 
 from . import calculus, lattice
@@ -28,8 +28,10 @@ from .syntax import (
     Or,
     Sequent,
     Theory,
+    all_maps,
     check_formula,
     conj,
+    disj,
     enum_formulas,
     normalize,
     substitute,
@@ -38,13 +40,6 @@ from .syntax import (
 
 class TypeSpaceError(Exception):
     pass
-
-
-def all_maps(n, m):
-    """All index maps n -> m, deterministic order."""
-    if n == 0:
-        return [()]
-    return sorted(product(range(1, m + 1), repeat=n))
 
 
 def identity_index_map(n):
@@ -155,8 +150,6 @@ def apply_interpretation(g, phi, ctx):
         if isinstance(phi, And):
             return conj([go(p, n) for p in phi.parts])
         if isinstance(phi, Or):
-            from .syntax import disj
-
             return disj([go(p, n) for p in phi.parts])
         if isinstance(phi, Exists):
             body = go(phi.body, n + 1)
@@ -178,18 +171,6 @@ def compose_interpretations(g2, g1):
     for sym, ar in g1.source.signature.relations:
         mapping[sym] = apply_interpretation(g2, g1.mapping[sym], ar * g1.k)
     return Interpretation(g1.source, g2.target, g1.k * g2.k, mapping)
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    proved: int
-    refuted: int
-    unknown: int
-    first_failure: object = None
-
-    @property
-    def ok(self):
-        return self.refuted == 0 and self.unknown == 0
 
 
 def requirement_sequents(g):
@@ -249,24 +230,14 @@ def check_interpretation(g, budgets=calculus.Budgets(), depth=2, ctxs=(0, 1, 2),
     """Check the congruence obligations on the translated equality, then for
     source-provable sequents phi |- psi over small formula pairs check that
     the target proves Gamma(phi /\\ x=x) |- Gamma(psi)."""
-    proved = refuted = unknown = 0
-    first = None
-    src_pool = tuple(enumerate_models(g.source, budgets.model_size))
-    tgt_pool = tuple(enumerate_models(g.target, budgets.model_size))
-    src_b = calculus.Budgets(budgets.depth, budgets.size, budgets.model_size, src_pool)
-    tgt_b = calculus.Budgets(budgets.depth, budgets.size, budgets.model_size, tgt_pool)
+    report = calculus.Tally()
+    src_b = replace(budgets, model_pool=tuple(
+        enumerate_models(g.source, budgets.model_size)))
+    tgt_b = replace(budgets, model_pool=tuple(
+        enumerate_models(g.target, budgets.model_size)))
     for tag, s in requirement_sequents(g):
         w = calculus.entails(g.target, s, tgt_b)
-        if isinstance(w, calculus.Proved):
-            proved += 1
-        elif isinstance(w, calculus.Refuted):
-            refuted += 1
-            if first is None:
-                first = (tag, s.lhs, s.rhs, w)
-        else:
-            unknown += 1
-            if first is None:
-                first = (tag, s.lhs, s.rhs, w)
+        report.add(w, (tag, s.lhs, s.rhs, w))
     for n in ctxs:
         formulas = enum_formulas(g.source.signature, n, depth)[:cap]
         for phi in formulas:
@@ -280,17 +251,8 @@ def check_interpretation(g, budgets=calculus.Budgets(), depth=2, ctxs=(0, 1, 2),
                 )
                 rhs = apply_interpretation(g, psi, n)
                 w = calculus.entails(g.target, Sequent(n * g.k, lhs, rhs), tgt_b)
-                if isinstance(w, calculus.Proved):
-                    proved += 1
-                elif isinstance(w, calculus.Refuted):
-                    refuted += 1
-                    if first is None:
-                        first = (n, phi, psi, w)
-                else:
-                    unknown += 1
-                    if first is None:
-                        first = (n, phi, psi, w)
-    return CheckReport(proved, refuted, unknown, first)
+                report.add(w, (n, phi, psi, w))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -377,23 +339,12 @@ def morphism_condition_sequents(theta, depth=1, cap=10, ctxs=(1, 2)):
 def check_morphism_of_interpretations(theta, budgets=calculus.Budgets(), depth=1,
                                       cap=10, ctxs=(1, 2)):
     t = theta.source.target
-    pool = tuple(enumerate_models(t, budgets.model_size))
-    b = calculus.Budgets(budgets.depth, budgets.size, budgets.model_size, pool)
-    proved = refuted = unknown = 0
-    first = None
+    b = replace(budgets, model_pool=tuple(enumerate_models(t, budgets.model_size)))
+    report = calculus.Tally()
     for tag, s in morphism_condition_sequents(theta, depth, cap, ctxs):
         v = calculus.entails(t, s, b)
-        if isinstance(v, calculus.Proved):
-            proved += 1
-        elif isinstance(v, calculus.Refuted):
-            refuted += 1
-            if first is None:
-                first = (tag, s, v)
-        else:
-            unknown += 1
-            if first is None:
-                first = (tag, s, v)
-    return CheckReport(proved, refuted, unknown, first)
+        report.add(v, (tag, s, v))
+    return report
 
 
 def compose_2cells_vertical(eta, theta):
@@ -533,12 +484,6 @@ def _collect(models, formulas, n):
     return pts, [seen[found[p]] for p in pts], table
 
 
-def _collect_points(models, formulas, n):
-    """The points and realizations of ``_collect``."""
-    pts, reals, _ = _collect(models, formulas, n)
-    return pts, reals
-
-
 def compute_typespace(t, N=2, B=3, d=2, cap=600, check_stability=True,
                       models=None):
     """Approximate type spaces from all tuples in all models up to size B.
@@ -589,7 +534,7 @@ def _stability(t, approx):
             out.append(False)
             continue
         deeper = enum_formulas(t.signature, n, approx.d + 1, approx.cap)
-        pts2, _ = _collect_points(approx.models, deeper, n)
+        pts2 = _collect(approx.models, deeper, n)[0]
         out.append(len(pts2) == len(approx.points[n]))
     return tuple(out)
 

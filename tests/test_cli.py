@@ -135,6 +135,36 @@ def test_eval(capsys, pqr_file, tmp_path):
     assert code == 3
 
 
+MALFORMED = {
+    "poset-pair-out-of-range": ("duality", "--poset", {"elements": 2, "leq": [[0, 5]]}),
+    "poset-elements-not-int": ("duality", "--poset", {"elements": "x", "leq": []}),
+    "poset-negative-point": ("duality", "--poset",
+                             {"elements": 2, "leq": [[0, 0], [1, 1], [-1, 0]]}),
+    "model-carrier-not-int": ("eval", {"carrier": "3", "relations": {}}),
+    "model-row-not-list": ("eval", {"carrier": 2, "relations": {"P": [5]}}),
+    "model-row-wrong-arity": ("eval", {"carrier": 2, "relations": {"P": [[0, 1]]}}),
+    "map-value-out-of-range": ("check-frobenius", "--map", {
+        "source": {"elements": 1, "leq": [[0, 0]]},
+        "target": {"elements": 1, "leq": [[0, 0]]},
+        "values": [3],
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_json_is_input_error(capsys, pqr_file, tmp_path, case):
+    *argv, obj = MALFORMED[case]
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(obj))
+    if argv == ["eval"]:
+        argv = ["eval", pqr_file, str(f), "P(x)", "--vars", "x", "--args", "0"]
+    else:
+        argv.append(str(f))
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_models(capsys, pqr_file):
     code, rep = run_json(capsys, "models", pqr_file, "--bound", "2",
                          "--limit", "1")

@@ -27,7 +27,7 @@ from cohlogic.syntax import (
     Eq,
     Exists,
     Or,
-    _tuples,
+    all_maps,
     build_lattice_theory,
     enum_formulas,
     formula_depth,
@@ -43,7 +43,7 @@ from cohlogic.typespace import compute_typespace
 def reference_enum(sig, n, depth, cap):
     level = {TOP, BOT}
     for sym, ar in sig.relations:
-        for args in _tuples(n, ar):
+        for args in all_maps(ar, n):
             level.add(Atom(sym, args))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):

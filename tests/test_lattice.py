@@ -32,7 +32,6 @@ from cohlogic.lattice import (
     spec,
     universal_map_surjective,
 )
-from cohlogic.lattice import _count_downsets, _downset_lattice
 
 
 def diamond():
@@ -216,6 +215,27 @@ def test_all_dist_lattices_counts():
     assert brute == 1 + 1 + 1 + 2 + 3
 
 
+def _count_downsets(p):
+    n = 0
+    for bits in range(1 << p.n):
+        s = {i for i in range(p.n) if bits >> i & 1}
+        if all(p.leq[j][i] <= (j in s) for i in s for j in range(p.n)):
+            n += 1
+    return n
+
+
+def _downset_lattice(p):
+    downs = []
+    for bits in range(1 << p.n):
+        s = frozenset(i for i in range(p.n) if bits >> i & 1)
+        if all(p.leq[j][i] <= (j in s) for i in s for j in range(p.n)):
+            downs.append(s)
+    downs.sort(key=lambda s: (len(s), sorted(s)))
+    n = len(downs)
+    leq = [[downs[i] <= downs[j] for j in range(n)] for i in range(n)]
+    return FinDistLattice(n, leq)
+
+
 def reference_all_dist_lattices(max_n):
     """all_dist_lattices as first written: every grown poset is
     canonicalised before its down-set count is tested."""
@@ -280,9 +300,29 @@ def test_poset_iso():
     assert poset_iso(p1, discrete_poset(2)) is None
 
 
-def test_prime_filters_match_brute_force():
-    from cohlogic.lattice import _prime_filters_brute, all_dist_lattices
+def _prime_filters_brute(l):
+    """Reference implementation by exhaustive subset search (test oracle)."""
+    out = []
+    for bits in range(1, 1 << l.n):
+        f = frozenset(a for a in range(l.n) if bits >> a & 1)
+        if l.bot in f:
+            continue
+        if not all(l.leq[a][b] <= (b in f) for a in f for b in range(l.n)):
+            continue
+        if not all(l.meet(a, b) in f for a in f for b in f):
+            continue
+        prime = True
+        for a in range(l.n):
+            for b in range(l.n):
+                if l.join(a, b) in f and a not in f and b not in f:
+                    prime = False
+        if prime:
+            out.append(f)
+    out.sort(key=lambda f: (len(f), sorted(f)))
+    return out
 
+
+def test_prime_filters_match_brute_force():
     for l in all_dist_lattices(6):
         assert prime_filters(l) == _prime_filters_brute(l)
 

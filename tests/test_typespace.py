@@ -37,6 +37,7 @@ from cohlogic.typespace import (
     check_naturality,
     check_strict_bc,
     check_weak_bc,
+    compose_2cells_horizontal,
     compose_2cells_vertical,
     compose_interpretations,
     compute_typespace,
@@ -50,7 +51,7 @@ from cohlogic.typespace import (
     s_of_interpretation,
     times_k,
 )
-from cohlogic.typespace import _collect_points, _stability
+from cohlogic.typespace import _collect, _stability
 
 PQR = parse_theory(
     "theory pqr\nsig { P/1, Q/1, R/1 }\naxiom [x,y] P(x) & Q(y) |- R(x) | R(y)\n"
@@ -332,6 +333,18 @@ def test_vertical_composition_with_identity():
     assert v.status == "Equivalent"
 
 
+def test_horizontal_composition_of_identities():
+    # id_{id_PEQ} * id_EINT is the identity 2-cell of the composite, and
+    # agrees with the vertical composite of id_EINT with itself
+    theta = identity_2cell(EINT)
+    eta = identity_2cell(identity_interpretation(PEQ))
+    comp = compose_2cells_horizontal(eta, theta)
+    g = compose_interpretations(identity_interpretation(PEQ), EINT)
+    assert equal_2cells(comp, identity_2cell(g)).status == "Equivalent"
+    vertical = compose_2cells_vertical(theta, theta)
+    assert equal_2cells(comp, vertical).status == "Equivalent"
+
+
 def test_compose_interpretations_with_identity():
     g = compose_interpretations(identity_interpretation(PEQ), EINT)
     assert g.k == 1
@@ -430,12 +443,12 @@ def reference_stability(t, approx):
     bigger = enumerate_models(t, approx.B + 1)
     out = []
     for n in range(approx.N + 1):
-        pts, _ = _collect_points(bigger, approx.formulas[n], n)
+        pts = _collect(bigger, approx.formulas[n], n)[0]
         if set(pts) != set(approx.points[n]):
             out.append(False)
             continue
         deeper = enum_formulas(t.signature, n, approx.d + 1, approx.cap)
-        pts2, _ = _collect_points(approx.models, deeper, n)
+        pts2 = _collect(approx.models, deeper, n)[0]
         out.append(len(pts2) == len(approx.points[n]))
     return tuple(out)
 
