@@ -432,4 +432,4 @@ def model_from_json(obj):
         if not isinstance(rows, list) or not all(
                 isinstance(r, list) and all(type(v) is int for v in r) for r in rows):
             raise SemanticsError(f"relation {sym} is not a list of integer rows")
-    return FiniteModel(size, {s: {tuple(r) for r in rows} for s, rows in relations.items()})
+    return FiniteModel(size, relations)
