@@ -54,6 +54,8 @@ SCENARIOS = {
     "thf_validate_peq": ["thf", "validate", "{d}/pres.json"],
     "typespace_peq": ["typespace", "{d}/peq.thy"],
     "models_peq": ["models", "{d}/peq.thy", "--bound", "3"],
+    "models_unary": ["models", "{d}/unary.thy", "--bound", "7"],
+    "models_pqr": ["models", "{d}/pqr.thy", "--bound", "3"],
     "interpret_pqr_peq": ["interpret", "{d}/pqr.thy", "{d}/peq.thy",
                           "--map", "{d}/gmap.json"],
     "interpret_broken": ["interpret", "{d}/empty.thy", "{d}/s.thy",
@@ -75,6 +77,7 @@ def _write_inputs(d):
     (d / "peq.thy").write_text(PEQ)
     (d / "empty.thy").write_text(EMPTY)
     (d / "s.thy").write_text("theory s\nsig { S/2 }\n")
+    (d / "unary.thy").write_text("theory unary\nsig { P/1 }\n")
     # the pqr -> peq interpretation that holds, and equality sent to a
     # non-symmetric relation, which is refuted
     (d / "gmap.json").write_text(json.dumps({
