@@ -107,6 +107,19 @@ def _read(path):
     return p.read_text()
 
 
+def _object(value, what):
+    """value, a decoded JSON value, checked to be an object."""
+    if not isinstance(value, dict):
+        raise CliError(f"{what} must be a JSON object")
+    return value
+
+
+def _formula_text(value, what):
+    if not isinstance(value, str):
+        raise CliError(f"{what} must be a formula string")
+    return value
+
+
 def _budgets(args):
     return calculus.Budgets(depth=args.depth, model_size=args.model_size)
 
@@ -176,7 +189,7 @@ def _cmd_eval(args):
     text = _read(args.theory)
     t = syntax.parse_theory(text)
     mtext = _read(args.model)
-    m = semantics.model_from_json(json.loads(mtext))
+    m = semantics.model_from_json(_object(json.loads(mtext), "a model"))
     for sym, ar in t.signature.relations:
         if any(len(row) != ar for row in m.tables.get(sym, ())):
             raise CliError(f"a row of {sym} does not have its arity {ar}")
@@ -236,12 +249,12 @@ def _cmd_duality(args):
         raise CliError("give exactly one of --lattice or --poset")
     if args.lattice:
         text = _read(args.lattice)
-        l = lattice.lattice_from_json(json.loads(text))
+        l = lattice.lattice_from_json(_object(json.loads(text), "a lattice"))
         ok = lattice.duality_roundtrip_lattice(l)
         kind, size = "lattice", l.n
     else:
         text = _read(args.poset)
-        p = lattice.poset_from_json(json.loads(text))
+        p = lattice.poset_from_json(_object(json.loads(text), "a poset"))
         ok = lattice.duality_roundtrip_poset(p)
         kind, size = "poset", p.n
     rep = _report(
@@ -313,9 +326,11 @@ def _cmd_check_bc(args):
 
 def _cmd_check_frobenius(args):
     text = _read(args.map)
-    obj = json.loads(text)
-    src = lattice.poset_from_json(obj["source"])
-    tgt = lattice.poset_from_json(obj["target"])
+    obj = _object(json.loads(text), "a map")
+    src = lattice.poset_from_json(_object(obj["source"], "the source"))
+    tgt = lattice.poset_from_json(_object(obj["target"], "the target"))
+    if not isinstance(obj["values"], list):
+        raise CliError("the values must be a JSON list")
     g = lattice.MonotoneMap(src, tgt, obj["values"])
     f, *_ = lattice.dual_lattice_hom(g)
     h = lattice.left_adjoint(f)
@@ -339,8 +354,10 @@ def _cmd_interpret(args):
     map_text = _read(args.map)
     src = syntax.parse_theory(src_text)
     tgt = syntax.parse_theory(tgt_text)
-    obj = json.loads(map_text)
-    k = int(obj.pop("k", 1))
+    obj = _object(json.loads(map_text), "an interpretation")
+    k = obj.pop("k", 1)
+    if type(k) is not int:
+        raise CliError("k must be an integer")
 
     def blocks(arity):
         return [f"x{i}" for i in range(1, arity * k + 1)]
@@ -348,8 +365,9 @@ def _cmd_interpret(args):
     mapping = {}
     for sym, formula_text in obj.items():
         arity = 2 if sym == "=" else src.signature.arity(sym)
-        mapping[sym] = syntax.parse_formula(formula_text, blocks(arity),
-                                            tgt.signature)
+        mapping[sym] = syntax.parse_formula(
+            _formula_text(formula_text, f"the image of {sym}"), blocks(arity),
+            tgt.signature)
     g = typespace.Interpretation(src, tgt, k, mapping)
     out = typespace.check_interpretation(g, _budgets(args))
     verdict, line = _tally(out)
@@ -366,30 +384,33 @@ def _cmd_interpret(args):
 def _generators(args, t):
     if not args.generators:
         return None
-    obj = json.loads(_read(args.generators))
+    obj = _object(json.loads(_read(args.generators)), "the generators")
     gens = {}
     for n_text, formulas in obj.items():
         n = int(n_text)
         names = [f"x{i}" for i in range(1, n + 1)]
-        gens[n] = [syntax.parse_formula(f, names, t.signature)
-                   for f in formulas]
+        if not isinstance(formulas, list):
+            raise CliError(f"the generators of arity {n} must be a JSON list")
+        gens[n] = [syntax.parse_formula(
+            _formula_text(f, "a generator"), names, t.signature) for f in formulas]
     return gens
 
 
 def _export(args, t):
+    gens = _generators(args, t)
     a = typespace.compute_typespace(t, N=args.cutoff, B=args.bound,
                                     d=args.formula_depth,
                                     check_stability=False)
     return internal_logic.export_presentation(
-        a, gen_depth=args.gen_depth, max_size=args.max_size,
-        generators=_generators(args, t),
+        a, gen_depth=args.gen_depth, max_size=args.max_size, generators=gens,
     )
 
 
 def _cmd_thf(args):
     if args.action == "validate":
         text = _read(args.input)
-        pres = internal_logic.presentation_from_json(json.loads(text))
+        pres = internal_logic.presentation_from_json(
+            _object(json.loads(text), "a presentation"))
         out = internal_logic.validate_presentation(pres)
         verdict = "Holds" if out["ok"] else "Fails"
         rep = _report(

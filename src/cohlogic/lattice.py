@@ -173,27 +173,41 @@ def _values(values, n, m):
     return values
 
 
+def mark_orbit(seen, n, relabel):
+    """Isomorph rejection by orbit marking: add relabel(perm) to seen for
+    every permutation perm of range(n).  relabel(perm) encodes one object
+    relabelled by perm, so seen then holds the encoding of every object
+    isomorphic to it, and a later isomorphic one is recognised by its own
+    encoding, without a canonical form."""
+    seen.update(map(relabel, permutations(range(n))))
+
+
 def _poset_levels(keep):
     """Lists of posets on 0, 1, 2, ... points, one per isomorphism class in
     the order found, each list grown from the one before by a new maximal
     point.  Every poset on n + 1 points arises so, by deleting a maximal
     point.  A grown poset q is kept, and grown further, only when keep(q)
     holds, so keep must fail again on every poset grown from one it
-    rejects.  A level is grown only when the next list is asked for."""
+    rejects.  keep must not tell isomorphic posets apart: a grown poset
+    isomorphic to one kept earlier is dropped unseen.  A level is grown
+    only when the next list is asked for."""
     level = [FinPoset(0, [])]
     while level:
         yield level
-        nxt = {}
+        nxt, seen = [], set()
         for p in level:
             # the new point p.n lies above the down-closure of each subset
             for bits in range(1 << p.n):
-                leq = [list(row) + [any(row[i] for i in range(p.n) if bits >> i & 1)]
-                       for row in p.leq]
-                leq.append([False] * p.n + [True])
+                leq = tuple(row + (any(row[i] for i in range(p.n) if bits >> i & 1),)
+                            for row in p.leq) + ((False,) * p.n + (True,),)
+                if leq in seen:
+                    continue
                 q = FinPoset(p.n + 1, leq)
                 if keep(q):
-                    nxt.setdefault(q.canonical(), q)
-        level = list(nxt.values())
+                    mark_orbit(seen, q.n, lambda perm: tuple(
+                        [tuple([leq[a][b] for b in perm]) for a in perm]))
+                    nxt.append(q)
+        level = nxt
 
 
 def all_posets(max_n):

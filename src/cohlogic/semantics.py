@@ -17,6 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations, product
 
+from .lattice import mark_orbit
 from .syntax import (
     And,
     Atom,
@@ -215,10 +216,68 @@ def is_model(m, t):
 GUARD_BITS = 22  # largest table space enumerate_models scans: 2^22 valuations
 
 
+class _Valuation:
+    """The tables of a mask over slots, in the shape ``extension`` reads:
+    slot i, a (symbol, row) pair, is in its table when bit i is set."""
+
+    blocks = 1
+
+    def __init__(self, size, slots, mask):
+        self.size = size
+        self.tables = {}
+        for i, (sym, row) in enumerate(slots):
+            if mask >> i & 1:
+                self.tables.setdefault(sym, []).append(row)
+
+
+def _model_masks(size, slots, axioms):
+    """The masks over slots whose valuations satisfy every axiom, in
+    ascending order.
+
+    The slots are decided from the last to the first, 0 before 1, so full
+    masks come in ascending order.  A partial mask is pruned once some axiom
+    has lhs in its lower table (undecided slots false) but not rhs in its
+    upper table (undecided slots true).  This is exact: every positive
+    formula is monotone in the tables, so each completion satisfies lhs at
+    least where the lower table does and rhs at most where the upper table
+    does; and a full mask is its own lower and upper table, where the test
+    is ``is_model``'s."""
+    lhs = [(ax.lhs, ax.ctx) for ax in axioms]
+    rhs = [(ax.rhs, ax.ctx) for ax in axioms]
+
+    def ext(mask, side):
+        v, memo = _Valuation(size, slots, mask), {}
+        return [extension(v, phi, n, memo) for phi, n in side]
+
+    # (mask, undecided slots, lhs exts of the lower table, rhs exts of the
+    # upper table); deciding a slot 0 keeps the lower table, 1 the upper
+    stack = [(0, len(slots), ext(0, lhs), ext((1 << len(slots)) - 1, rhs))]
+    while stack:
+        mask, i, lower, upper = stack.pop()
+        if any(lo & ~up for lo, up in zip(lower, upper)):
+            continue
+        if not i:
+            yield mask
+            continue
+        i -= 1
+        one = mask | 1 << i
+        stack.append((one, i, ext(one, lhs), upper))
+        stack.append((mask, i, lower, ext(mask | (1 << i) - 1, rhs)))
+
+
 def enumerate_models(t, max_size):
     """All models of t with carrier at most max_size, one per isomorphism
     class, in canonical ascending order.  Raises ResourceGuard if the table
-    space at some size exceeds 2^GUARD_BITS valuations."""
+    space at some size exceeds 2^GUARD_BITS valuations.
+
+    A table valuation of one size is a mask over its slots, the (symbol,
+    row) pairs with the symbols in signature order and the rows of each in
+    ``product`` order; bit i is slot i.  The representative of each class
+    is its least-mask model.  ``_model_masks`` gives the models in
+    ascending mask order, pruned by monotonicity; the first of a class
+    marks the masks of all its relabelings, so every later one is skipped
+    unbuilt, and a ``FiniteModel`` is built and canonicalised once per
+    class."""
     out = []
     for size in range(max_size + 1):
         bits = sum(size ** ar for _, ar in t.signature.relations)
@@ -226,25 +285,24 @@ def enumerate_models(t, max_size):
             raise ResourceGuard(
                 f"size {size} needs 2^{bits} valuations (> 2^{GUARD_BITS})"
             )
-        slots = []
-        for sym, ar in t.signature.relations:
-            for row in product(range(size), repeat=ar):
-                slots.append((sym, row))
+        slots = [(sym, row) for sym, ar in t.signature.relations
+                 for row in product(range(size), repeat=ar)]
+        index = {slot: i for i, slot in enumerate(slots)}
         seen = set()
         level = []
-        for mask in range(1 << len(slots)):
+        for mask in _model_masks(size, slots, t.axioms):
+            if mask in seen:
+                continue
+            rows = [slot for i, slot in enumerate(slots) if mask >> i & 1]
             tables = {sym: set() for sym, _ in t.signature.relations}
-            for i, (sym, row) in enumerate(slots):
-                if mask >> i & 1:
-                    tables[sym].add(row)
+            for sym, row in rows:
+                tables[sym].add(row)
             m = FiniteModel(size, tables)
             if not is_model(m, t):
                 continue
-            key = m.canonical()
-            if key in seen:
-                continue
-            seen.add(key)
-            level.append((key, m))
+            mark_orbit(seen, size, lambda perm: sum(
+                1 << index[sym, tuple(perm[v] for v in row)] for sym, row in rows))
+            level.append((m.canonical(), m))
         level.sort(key=lambda kv: kv[0])
         out.extend(m for _, m in level)
     return out

@@ -148,6 +148,25 @@ MALFORMED = {
         "target": {"elements": 1, "leq": [[0, 0]]},
         "values": [3],
     }),
+    "map-values-not-list": ("check-frobenius", "--map", {
+        "source": {"elements": 1, "leq": [[0, 0]]},
+        "target": {"elements": 1, "leq": [[0, 0]]},
+        "values": 5,
+    }),
+    "poset-not-object": ("duality", "--poset", [1, 2]),
+    "lattice-not-object": ("duality", "--lattice", [1, 2]),
+    "map-not-object": ("check-frobenius", "--map", [1, 2]),
+    "model-not-object": ("eval", [1, 2]),
+    "presentation-not-object": ("thf", "validate", [1, 2]),
+    "interpretation-not-object": ("interpret", "{pqr}", "{pqr}", "--map", [1, 2]),
+    "interpretation-formula-not-string": ("interpret", "{pqr}", "{pqr}", "--map",
+                                          {"k": 1, "=": 5}),
+    "interpretation-k-not-int": ("interpret", "{pqr}", "{pqr}", "--map",
+                                 {"k": [1], "=": "x1 = x2"}),
+    "generators-not-object": ("thf", "build", "{pqr}", "--out", "{out}",
+                              "--generators", [1, 2]),
+    "generator-not-string": ("thf", "build", "{pqr}", "--out", "{out}",
+                             "--generators", {"1": [5]}),
 }
 
 
@@ -159,6 +178,7 @@ def test_malformed_json_is_input_error(capsys, pqr_file, tmp_path, case):
     if argv == ["eval"]:
         argv = ["eval", pqr_file, str(f), "P(x)", "--vars", "x", "--args", "0"]
     else:
+        argv = [a.format(pqr=pqr_file, out=tmp_path / "out.json") for a in argv]
         argv.append(str(f))
     code, _, err = run(capsys, *argv)
     assert code == 3

@@ -190,10 +190,12 @@ def test_bc_iff_surjective_universal_map_spotcheck():
 
 
 def test_all_posets_counts():
+    # OEIS A000112: unlabeled posets on n points
     counts = {}
-    for p in all_posets(4):
+    for p in all_posets(6):
         counts[p.n] = counts.get(p.n, 0) + 1
-    assert counts == {0: 1, 1: 1, 2: 2, 3: 5, 4: 16}
+    assert counts == {0: 1, 1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318}
+    assert sum(counts.values()) == 406
 
 
 def test_all_dist_lattices_counts():
