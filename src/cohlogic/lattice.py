@@ -200,12 +200,15 @@ def _poset_levels(keep):
             for bits in range(1 << p.n):
                 leq = tuple(row + (any(row[i] for i in range(p.n) if bits >> i & 1),)
                             for row in p.leq) + ((False,) * p.n + (True,),)
-                if leq in seen:
+
+                def code(perm):  # the leq matrix relabelled by perm, flattened
+                    return bytes([leq[a][b] for a in perm for b in perm])
+
+                if code(range(p.n + 1)) in seen:
                     continue
                 q = FinPoset(p.n + 1, leq)
                 if keep(q):
-                    mark_orbit(seen, q.n, lambda perm: tuple(
-                        [tuple([leq[a][b] for b in perm]) for a in perm]))
+                    mark_orbit(seen, q.n, code)
                     nxt.append(q)
         level = nxt
 
