@@ -332,7 +332,7 @@ def _cmd_check_frobenius(args):
     if not isinstance(obj["values"], list):
         raise CliError("the values must be a JSON list")
     g = lattice.MonotoneMap(src, tgt, obj["values"])
-    f, *_ = lattice.dual_lattice_hom(g)
+    f = lattice.dual_lattice_hom(g)
     h = lattice.left_adjoint(f)
     frob, witness = lattice.check_frobenius(h, f)
     open_ = lattice.is_open_map(g)

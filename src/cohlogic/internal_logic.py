@@ -355,7 +355,7 @@ def export_presentation(approx, gen_depth=1, max_size=80, generators=None):
         for (n, m, f), smap in smaps.items():
             for u, fu in list(sets[n].items()):
                 pre = frozenset(q for q in range(npoints[m]) if smap[q] in u)
-                add(m, pre, preimage_formula(fu, f, n, m))
+                add(m, pre, preimage_formula(fu, f, m))
             for w, fw in list(sets[m].items()):
                 img = frozenset(smap[q] for q in w)
                 add(n, img, direct_image_formula(fw, f, n, m))
@@ -655,11 +655,18 @@ def presentation_to_json(pres):
 
 
 def presentation_from_json(obj):
-    cutoff = obj["cutoff"]
-    lattices = {int(n): lattice_from_json(l) for n, l in obj["lattices"].items()}
+    cutoff, lats, hom_values = obj["cutoff"], obj["lattices"], obj["homs"]
+    if type(cutoff) is not int or cutoff < 0 or not isinstance(lats, dict) \
+            or not isinstance(hom_values, dict) \
+            or not all(isinstance(l, dict) for l in lats.values()) \
+            or not all(isinstance(v, list) for v in hom_values.values()):
+        raise InternalLogicError("a presentation needs a natural-number cutoff, "
+                                 "an object of lattices and an object of hom "
+                                 "value lists")
+    lattices = {int(n): lattice_from_json(l) for n, l in lats.items()}
     homs = {}
     key_re = re.compile(r"(\d+)->(\d+):\[([0-9, ]*)\]")
-    for key, values in obj["homs"].items():
+    for key, values in hom_values.items():
         m = key_re.fullmatch(key)
         if m is None:
             raise InternalLogicError(f"bad hom key {key!r}")

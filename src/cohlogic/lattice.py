@@ -67,14 +67,21 @@ class FinPoset:
 
     def canonical(self):
         """Lexicographically minimal leq encoding over all relabelings."""
-        best = None
-        for perm in permutations(range(self.n)):
-            enc = tuple(
-                self.leq[perm[i]][perm[j]] for i in range(self.n) for j in range(self.n)
-            )
-            if best is None or enc < best:
-                best = enc
-        return (self.n, best)
+        return (self.n, min(relabelings(self.n, _leq_code(self.leq))))
+
+
+def relabelings(n, code):
+    """code(perm) for each permutation perm of range(n), lazily, in the order
+    of ``itertools.permutations``; code(perm) encodes one object relabelled
+    by perm.  Every isomorphism check of the package reads this sequence."""
+    return map(code, permutations(range(n)))
+
+
+def _leq_code(leq):
+    """The poset encoding: code(perm) is the leq matrix with its rows and
+    columns taken in the order of perm, flattened to bytes.  Bytes of 0 and
+    1 order like the tuple of bools."""
+    return lambda perm: bytes([leq[a][b] for a in perm for b in perm])
 
 
 def poset_from_pairs(n, pairs):
@@ -94,19 +101,17 @@ def discrete_poset(n):
     return FinPoset(n, [[i == j for j in range(n)] for i in range(n)])
 
 
-class MonotoneMap:
+class _Map:
+    """A map given by its values; each subclass checks its own laws."""
+
     def __init__(self, source, target, values):
         self.source = source
         self.target = target
         self.values = _values(values, source.n, target.n)
-        for i in range(source.n):
-            for j in range(source.n):
-                if source.leq[i][j] and not target.leq[self.values[i]][self.values[j]]:
-                    raise LatticeError(f"not monotone at ({i},{j})")
 
     def __eq__(self, other):
         return (
-            isinstance(other, MonotoneMap)
+            isinstance(other, type(self))
             and self.source == other.source
             and self.target == other.target
             and self.values == other.values
@@ -118,17 +123,26 @@ class MonotoneMap:
     def __call__(self, i):
         return self.values[i]
 
+    def compose(self, other):
+        """self after other."""
+        if other.target != self.source:
+            raise LatticeError("composition mismatch")
+        return type(self)(other.source, self.target, [self.values[v] for v in other.values])
+
+
+class MonotoneMap(_Map):
+    def __init__(self, source, target, values):
+        super().__init__(source, target, values)
+        for i in range(source.n):
+            for j in range(source.n):
+                if source.leq[i][j] and not target.leq[self.values[i]][self.values[j]]:
+                    raise LatticeError(f"not monotone at ({i},{j})")
+
     def image(self, s):
         return frozenset(self.values[i] for i in s)
 
     def preimage(self, s):
         return frozenset(i for i in range(self.source.n) if self.values[i] in s)
-
-    def compose(self, other):
-        """self after other."""
-        if other.target != self.source:
-            raise LatticeError("composition mismatch")
-        return MonotoneMap(other.source, self.target, [self.values[v] for v in other.values])
 
 
 def monotone_maps(x, y):
@@ -173,15 +187,6 @@ def _values(values, n, m):
     return values
 
 
-def mark_orbit(seen, n, relabel):
-    """Isomorph rejection by orbit marking: add relabel(perm) to seen for
-    every permutation perm of range(n).  relabel(perm) encodes one object
-    relabelled by perm, so seen then holds the encoding of every object
-    isomorphic to it, and a later isomorphic one is recognised by its own
-    encoding, without a canonical form."""
-    seen.update(map(relabel, permutations(range(n))))
-
-
 def _poset_levels(keep):
     """Lists of posets on 0, 1, 2, ... points, one per isomorphism class in
     the order found, each list grown from the one before by a new maximal
@@ -201,14 +206,12 @@ def _poset_levels(keep):
                 leq = tuple(row + (any(row[i] for i in range(p.n) if bits >> i & 1),)
                             for row in p.leq) + ((False,) * p.n + (True,),)
 
-                def code(perm):  # the leq matrix relabelled by perm, flattened
-                    return bytes([leq[a][b] for a in perm for b in perm])
-
+                code = _leq_code(leq)
                 if code(range(p.n + 1)) in seen:
                     continue
                 q = FinPoset(p.n + 1, leq)
-                if keep(q):
-                    mark_orbit(seen, q.n, code)
+                if keep(q):  # mark the orbit of q
+                    seen.update(relabelings(q.n, code))
                     nxt.append(q)
         level = nxt
 
@@ -308,60 +311,33 @@ def chain(n):
 
 def poset_iso(p1, p2):
     """An order isomorphism p1 -> p2 as a tuple, or None; lattices are
-    compared as posets."""
+    compared as posets.  It is the first perm, in the order of
+    ``relabelings``, that relabels p2 into p1's encoding."""
     if p1.n != p2.n:
         return None
-    for perm in permutations(range(p1.n)):
-        if all(
-            p1.leq[a][b] == p2.leq[perm[a]][perm[b]]
-            for a in range(p1.n)
-            for b in range(p1.n)
-        ):
-            return perm
-    return None
+    goal, code = _leq_code(p1.leq)(range(p1.n)), _leq_code(p2.leq)
+    # relabelings(n, tuple) are the permutations themselves
+    return next((perm for perm in relabelings(p1.n, tuple) if code(perm) == goal),
+                None)
 
 
 lattice_iso = poset_iso
 
 
-class LatticeHom:
+class LatticeHom(_Map):
     def __init__(self, source, target, values):
-        self.source = source
-        self.target = target
-        self.values = _values(values, source.n, target.n)
+        super().__init__(source, target, values)
         if self.values[source.bot] != target.bot:
             raise LatticeError("does not preserve bottom")
         if self.values[source.top] != target.top:
             raise LatticeError("does not preserve top")
+        v = self.values
         for a in range(source.n):
             for b in range(source.n):
-                if self.values[source.meet(a, b)] != target.meet(
-                    self.values[a], self.values[b]
-                ):
+                if v[source.meet(a, b)] != target.meet(v[a], v[b]):
                     raise LatticeError(f"does not preserve meet at ({a},{b})")
-                if self.values[source.join(a, b)] != target.join(
-                    self.values[a], self.values[b]
-                ):
+                if v[source.join(a, b)] != target.join(v[a], v[b]):
                     raise LatticeError(f"does not preserve join at ({a},{b})")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LatticeHom)
-            and self.source == other.source
-            and self.target == other.target
-            and self.values == other.values
-        )
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.values))
-
-    def __call__(self, a):
-        return self.values[a]
-
-    def compose(self, other):
-        if other.target != self.source:
-            raise LatticeError("composition mismatch")
-        return LatticeHom(other.source, self.target, [self.values[v] for v in other.values])
 
 
 def identity_hom(l):
@@ -416,48 +392,32 @@ def k_o(x):
     return FinDistLattice(n, leq), ups
 
 
+def _evaluation_is_iso(x, duals, y, elements):
+    """The double-dual check: is the evaluation map a |-> {i : a in
+    duals[i]} an order isomorphism from x onto y, whose element j is the
+    set elements[j]?"""
+    index = {u: j for j, u in enumerate(elements)}
+    mapped = [index.get(frozenset(i for i, d in enumerate(duals) if a in d))
+              for a in range(x.n)]
+    if y.n != x.n or None in mapped or len(set(mapped)) != x.n:
+        return False
+    return all(
+        x.leq[a][b] == y.leq[mapped[a]][mapped[b]]
+        for a in range(x.n)
+        for b in range(x.n)
+    )
+
+
 def duality_roundtrip_lattice(l):
     """Check that a |-> {F : a in F} is an isomorphism l -> k_o(spec(l))."""
     x, filters = spec(l)
-    l2, ups = k_o(x)
-    if l2.n != l.n:
-        return False
-    index = {u: i for i, u in enumerate(ups)}
-    mapped = []
-    for a in range(l.n):
-        u = frozenset(i for i, f in enumerate(filters) if a in f)
-        if u not in index:
-            return False
-        mapped.append(index[u])
-    if len(set(mapped)) != l.n:
-        return False
-    return all(
-        l.leq[a][b] == l2.leq[mapped[a]][mapped[b]]
-        for a in range(l.n)
-        for b in range(l.n)
-    )
+    return _evaluation_is_iso(l, filters, *k_o(x))
 
 
 def duality_roundtrip_poset(x):
     """Check that p |-> {U : p in U} is an isomorphism x -> spec(k_o(x))."""
     l, ups = k_o(x)
-    y, filters = spec(l)
-    if y.n != x.n:
-        return False
-    index = {f: i for i, f in enumerate(filters)}
-    mapped = []
-    for p in range(x.n):
-        f = frozenset(i for i, u in enumerate(ups) if p in u)
-        if f not in index:
-            return False
-        mapped.append(index[f])
-    if len(set(mapped)) != x.n:
-        return False
-    return all(
-        x.leq[p][q] == y.leq[mapped[p]][mapped[q]]
-        for p in range(x.n)
-        for q in range(x.n)
-    )
+    return _evaluation_is_iso(x, ups, *spec(l))
 
 
 def dual_hom(f):
@@ -472,12 +432,12 @@ def dual_hom(f):
     return MonotoneMap(xt, xs, values)
 
 
-def dual_lattice_hom(g, source_ups=None, target_ups=None):
+def dual_lattice_hom(g):
     """Lattice hom k_o(target) -> k_o(source) of a monotone map g, U |-> g^{-1}(U)."""
     lt, ups_t = k_o(g.target)
     ls, ups_s = k_o(g.source)
     index = {u: i for i, u in enumerate(ups_s)}
-    return LatticeHom(lt, ls, [index[g.preimage(u)] for u in ups_t]), lt, ls, ups_t, ups_s
+    return LatticeHom(lt, ls, [index[g.preimage(u)] for u in ups_t])
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ tuple j of model i.  A run of s bits never straddles two models, and a lone
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 
-from .lattice import mark_orbit
+from .lattice import relabelings
 from .syntax import (
     And,
     Atom,
@@ -69,15 +69,14 @@ class FiniteModel:
     def canonical(self):
         """Minimal relabeling of the relation tables; isomorphism invariant."""
         syms = sorted(self.tables)
-        best = None
-        for perm in permutations(range(self.size)):
-            enc = tuple(
+
+        def code(perm):
+            return tuple(
                 tuple(sorted(tuple(perm[v] for v in row) for row in self.tables[s]))
                 for s in syms
             )
-            if best is None or enc < best:
-                best = enc
-        return (self.size, tuple(syms), best)
+
+        return (self.size, tuple(syms), min(relabelings(self.size, code)))
 
     def ext(self, phi, ctx):
         """Extension of phi in context ctx as a frozenset of ctx-tuples,
@@ -267,8 +266,9 @@ def _model_masks(size, slots, axioms):
 
 def enumerate_models(t, max_size):
     """All models of t with carrier at most max_size, one per isomorphism
-    class, in canonical ascending order.  Raises ResourceGuard if the table
-    space at some size exceeds 2^GUARD_BITS valuations.
+    class, in canonical ascending order.  Raises ResourceGuard, before it
+    scans any size, if the table space at some size exceeds 2^GUARD_BITS
+    valuations.
 
     A table valuation of one size is a mask over its slots, the (symbol,
     row) pairs with the symbols in signature order and the rows of each in
@@ -278,13 +278,14 @@ def enumerate_models(t, max_size):
     marks the masks of all its relabelings, so every later one is skipped
     unbuilt, and a ``FiniteModel`` is built and canonicalised once per
     class."""
-    out = []
     for size in range(max_size + 1):
         bits = sum(size ** ar for _, ar in t.signature.relations)
         if bits > GUARD_BITS:
             raise ResourceGuard(
                 f"size {size} needs 2^{bits} valuations (> 2^{GUARD_BITS})"
             )
+    out = []
+    for size in range(max_size + 1):
         slots = [(sym, row) for sym, ar in t.signature.relations
                  for row in product(range(size), repeat=ar)]
         index = {slot: i for i, slot in enumerate(slots)}
@@ -300,8 +301,8 @@ def enumerate_models(t, max_size):
             m = FiniteModel(size, tables)
             if not is_model(m, t):
                 continue
-            mark_orbit(seen, size, lambda perm: sum(
-                1 << index[sym, tuple(perm[v] for v in row)] for sym, row in rows))
+            seen.update(relabelings(size, lambda perm: sum(
+                1 << index[sym, tuple(perm[v] for v in row)] for sym, row in rows)))
             level.append((m.canonical(), m))
         level.sort(key=lambda kv: kv[0])
         out.extend(m for _, m in level)

@@ -71,7 +71,7 @@ def direct_image_formula(phi, f, n, m):
     return out
 
 
-def preimage_formula(psi, f, n, m):
+def preimage_formula(psi, f, m):
     """Formula for the preimage along f: n -> m of [psi], psi in context n."""
     return normalize(substitute(psi, f, m))
 
@@ -132,7 +132,7 @@ def apply_interpretation(g, phi, ctx):
     context ctx*k.  Existentials are relativized to the domain formula."""
     k = g.k
 
-    def block_map(args, n):
+    def block_map(args):
         f = []
         for a in args:
             f.extend(range((a - 1) * k + 1, a * k + 1))
@@ -141,11 +141,11 @@ def apply_interpretation(g, phi, ctx):
     def go(phi, n):
         if isinstance(phi, Atom):
             return normalize(
-                substitute(g.mapping[phi.sym], block_map(phi.args, n), n * k)
+                substitute(g.mapping[phi.sym], block_map(phi.args), n * k)
             )
         if isinstance(phi, Eq):
             return normalize(
-                substitute(g.mapping["="], block_map((phi.i, phi.j), n), n * k)
+                substitute(g.mapping["="], block_map((phi.i, phi.j)), n * k)
             )
         if isinstance(phi, And):
             return conj([go(p, n) for p in phi.parts])
@@ -490,9 +490,12 @@ def compute_typespace(t, N=2, B=3, d=2, cap=600, check_stability=True,
 
     An explicit model pool can replace the exhaustive enumeration (useful
     when the signature is too large to enumerate); the model-bound half of
-    the stability diagnostic does not apply then, so it is skipped."""
+    the stability diagnostic does not apply then, so it is skipped.  The
+    stability diagnostic needs the models up to B+1; their enumeration
+    starts with the models up to B, so it is made once."""
     if models is None:
-        models = enumerate_models(t, B)
+        every = enumerate_models(t, B + 1 if check_stability else B)
+        models = [m for m in every if m.size <= B]
     else:
         models = list(models)
         check_stability = False
@@ -512,19 +515,19 @@ def compute_typespace(t, N=2, B=3, d=2, cap=600, check_stability=True,
     approx = TypeSpaceApprox(t, N, B, d, cap, models, formulas, points,
                              realizations, opens, tuple_points)
     if check_stability:
-        approx.stable_arities = _stability(t, approx)
+        approx.stable_arities = _stability(t, approx, every[len(models):])
         approx.stable = all(approx.stable_arities)
     return approx
 
 
-def _stability(t, approx):
+def _stability(t, approx, bigger):
     """Per-arity diagnostic: does the point set survive growing the model
     bound or the formula depth by one step each?
 
-    The enumeration up to B+1 starts with approx.models, in order, so only
-    its models of size B+1 can add a point; one profile of theirs missing
-    from approx.points settles the arity as unstable."""
-    bigger = enumerate_models(t, approx.B + 1)[len(approx.models):]
+    bigger holds the models of size B+1.  The enumeration up to B+1 is
+    approx.models followed by them, so only they can add a point; one
+    profile of theirs missing from approx.points settles the arity as
+    unstable."""
     out = []
     for n in range(approx.N + 1):
         known = set(approx.points[n])

@@ -169,7 +169,7 @@ def test_criterion_04_open_iff_adjoint_frobenius():
         for y in posets:
             for g in monotone_maps(x, y):
                 open_ = is_open_map(g)
-                f, *_ = dual_lattice_hom(g)
+                f = dual_lattice_hom(g)
                 try:
                     h = left_adjoint(f)
                     adjoint_ok = True

@@ -202,4 +202,5 @@ def reference_stability(t, a):
 ], ids=["peq-B2", "peq-B3", "pqr-B2"])
 def test_stability_matches_per_model_reference(t, kw):
     a = compute_typespace(t, check_stability=False, **kw)
-    assert _stability(t, a) == reference_stability(t, a)
+    bigger = enumerate_models(t, a.B + 1)[len(a.models):]
+    assert _stability(t, a, bigger) == reference_stability(t, a)

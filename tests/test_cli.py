@@ -113,6 +113,21 @@ def test_models_resource_guard_is_unknown(capsys, tmp_path):
     assert "2^27" in err and "Traceback" not in err
 
 
+def test_typespace_resource_guard_before_any_scan(capsys, monkeypatch, tmp_path):
+    # the stability pass needs size B+1 = 4, whose 2^32 valuations exceed
+    # the guard; no table is scanned before that is found
+    from cohlogic import semantics
+
+    scans = []
+    monkeypatch.setattr(semantics, "_model_masks", lambda *a: scans.append(a))
+    p = tmp_path / "two.thy"
+    p.write_text("theory two\nsig { E/2, F/2 }\n")
+    code, _, err = run(capsys, "typespace", str(p), "--bound", "3")
+    assert code == 2
+    assert "size 4 needs 2^32 valuations" in err and "Traceback" not in err
+    assert not scans
+
+
 def test_prove_deep_nesting_is_input_error(capsys, pqr_file):
     deep = "[x] " + "(" * 3000 + "P(x)" + ")" * 3000 + " |- R(x)"
     code, _, err = run(capsys, "prove", pqr_file, deep)
@@ -167,6 +182,16 @@ MALFORMED = {
                               "--generators", [1, 2]),
     "generator-not-string": ("thf", "build", "{pqr}", "--out", "{out}",
                              "--generators", {"1": [5]}),
+    "presentation-cutoff-not-int": ("thf", "validate",
+                                    {"cutoff": "2", "lattices": {}, "homs": {}}),
+    "presentation-hom-not-list": ("thf", "validate", {
+        "cutoff": 0, "lattices": {"0": {"elements": 1, "leq": [[0, 0]]}},
+        "homs": {"0->0:[]": 5}}),
+    "presentation-lattice-not-object": ("thf", "validate",
+                                        {"cutoff": 0, "lattices": {"0": [1, 2]},
+                                         "homs": {}}),
+    "presentation-homs-not-object": ("thf", "validate",
+                                     {"cutoff": 0, "lattices": {}, "homs": []}),
 }
 
 

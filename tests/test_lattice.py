@@ -8,6 +8,7 @@ from cohlogic.lattice import (
     LatticeError,
     LatticeHom,
     MonotoneMap,
+    _evaluation_is_iso,
     all_dist_lattices,
     all_posets,
     chain,
@@ -97,6 +98,19 @@ def test_duality_roundtrips_basic():
         assert duality_roundtrip_poset(x)
 
 
+def test_evaluation_is_iso_rejects_broken_double_duals():
+    # both round trips share this body; valid inputs never make it fail
+    l = chain(3)
+    x, filters = spec(l)
+    l2, ups = k_o(x)
+    assert _evaluation_is_iso(l, filters, l2, ups)
+    assert not _evaluation_is_iso(l, filters[:-1], l2, ups)  # image not an up-set
+    assert not _evaluation_is_iso(l, [filters[0]] * 2, l2, ups)  # duplicated image
+    reversed_ = FinPoset(l2.n, list(zip(*l2.leq)))
+    assert not _evaluation_is_iso(l, filters, reversed_, ups)  # order reversed
+    assert not _evaluation_is_iso(l, filters, *k_o(discrete_poset(2)))  # sizes differ
+
+
 def test_dual_hom_identity_and_terminal():
     l = diamond()
     d = dual_hom(identity_hom(l))
@@ -159,7 +173,7 @@ def test_openness_iff_adjoint_frobenius_small():
     for x in posets:
         for y in posets:
             for g in monotone_maps(x, y):
-                hom, *_ = dual_lattice_hom(g)
+                hom = dual_lattice_hom(g)
                 h = left_adjoint(hom)
                 ok, _ = check_frobenius(h, hom)
                 assert ok == is_open_map(g), (x, y, g.values)

@@ -6,6 +6,9 @@ definition itself (so recursion alone does not count).  Dunder methods are
 called by Python, ``cli.main`` is the console-script entry point of
 ``pyproject.toml`` and ``_Parser.error`` is called by argparse; they are
 exempt.
+
+Every parameter of a ``def`` in ``src/cohlogic`` is read in its body;
+lambdas are exempt.
 """
 
 import ast
@@ -62,3 +65,22 @@ def test_every_definition_is_used():
             if used[name] - _used_names(node)[name] <= 0:
                 unused.append(f"{path.stem}.{qual}")
     assert not unused, f"defined but never used: {unused}"
+
+
+def _unread_parameters(fn):
+    """Names of the parameters of fn that its body never reads."""
+    a = fn.args
+    params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+    params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+    read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [p for p in params if p not in read]
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qual, node in _definitions(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                unread += [f"{path.stem}.{qual}({p})" for p in _unread_parameters(node)]
+    assert not unread, f"parameters never read: {unread}"
