@@ -393,13 +393,13 @@ def k_o(x):
 
 
 def _evaluation_is_iso(x, duals, y, elements):
-    """The double-dual check: is the evaluation map a |-> {i : a in
-    duals[i]} an order isomorphism from x onto y, whose element j is the
-    set elements[j]?"""
+    """The double-dual check: is a |-> {i : a in duals[i]} an order
+    isomorphism from x onto y, whose element j is the set elements[j]?
+    Reflecting the order of the antisymmetric x makes it one-to-one."""
     index = {u: j for j, u in enumerate(elements)}
     mapped = [index.get(frozenset(i for i, d in enumerate(duals) if a in d))
               for a in range(x.n)]
-    if y.n != x.n or None in mapped or len(set(mapped)) != x.n:
+    if y.n != x.n or None in mapped:
         return False
     return all(
         x.leq[a][b] == y.leq[mapped[a]][mapped[b]]
