@@ -7,7 +7,20 @@ are compared up to `syntax.normalize`, which is semantics-preserving; the
 prover only ever builds sequents with normalized sides.
 
 Verdicts are three-valued: Proved carries a checked derivation, Refuted a
-finite model with a falsifying assignment, Unknown means budget exhaustion.
+finite model with a falsifying assignment, Unknown names the budget that
+ended the search: the call budget, or the depth bound when the search ran
+out of steps without a derivation.
+
+The prover's memo maps ``(n, rhs)`` to the derivations found for each lhs.
+The axiom instances of a theory in context n are cached with two indexes:
+by consequent, which gives the backward step its instances, and by the
+least conjunct of the antecedent (in ``formula_key`` order), which gives
+the forward step every instance whose antecedent may lie in the current
+lhs, in list order.  Below depth 2 the forward step is skipped unless the
+memo holds some derivation of ``rhs``: each of its premises would be a
+depth-0 call, which can only return a memo entry.  Neither changes the
+search: derivations, verdicts and call counts are those of the linear scan
+(``tests/test_prover_reference.py``).
 """
 
 from __future__ import annotations
@@ -76,7 +89,7 @@ class Refuted:
 
 @dataclass(frozen=True)
 class Unknown:
-    reason: str = "budget exhausted"
+    reason: str  # the budget that ran out, with its size
 
 
 @dataclass
@@ -360,22 +373,31 @@ def d_exists_intro(n, body, witness):
 
 
 def _axiom_instances(t, n):
-    """All normalized axiom instances of t in context n, with builders."""
+    """(instances, by_rhs, by_part) of t in context n: all normalized axiom
+    instances with their builders, a map from each consequent to its
+    instances, and a map from the least conjunct of each antecedent (None
+    for TOP) to the positions of its instances, both in list order."""
     cache = getattr(t, "_instance_cache", None)
     if cache is None:
         cache = t._instance_cache = {}
     if n in cache:
         return cache[n]
     out = []
+    by_rhs, by_part = {}, {}
     for ai, ax in enumerate(t.axioms):
         for f in all_maps(ax.ctx, n):
             al = normalize(substitute(ax.lhs, f, n))
             ar = normalize(substitute(ax.rhs, f, n))
             if al == ar or ar == TOP:
                 continue
-            out.append((parts_of(al), al, ar, ai, f))
-    cache[n] = out
-    return out
+            alp = parts_of(al)
+            inst = (alp, al, ar, ai, f)
+            by_rhs.setdefault(ar, []).append(inst)
+            least = min(alp, key=formula_key) if alp else None
+            by_part.setdefault(least, []).append(len(out))
+            out.append(inst)
+    cache[n] = out, by_rhs, by_part
+    return cache[n]
 
 
 def _d_axiom_instance(t, n, ai, f, al, ar):
@@ -390,15 +412,16 @@ class _Prover:
     def __init__(self, t, budgets):
         self.t = t
         self.budgets = budgets
-        self.memo = {}
+        self.memo = {}  # (n, rhs) -> {lhs: derivation}
         self.fail_depth = {}
         self.in_progress = set()
         self.calls = 0
 
     def derive(self, n, lhs, rhs, depth):
+        proved = self.memo.get((n, rhs))
+        if proved is not None and lhs in proved:
+            return proved[lhs]
         key = (n, lhs, rhs)
-        if key in self.memo:
-            return self.memo[key]
         if depth <= 0 or key in self.in_progress:
             return None
         if key in self.fail_depth and self.fail_depth[key] >= depth:
@@ -412,7 +435,7 @@ class _Prover:
         finally:
             self.in_progress.discard(key)
         if d is not None:
-            self.memo[key] = d
+            self.memo.setdefault((n, rhs), {})[lhs] = d
         else:
             prev = self.fail_depth.get(key, -1)
             if depth > prev:
@@ -566,8 +589,12 @@ class _Prover:
         return d_cut(frob, d)
 
     def _by_axiom_forward(self, n, lhs, rhs, depth):
+        if depth <= 1 and (n, rhs) not in self.memo:
+            return None  # each premise would be a depth-0 call missing the memo
+        out, _, by_part = _axiom_instances(self.t, n)
         lparts = parts_of(lhs)
-        for alp, al, ar, ai, f in _axiom_instances(self.t, n):
+        for i in sorted(i for p in (*lparts, None) for i in by_part.get(p, ())):
+            alp, al, ar, ai, f = out[i]
             if not alp <= lparts:
                 continue
             arparts = parts_of(ar)
@@ -598,9 +625,8 @@ class _Prover:
         return None
 
     def _by_axiom_backward(self, n, lhs, rhs, depth):
-        for alp, al, ar, ai, f in _axiom_instances(self.t, n):
-            if ar != rhs:
-                continue
+        _, by_rhs, _ = _axiom_instances(self.t, n)
+        for alp, al, ar, ai, f in by_rhs.get(rhs, ()):
             d = self.derive(n, lhs, al, depth - 1)
             if d is not None:
                 d_axi = _d_axiom_instance(self.t, n, ai, f, al, ar)
@@ -610,18 +636,24 @@ class _Prover:
 
 def prove(t, s, budgets=Budgets()):
     """A checked derivation of s from t within budget, or None."""
+    return _search(t, s, budgets)[0]
+
+
+def _search(t, s, budgets):
+    """(derivation, None) for a checked derivation of s from t, else
+    (None, the budget that ended the search)."""
     s = normalize_sequent(s)
     prover = _Prover(t, budgets)
     try:
         d = prover.derive(s.ctx, s.lhs, s.rhs, budgets.depth)
     except BudgetExceeded:
-        return None
+        return None, f"call budget of {budgets.size} exhausted"
     if d is None:
-        return None
+        return None, f"no derivation within depth {budgets.depth}"
     reason = check_derivation_reason(t, d)
     if reason is not None:
         raise AssertionError(f"prover produced an invalid derivation: {reason}")
-    return d
+    return d, None
 
 
 def find_countermodel(t, s, max_size=3, pool=None):
@@ -643,10 +675,10 @@ def entails(t, s, budgets=Budgets()):
     cm = find_countermodel(t, s, budgets.model_size, budgets.model_pool)
     if cm is not None:
         return Refuted(cm[0], cm[1])
-    d = prove(t, s, budgets)
+    d, reason = _search(t, s, budgets)
     if d is not None:
         return Proved(d)
-    return Unknown()
+    return Unknown(reason)
 
 
 @dataclass(frozen=True)

@@ -664,6 +664,9 @@ def presentation_from_json(obj):
                                  "an object of lattices and an object of hom "
                                  "value lists")
     lattices = {int(n): lattice_from_json(l) for n, l in lats.items()}
+    for n in range(cutoff + 1):
+        if n not in lattices:
+            raise InternalLogicError(f"no lattice for arity {n}")
     homs = {}
     key_re = re.compile(r"(\d+)->(\d+):\[([0-9, ]*)\]")
     for key, values in hom_values.items():
@@ -672,5 +675,9 @@ def presentation_from_json(obj):
             raise InternalLogicError(f"bad hom key {key!r}")
         n, mm = int(m.group(1)), int(m.group(2))
         f = tuple(int(x) for x in m.group(3).split(",")) if m.group(3) else ()
+        for a in (n, mm):
+            if a not in lattices:
+                raise InternalLogicError(f"hom {key!r} names arity {a}, "
+                                         "which has no lattice")
         homs[(n, mm, f)] = LatticeHom(lattices[n], lattices[mm], values)
     return FunctorPresentation(cutoff, lattices, homs, name=obj.get("name", "F"))

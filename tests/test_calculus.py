@@ -26,6 +26,7 @@ from cohlogic.syntax import (
     Or,
     Sequent,
     normalize,
+    parse_sequent,
     parse_theory,
 )
 
@@ -157,6 +158,23 @@ def test_entails_verdicts():
     assert isinstance(entails(PEQ, Sequent(2, Atom("E", (1, 2)), Eq(1, 2))), Refuted)
     phi = Atom("P", (1,))
     assert isinstance(entails(PQR, Sequent(1, phi, phi)), Proved)
+
+
+# valid in peq: proved from depth 6 on, in 36 calls at the default budgets
+SYMMETRIC_STEP = "[x,y] E(x, x) & (exists z. E(z, y)) |- exists z. exists w. E(y, w)"
+
+
+def test_unknown_names_the_depth_bound():
+    s = parse_sequent(SYMMETRIC_STEP, PEQ.signature)
+    assert isinstance(entails(PEQ, s), Proved)
+    assert entails(PEQ, s, Budgets(depth=5)) == Unknown(
+        "no derivation within depth 5")
+
+
+def test_unknown_names_the_call_budget():
+    s = parse_sequent(SYMMETRIC_STEP, PEQ.signature)
+    assert entails(PEQ, s, Budgets(size=30)) == Unknown(
+        "call budget of 30 exhausted")
 
 
 def test_equivalent_normalize():

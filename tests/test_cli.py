@@ -192,6 +192,18 @@ MALFORMED = {
                                          "homs": {}}),
     "presentation-homs-not-object": ("thf", "validate",
                                      {"cutoff": 0, "lattices": {}, "homs": []}),
+    "presentation-lattice-missing": ("thf", "validate", {
+        "cutoff": 2, "lattices": {"0": {"elements": 1, "leq": [[0, 0]]}},
+        "homs": {}}),
+    "presentation-hom-arity-missing": ("thf", "validate", {
+        "cutoff": 0, "lattices": {"0": {"elements": 1, "leq": [[0, 0]]}},
+        "homs": {"0->1:[]": [0]}}),
+}
+# the error line of cases whose message is pinned
+MALFORMED_MESSAGE = {
+    "presentation-lattice-missing": "error: no lattice for arity 1\n",
+    "presentation-hom-arity-missing":
+        "error: hom '0->1:[]' names arity 1, which has no lattice\n",
 }
 
 
@@ -208,6 +220,8 @@ def test_malformed_json_is_input_error(capsys, pqr_file, tmp_path, case):
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert err.startswith("error:") and "Traceback" not in err
+    if case in MALFORMED_MESSAGE:
+        assert err == MALFORMED_MESSAGE[case]
 
 
 def test_models(capsys, pqr_file):

@@ -30,6 +30,7 @@ from cohlogic.calculus import (
     Proved,
     Refuted,
     Unknown,
+    _axiom_instances,
     _d_axiom_instance,
     _Prover,
     d_cut,
@@ -53,7 +54,7 @@ from cohlogic.syntax import (
     formula_key,
     normalize,
     normalize_sequent,
-    parse_theory,
+    parse_sequent,
     substitute,
 )
 
@@ -206,14 +207,6 @@ def theory(name):
             tuple(internal_logic.induced_models(pres)))
 
 
-def sequent(name, text):
-    """A sequent in the syntax of theory files, over name's signature."""
-    t = theory(name)[0]
-    sig = ", ".join(f"{s}/{a}" for s, a in t.signature.relations)
-    th = parse_theory(f"theory e\nsig {{ {sig} }}\naxiom {text}\n")
-    return th.axioms[0]
-
-
 def lattice_order(pres, s):
     """Whether the presentation's lattice orders the two sides, or None
     where denote is undefined."""
@@ -259,7 +252,8 @@ MEMO_HITS = {
 def corpus(name):
     """(sequent, budgets) pairs of one theory, normalized."""
     if name in ("pqr", "peq"):
-        extra = [sequent(name, s) for s in MEMO_HITS[name]]
+        t = theory(name)[0]
+        extra = [parse_sequent(s, t.signature) for s in MEMO_HITS[name]]
         pairs = [(s, Budgets()) for s in draw(name, 20) + extra]
     else:
         budgets = Budgets(size=TH_SIZE)
@@ -315,10 +309,28 @@ def test_unknowns_match_reference(text, budgets, outcome):
     is proved at depth 7), one on the call budget (it is proved in 36 calls
     at the default budgets)."""
     t, _, pool = theory("peq")
-    s = normalize_sequent(sequent("peq", text))
+    s = normalize_sequent(parse_sequent(text, t.signature))
     assert find_countermodel(t, s, pool=pool) is None
     got = search(_Prover(t, budgets), s)
     assert got == search(ReferenceProver(t, budgets), s)
     assert got[0] == outcome
     assert isinstance(entails(t, s, budgets), Unknown)
     assert isinstance(entails(t, s), Proved)
+
+
+@pytest.mark.parametrize("name", ["pqr", "peq", "th_pqr", "th_peq"])
+def test_axiom_instance_indexes(name):
+    """The instance list is the reference's.  ``by_rhs`` partitions it by
+    consequent and ``by_part`` partitions its positions by the least
+    conjunct of the antecedent, each part in list order."""
+    t = theory(name)[0]
+    for n in range(4):
+        instances, by_rhs, by_part = _axiom_instances(t, n)
+        assert instances == reference_axiom_instances(t, n)
+        rhs_parts, least_parts = {}, {}
+        for i, (alp, _, ar, _, _) in enumerate(instances):
+            rhs_parts.setdefault(ar, []).append(instances[i])
+            least = sorted(alp, key=formula_key)[0] if alp else None
+            least_parts.setdefault(least, []).append(i)
+        assert by_rhs == rhs_parts
+        assert by_part == least_parts
