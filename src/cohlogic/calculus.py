@@ -89,7 +89,7 @@ class Refuted:
 
 @dataclass(frozen=True)
 class Unknown:
-    reason: str  # the budget that ran out, with its size
+    reason: str  # the budget that ended the search, with its value
 
 
 @dataclass

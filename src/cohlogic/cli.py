@@ -173,6 +173,9 @@ def _cmd_prove(args, want="prove"):
         verdict["countermodel"] = v.model
         verdict["assignment"] = list(v.assignment)
         lines.append(f"countermodel of size {v.model.size} at {v.assignment}")
+    if isinstance(v, calculus.Unknown):
+        verdict["reason"] = v.reason
+        lines.append(f"reason: {v.reason}")
     rep = _report(
         want, {"theory": text, "sequent": args.sequent},
         {"depth": args.depth, "model_size": args.model_size},

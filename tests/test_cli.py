@@ -103,6 +103,7 @@ def test_prove_unknown_on_exhausted_budget(capsys, pqr_file):
                          "--depth", "1", "--model-size", "0")
     assert code == 2
     assert rep["verdicts"][0]["verdict"] == "Unknown"
+    assert rep["verdicts"][0]["reason"] == "no derivation within depth 1"
 
 
 def test_models_resource_guard_is_unknown(capsys, tmp_path):

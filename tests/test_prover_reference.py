@@ -187,7 +187,7 @@ def verdict_json(v):
     if isinstance(v, Refuted):
         return "Refuted", v.model.size, v.model.tables, v.assignment
     assert isinstance(v, Unknown)
-    return ("Unknown",)
+    return "Unknown", v.reason
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +284,10 @@ def test_search_matches_reference(name):
         cm = find_countermodel(t, s, pool=pool)
         if cm is not None:
             expected = ("Refuted", cm[0].size, cm[0].tables, cm[1])
-        elif want[0] in (None, "calls"):
-            expected = ("Unknown",)
+        elif want[0] is None:
+            expected = ("Unknown", f"no derivation within depth {budgets.depth}")
+        elif want[0] == "calls":
+            expected = ("Unknown", f"call budget of {budgets.size} exhausted")
         else:
             expected = ("Proved", want[0])
         with_pool = Budgets(depth=budgets.depth, size=budgets.size,
