@@ -493,27 +493,33 @@ def _cmd_roundtrip(args):
 # argument wiring
 
 
+def _nat(text):
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0: {text}")
+    return int(text)
+
+
 def _add_bounds(p, depth=False, model_size=False, bound=False,
                 formula_depth=False, cutoff=False, export=False):
     if depth:
-        p.add_argument("--depth", type=int, default=8,
+        p.add_argument("--depth", type=_nat, default=8,
                        help="proof search depth (default 8)")
     if model_size:
-        p.add_argument("--model-size", type=int, default=3,
+        p.add_argument("--model-size", type=_nat, default=3,
                        help="countermodel size bound (default 3)")
     if bound:
-        p.add_argument("--bound", type=int, default=3,
+        p.add_argument("--bound", type=_nat, default=3,
                        help="model size bound (default 3)")
     if formula_depth:
-        p.add_argument("--formula-depth", type=int, default=2,
+        p.add_argument("--formula-depth", type=_nat, default=2,
                        help="formula depth bound (default 2)")
     if cutoff:
-        p.add_argument("--cutoff", type=int, default=2,
+        p.add_argument("--cutoff", type=_nat, default=2,
                        help="arity cutoff (default 2)")
     if export:
-        p.add_argument("--gen-depth", type=int, default=1,
+        p.add_argument("--gen-depth", type=_nat, default=1,
                        help="generator formula depth for exports (default 1)")
-        p.add_argument("--max-size", type=int, default=200,
+        p.add_argument("--max-size", type=_nat, default=200,
                        help="largest exported lattice allowed (default 200)")
         p.add_argument("--generators",
                        help="JSON file of generator formulas per arity, "
@@ -553,7 +559,7 @@ def build_parser():
 
     p = sub.add_parser("models", help="enumerate models up to isomorphism")
     p.add_argument("theory")
-    p.add_argument("--limit", type=int, default=None,
+    p.add_argument("--limit", type=_nat, default=None,
                    help="print at most this many models")
     _add_bounds(p, bound=True)
     p.set_defaults(run=_cmd_models)
@@ -602,7 +608,7 @@ def build_parser():
     p.add_argument("input", help="theory file (build/roundtrip) or "
                    "presentation JSON (validate)")
     p.add_argument("--out", help="write the built presentation JSON here")
-    p.add_argument("--cap", type=int, default=6,
+    p.add_argument("--cap", type=_nat, default=6,
                    help="formulas per arity in round-trip comparisons")
     _add_bounds(p, bound=True, formula_depth=True, cutoff=True, export=True)
     p.set_defaults(run=_cmd_thf)
@@ -611,7 +617,7 @@ def build_parser():
     p.add_argument("--theory", required=True)
     p.add_argument("--mode", choices=["theory", "functor", "both"],
                    default="both")
-    p.add_argument("--cap", type=int, default=6,
+    p.add_argument("--cap", type=_nat, default=6,
                    help="formulas per arity in round-trip comparisons")
     _add_bounds(p, bound=True, formula_depth=True, cutoff=True, export=True)
     p.set_defaults(run=_cmd_roundtrip)

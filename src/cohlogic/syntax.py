@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -657,15 +658,18 @@ def enum_formulas(sig, n, depth, cap=2000):
     The list is sorted by (size, structural key) and truncated at ``cap``
     entries, simplest first.
 
-    Generation is pruned at the cap.  Each level forms its candidates in
-    ascending order of a lower bound on their size; once ``cap`` formulas of
-    depth at most ``depth`` are known, a formula larger than the cap-th of
-    them can never be kept, so it is dropped, and the level stops at the
-    first candidate whose bound is that large.  At the last level a meet or
-    join deeper than ``depth`` is not formed.  The pruning is exact: the
-    list is the one the unpruned generation gives.
+    Generation is pruned at the cap by the full sort key (size, key): once
+    ``cap`` formulas of depth at most ``depth`` are known, a formula above
+    the cap-th of them enters neither a later level's ``cap`` simplest nor
+    the final list, as both are the ``cap`` smallest by that key, the cap-th
+    only falls and distinct normal forms have distinct keys.  A level forms
+    its candidates by ascending lower bound on their key and stops at the
+    first bound above the cap-th; a candidate whose key is known before
+    normalizing is skipped if above it.  At the last level a meet or join
+    deeper than ``depth`` is not formed.  The list is the one the unpruned
+    generation gives.
     """
-    return list(_enum(sig, n, depth, cap))
+    return list(_enum(sig, n, depth, cap)) if cap else []
 
 
 @lru_cache(maxsize=None)
@@ -687,23 +691,22 @@ def _enum(sig, n, depth, cap):
             keys[p] = k
         return k
 
-    # counts[s]: formulas of size s and depth <= depth in seen.  limit is
-    # the size of the cap-th smallest of them (inf while there are fewer):
-    # seen only grows, so limit only falls, and a formula larger than limit
-    # can enter neither a later ``ordered`` prefix nor the final list.
-    counts = {}
-    limit = math.inf
+    # best: the sorted keys of the cap smallest formulas of depth <= depth
+    # in seen; top: the largest of them once there are cap (never at cap 0)
+    best = []
+    top = (math.inf,)
 
     def add(q):
-        nonlocal limit
-        s = key(q)[0]
-        if s > limit or q in seen:
+        nonlocal top
+        k = key(q)
+        if k > top or q in seen:
             return
         seen.add(q)
         if formula_depth(q) <= depth:
-            counts[s] = counts.get(s, 0) + 1
-            if s < limit:
-                limit = _cap_size(counts, cap)
+            insort(best, k)
+            if len(best) >= cap:
+                del best[cap:]
+                top = best[-1]
 
     for p in level:
         add(p)
@@ -715,10 +718,13 @@ def _enum(sig, n, depth, cap):
         # formulas deeper than ``depth`` still take part in the next level's
         # ``ordered`` prefix, but after the last level they are never used
         max_depth = depth if level_no == depth else math.inf
-        for bound, phi in _candidates(ordered, prev, bodies, max_depth):
-            if bound > limit:
+        for bound, exact, batch in _candidates(ordered, prev, bodies, max_depth):
+            if bound > top:
                 break
-            add(normalize(phi))
+            for phi in batch:
+                if bound > top or exact and _exact_key(bound, phi) > top:
+                    break
+                add(normalize(phi))
         prev = set(ordered)
     final = [p for p in seen if formula_depth(p) <= depth]
     final.sort(key=key)
@@ -727,45 +733,52 @@ def _enum(sig, n, depth, cap):
 
 def _candidates(ordered, prev, bodies, max_depth):
     """Meets and joins of distinct formulas in ``ordered`` (not both from
-    ``prev``) and existentials of ``bodies``, as (bound, formula) pairs in
-    ascending order of bound, leaving out those whose result, if new, would
-    be deeper than ``max_depth``.
+    ``prev``) and existentials of ``bodies``, as batches (bound, exact,
+    formulas) in ascending order of bound, leaving out those whose result,
+    if new, would be deeper than ``max_depth``.
 
-    The bound is the least size the normalized result can have unless it
-    is already known: one of its parts, top or bottom.  As normalize does
-    no absorption, for distinct normalized a, b and a connective C a new
-    result has
+    The bound (size, (rank,)) is at most the key of each normalized result
+    unless that is already known: one of its parts, top or bottom.  A new
+    result is of the connective's rank.  As normalize does no absorption,
+    for distinct normalized a, b and a connective C a new result has
       - size 1 + |a| + |b| and depth 1 + max(da, db) if neither is a C;
       - size |a| + |b| and depth max(da, db + 1) if only a is a C;
       - size at least max(|a|, |b|) + 1 and depth max(da, db) if both are
         (the union of their parts is larger than either part list).
+    In an ``exact`` batch ``_exact_key`` gives each result's key, and these
+    keys rise along the batch: ∃ of a body other than bottom, or C(a, b)
+    where neither is a C, top or bottom and a, b come from one group or
+    from groups of two types.  ``ordered`` is sorted and its groups are
+    taken by rank, so such pairs come in the order of their part keys.
     """
     groups = {}
     for p in ordered:
         g = (formula_size(p), formula_depth(p), type(p))
         groups.setdefault(g, []).append(p)
-    groups = list(groups.items())
-    work = {}  # bound -> batches of formulas
+    groups = sorted(groups.items(), key=lambda g: _RANK[g[0][2]])
+    work = {}  # bound -> batches
     for body in bodies:
-        work.setdefault(1 + formula_size(body), []).append([Exists(body)])
+        work.setdefault((1 + formula_size(body), (_RANK[Exists],)), []).append(
+            (body != BOT, [Exists(body)]))
     for i, ((sa, da, ta), ga) in enumerate(groups):
         for (sb, db, tb), gb in groups[i:]:
             for cons in (And, Or):
+                exact = ((ga is gb or ta is not tb)
+                         and not {ta, tb} & {cons, Top, Bot})
                 if ta is cons and tb is cons:
-                    bound, depth = max(sa, sb) + 1, max(da, db)
+                    size, depth = max(sa, sb) + 1, max(da, db)
                 elif ta is cons:
-                    bound, depth = sa + sb, max(da, db + 1)
+                    size, depth = sa + sb, max(da, db + 1)
                 elif tb is cons:
-                    bound, depth = sa + sb, max(da + 1, db)
+                    size, depth = sa + sb, max(da + 1, db)
                 else:
-                    bound, depth = sa + sb + 1, max(da, db) + 1
+                    size, depth = sa + sb + 1, max(da, db) + 1
                 if depth <= max_depth:
-                    work.setdefault(bound, []).append(
-                        _combine(cons, ga, gb, prev))
+                    work.setdefault((size, (_RANK[cons],)), []).append(
+                        (exact, _combine(cons, ga, gb, prev)))
     for bound in sorted(work):
         for batch in work[bound]:
-            for phi in batch:
-                yield bound, phi
+            yield bound, *batch
 
 
 def _combine(cons, ga, gb, prev):
@@ -775,11 +788,10 @@ def _combine(cons, ga, gb, prev):
             yield cons((pa, pb))
 
 
-def _cap_size(counts, cap):
-    """Smallest size s with at least cap counted formulas of size <= s."""
-    total = 0
-    for s in sorted(counts):
-        total += counts[s]
-        if total >= cap:
-            return s
-    return math.inf
+def _exact_key(bound, phi):
+    """Key of normalize(phi) for an exact phi: itself, or its parts sorted."""
+    size, (rank,) = bound
+    if isinstance(phi, Exists):
+        return size, (rank, "", formula_key(phi.body))
+    ka, kb = map(formula_key, phi.parts)
+    return size, (rank, "", (ka, kb) if ka < kb else (kb, ka))

@@ -79,6 +79,33 @@ def test_unknown_flag(capsys, pqr_file):
     assert "usage" in err
 
 
+# every integer flag, each given a negative value; at --cap -1 a round trip
+# kept all but the last formula and ran for minutes
+NEGATIVE_FLAGS = [
+    ("prove", "{pqr}", "[x] P(x) |- P(x)", "--depth", "-1"),
+    ("refute", "{pqr}", "[x] P(x) |- P(x)", "--model-size", "-1"),
+    ("models", "{pqr}", "--bound", "-2"),
+    ("models", "{pqr}", "--limit", "-1"),
+    ("typespace", "{pqr}", "--bound", "-1"),
+    ("typespace", "{pqr}", "--formula-depth", "-1"),
+    ("typespace", "{pqr}", "--cutoff", "-1"),
+    ("roundtrip", "--theory", "{peq}", "--cap", "-1"),
+    ("roundtrip", "--theory", "{peq}", "--gen-depth", "-1"),
+    ("roundtrip", "--theory", "{peq}", "--max-size", "-1"),
+    ("thf", "roundtrip", "{pqr}", "--cap", "-1"),
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_FLAGS, ids=lambda a: a[0] + a[-2])
+def test_negative_integer_flag_is_input_error(capsys, pqr_file, peq_file, argv):
+    argv = [a.format(pqr=pqr_file, peq=peq_file) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "error: argument" in err and ">= 0" in err
+    assert "Traceback" not in err
+
+
 def test_prove_holds(capsys, pqr_file):
     code, rep = run_json(capsys, "prove", pqr_file,
                          "[x] P(x) & Q(x) |- R(x)")

@@ -32,6 +32,7 @@ from cohlogic.syntax import (
     Eq,
     Exists,
     Or,
+    _enum,
     all_maps,
     build_lattice_theory,
     enum_formulas,
@@ -306,3 +307,15 @@ def test_smaller_caps_are_prefixes(name, n, d):
     full = enum_formulas(sig, n, d, 600)
     for k in (1, 6, 10, 16, 200):
         assert enum_formulas(sig, n, d, k) == full[:k], k
+
+
+def test_enumeration_work_is_bounded():
+    # a deterministic work count, not a wall-time gate: the size-pruned loop
+    # made 48,881 normalize misses here, normalizing every candidate of the
+    # cap-th formula's size
+    sig = presented_signature("peq")
+    _enum.cache_clear()
+    normalize.cache_clear()
+    formula_key.cache_clear()
+    assert len(enum_formulas(sig, 2, 2, 600)) == 600
+    assert normalize.cache_info().misses <= 5000
