@@ -664,10 +664,10 @@ def enum_formulas(sig, n, depth, cap=2000):
     the final list, as both are the ``cap`` smallest by that key, the cap-th
     only falls and distinct normal forms have distinct keys.  A level forms
     its candidates by ascending lower bound on their key and stops at the
-    first bound above the cap-th; a candidate whose key is known before
-    normalizing is skipped if above it.  At the last level a meet or join
-    deeper than ``depth`` is not formed.  The list is the one the unpruned
-    generation gives.
+    first bound above the cap-th; a candidate already in normal form is
+    not normalized if its key is above it.  At the last level a meet or
+    join deeper than ``depth`` is not formed.  The list is the one the
+    unpruned generation gives.
     """
     return list(_enum(sig, n, depth, cap)) if cap else []
 
@@ -692,7 +692,7 @@ def _enum(sig, n, depth, cap):
         return k
 
     # best: the sorted keys of the cap smallest formulas of depth <= depth
-    # in seen; top: the largest of them once there are cap (never at cap 0)
+    # in seen; top: the largest of them once there are cap (cap is >= 1)
     best = []
     top = (math.inf,)
 
@@ -722,7 +722,7 @@ def _enum(sig, n, depth, cap):
             if bound > top:
                 break
             for phi in batch:
-                if bound > top or exact and _exact_key(bound, phi) > top:
+                if bound > top or exact and _own_key(bound, phi) > top:
                     break
                 add(normalize(phi))
         prev = set(ordered)
@@ -745,9 +745,9 @@ def _candidates(ordered, prev, bodies, max_depth):
       - size |a| + |b| and depth max(da, db + 1) if only a is a C;
       - size at least max(|a|, |b|) + 1 and depth max(da, db) if both are
         (the union of their parts is larger than either part list).
-    In an ``exact`` batch ``_exact_key`` gives each result's key, and these
-    keys rise along the batch: ∃ of a body other than bottom, or C(a, b)
-    where neither is a C, top or bottom and a, b come from one group or
+    A formula of an ``exact`` batch is its own normal form unless that is
+    already known, and the keys of its formulas rise along the batch: ∃ of
+    a body, or C(a, b) where neither is a C and a, b come from one group or
     from groups of two types.  ``ordered`` is sorted and its groups are
     taken by rank, so such pairs come in the order of their part keys.
     """
@@ -759,12 +759,11 @@ def _candidates(ordered, prev, bodies, max_depth):
     work = {}  # bound -> batches
     for body in bodies:
         work.setdefault((1 + formula_size(body), (_RANK[Exists],)), []).append(
-            (body != BOT, [Exists(body)]))
+            (True, [Exists(body)]))
     for i, ((sa, da, ta), ga) in enumerate(groups):
         for (sb, db, tb), gb in groups[i:]:
             for cons in (And, Or):
-                exact = ((ga is gb or ta is not tb)
-                         and not {ta, tb} & {cons, Top, Bot})
+                exact = (ga is gb or ta is not tb) and cons not in (ta, tb)
                 if ta is cons and tb is cons:
                     size, depth = max(sa, sb) + 1, max(da, db)
                 elif ta is cons:
@@ -788,10 +787,7 @@ def _combine(cons, ga, gb, prev):
             yield cons((pa, pb))
 
 
-def _exact_key(bound, phi):
-    """Key of normalize(phi) for an exact phi: itself, or its parts sorted."""
-    size, (rank,) = bound
-    if isinstance(phi, Exists):
-        return size, (rank, "", formula_key(phi.body))
-    ka, kb = map(formula_key, phi.parts)
-    return size, (rank, "", (ka, kb) if ka < kb else (kb, ka))
+def _own_key(bound, phi):
+    """The (size, formula_key) of phi, of the size its bound gives, without
+    caching the key of a formula that may be dropped."""
+    return bound[0], formula_key.__wrapped__(phi)
