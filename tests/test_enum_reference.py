@@ -32,7 +32,9 @@ from cohlogic.syntax import (
     Eq,
     Exists,
     Or,
+    _candidates,
     _enum,
+    _own_key,
     all_maps,
     build_lattice_theory,
     enum_formulas,
@@ -319,3 +321,26 @@ def test_enumeration_work_is_bounded():
     formula_key.cache_clear()
     assert len(enum_formulas(sig, 2, 2, 600)) == 600
     assert normalize.cache_info().misses <= 5000
+
+
+@pytest.mark.parametrize("name,n", [("pqr", 1), ("peq", 2), ("chain2", 1)])
+def test_candidate_batches_keep_their_promises(name, n):
+    # what _enum's pruning relies on: a batch's bound is at most the key of
+    # each new result, and an exact batch lists formulas that are their own
+    # normal form unless the result is known, in ascending key order
+    sig = THEORIES[name].signature
+    ordered = enum_formulas(sig, n, 2, 100)
+    bodies = tuple(enum_formulas(sig, n + 1, 1, 100))
+    exact_batches = 0
+    for bound, exact, batch in _candidates(ordered, set(), bodies, math.inf):
+        keys = []
+        for phi in batch:
+            q = normalize(phi)
+            if q not in {TOP, BOT, *getattr(phi, "parts", ())}:
+                assert bound <= (formula_size(q), formula_key(q)), phi
+                assert q == phi or not exact, phi
+            if exact:
+                keys.append(_own_key(bound, phi))
+        assert keys == sorted(set(keys)), bound
+        exact_batches += exact
+    assert exact_batches > 0
