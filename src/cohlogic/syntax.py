@@ -669,6 +669,8 @@ def enum_formulas(sig, n, depth, cap=2000):
     join deeper than ``depth`` is not formed.  The list is the one the
     unpruned generation gives.
     """
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     return list(_enum(sig, n, depth, cap)) if cap else []
 
 

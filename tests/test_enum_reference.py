@@ -9,7 +9,9 @@ that work at the cap and must return exactly the same list as both.  The
 corpus covers the theories and (n, depth, cap) at which the acceptance
 criteria enumerate, plus small caps where the pruning starts early, and the
 signatures of the theories that the round-trip criteria present, at the
-calls that ``roundtrip_functor`` makes.
+calls that ``roundtrip_functor`` makes.  The file also pins that a smaller
+cap gives a prefix of the cap-600 list, the promises of ``_candidates`` that
+the pruning relies on, and a deterministic count of the work it saves.
 """
 
 import math
@@ -271,6 +273,13 @@ def presented_signature(name):
 def test_enum_formulas_matches_reference_on_presented_theories(name, n, d):
     sig = presented_signature(name)
     assert enum_formulas(sig, n, d, 200) == list(reference_enum(sig, n, d, 200))
+
+
+def test_negative_cap_is_rejected():
+    # the size-pruned loop returned 4 of the 19 formulas here
+    sig = THEORIES["free"].signature
+    with pytest.raises(ValueError):
+        enum_formulas(sig, 1, 1, -1)
 
 
 # the calls of roundtrip_functor: cap 600, n <= 2 at depth d <= 2, and the
