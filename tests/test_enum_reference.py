@@ -245,6 +245,18 @@ def test_enum_formulas_matches_reference(name, n, d, cap):
     assert enum_formulas(sig, n, d, cap) == list(reference_enum(sig, n, d, cap))
 
 
+# the stability pass of ``typespace peq``: depth d + 1 = 3, cap 600.  Checked
+# against the size-pruned loop, which takes about 1 s for all three; the
+# unpruned reference takes 84 s
+PEQ_STABILITY_CALLS = [("peq", n, 3, 600) for n in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("name,n,d,cap", PEQ_STABILITY_CALLS)
+def test_enum_formulas_matches_size_pruned_on_stability_calls(name, n, d, cap):
+    sig = THEORIES[name].signature
+    assert enum_formulas(sig, n, d, cap) == list(size_pruned_enum(sig, n, d, cap))
+
+
 def test_reference_truncates_pqr_at_depth_three():
     # the corpus reaches the cap, so the pruning is exercised there
     sig = THEORIES["pqr"].signature
