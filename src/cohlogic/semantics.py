@@ -14,7 +14,6 @@ tuple j of model i.  A run of s bits never straddles two models, and a lone
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 
 from .lattice import relabelings
@@ -26,6 +25,7 @@ from .syntax import (
     Exists,
     Or,
     Top,
+    cached,
     enum_formulas,
 )
 
@@ -98,7 +98,7 @@ class ModelBatch:
         self.blocks = len(self.models)
 
 
-@lru_cache(maxsize=None)
+@cached
 def _coord_masks(size, n, blocks=1):
     """masks[k][v]: bitset of the n-tuples over range(size) whose entry k
     (0-based) is v, repeated in each of blocks consecutive models."""

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import insort
-from dataclasses import dataclass
+from bisect import bisect_left, insort
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
+from operator import attrgetter
 
 
 class SyntaxError_(Exception):
@@ -29,108 +30,119 @@ class SyntaxError_(Exception):
 
 # ---------------------------------------------------------------------------
 # formula trees
+#
+# Keys sort formulas by kind (top, bottom, atom, equality, and, or, exists),
+# then symbol, then arguments or the keys of the parts.  Every formula stores
+# its key and hash; And, Or and Exists also store their size (node count) and
+# depth (connective nesting), from their parts' stored values.
 
 
-@dataclass(frozen=True)
-class Atom:
+@dataclass(frozen=True, slots=True, eq=False)
+class _Formula:
+    """Equality is structural: two formulas are equal when their keys are,
+    and their stored hashes settle most unequal pairs.  A leaf has size 1
+    and depth 0."""
+    key: tuple = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
+    size, depth = 1, 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "key", self._key())
+        object.__setattr__(self, "_hash", hash(self.key))
+
+    def _key(self):  # of top and bottom; the other kinds have their own
+        return (_RANK[type(self)], "", ())
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, _Formula)
+                                 and self._hash == other._hash
+                                 and self.key == other.key)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Atom(_Formula):
     sym: str
     args: tuple[int, ...]
 
+    def _key(self):
+        return (2, self.sym, self.args)
 
-@dataclass(frozen=True)
-class Eq:
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Eq(_Formula):
     i: int
     j: int
 
-
-@dataclass(frozen=True)
-class Top:
-    pass
+    def _key(self):
+        return (3, "", (self.i, self.j))
 
 
-@dataclass(frozen=True)
-class Bot:
-    pass
+class Top(_Formula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class And:
+class Bot(_Formula):
+    __slots__ = ()
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class _Node(_Formula):
+    size: int = field(init=False, repr=False)
+    depth: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        kids = self._kids()
+        object.__setattr__(self, "size", 1 + sum(p.size for p in kids))
+        object.__setattr__(self, "depth",
+                           1 + max((p.depth for p in kids), default=0))
+        _Formula.__post_init__(self)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class _Junction(_Node):
     parts: tuple
 
-    def __hash__(self):
-        # cached: deep trees are hashed millions of times during enumeration
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((And, self.parts))
-            object.__setattr__(self, "_hash", h)
-            return h
+    def _kids(self):
+        return self.parts
+
+    def _key(self):
+        return (_RANK[type(self)], "", tuple(p.key for p in self.parts))
 
 
-@dataclass(frozen=True)
-class Or:
-    parts: tuple
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((Or, self.parts))
-            object.__setattr__(self, "_hash", h)
-            return h
+class And(_Junction):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Exists:
+class Or(_Junction):
+    __slots__ = ()
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Exists(_Node):
     body: "Formula"
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((Exists, self.body))
-            object.__setattr__(self, "_hash", h)
-            return h
+    def _kids(self):
+        return (self.body,)
+
+    def _key(self):
+        return (6, "", self.body.key)
 
 
 Formula = Atom | Eq | Top | Bot | And | Or | Exists
 
+_RANK = {Top: 0, Bot: 1, Atom: 2, Eq: 3, And: 4, Or: 5, Exists: 6}
+
 TOP = Top()
 BOT = Bot()
 
-_RANK = {Top: 0, Bot: 1, Atom: 2, Eq: 3, And: 4, Or: 5, Exists: 6}
-
-
-@lru_cache(maxsize=None)
-def formula_key(phi):
-    """Total order key on formula trees (used for canonical sorting)."""
-    r = _RANK[type(phi)]
-    if isinstance(phi, Atom):
-        return (r, phi.sym, phi.args)
-    if isinstance(phi, Eq):
-        return (r, "", (phi.i, phi.j))
-    if isinstance(phi, (And, Or)):
-        return (r, "", tuple(formula_key(p) for p in phi.parts))
-    if isinstance(phi, Exists):
-        return (r, "", formula_key(phi.body))
-    return (r, "", ())
-
-
-def formula_size(phi):
-    if isinstance(phi, (And, Or)):
-        return 1 + sum(formula_size(p) for p in phi.parts)
-    if isinstance(phi, Exists):
-        return 1 + formula_size(phi.body)
-    return 1
-
-
-def formula_depth(phi):
-    """Connective-nesting depth; atoms, equality, top, bottom have depth 0."""
-    if isinstance(phi, (And, Or)):
-        return 1 + max((formula_depth(p) for p in phi.parts), default=0)
-    if isinstance(phi, Exists):
-        return 1 + formula_depth(phi.body)
-    return 0
+# the total order key (used for canonical sorting), the node count and the
+# connective-nesting depth of a formula
+formula_key = attrgetter("key")
+formula_size = attrgetter("size")
+formula_depth = attrgetter("depth")
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +222,16 @@ def check_formula(sig, phi, ctx):
 # substitution and normalization
 
 
+_CACHED = []  # the functions made with ``cached``, emptied by clear_caches
+
+
+def cached(fn):
+    """``lru_cache`` without a bound, emptied by ``clear_caches``."""
+    fn = lru_cache(maxsize=None)(fn)
+    _CACHED.append(fn)
+    return fn
+
+
 def substitute(phi, f, m):
     """phi(x_f(1), ..., x_f(n)) in context m, for an index map f: n -> m.
 
@@ -219,9 +241,10 @@ def substitute(phi, f, m):
     for v in f:
         if not 1 <= v <= m:
             raise SyntaxError_(f"substitution image {v} outside context 1..{m}")
-    return _subst(phi, f, m)
+    return _subst(phi, tuple(f), m)
 
 
+@cached
 def _subst(phi, f, m):
     if isinstance(phi, Atom):
         return Atom(phi.sym, tuple(f[a - 1] for a in phi.args))
@@ -248,7 +271,79 @@ def shift(phi, n):
     return substitute(phi, tuple(range(1, n + 1)), n + 1)
 
 
-@lru_cache(maxsize=None)
+# ---------------------------------------------------------------------------
+# normal forms, interned
+#
+# meet, join and exists build normal forms from normal forms and intern
+# them (hash-consing, Filliatre & Conchon, ML 2006): until clear_caches,
+# each normal form And, Or or Exists is one node, so equal normal forms are
+# nearly always the same object.  normalize takes any tree, such as a parsed
+# or substituted one, to its normal form through the same constructors.
+
+_NODES = {And: {}, Or: {}, Exists: {}}  # interned nodes by parts or body
+_LAWS = {And: (TOP, BOT), Or: (BOT, TOP)}  # (unit, zero) of each junction
+
+
+def clear_caches():
+    """Empty the intern table and every ``cached`` function's cache.  Nodes
+    made before stay valid, and equal to those made after."""
+    for table in _NODES.values():
+        table.clear()
+    for fn in _CACHED:
+        fn.cache_clear()
+
+
+def _intern(cls, arg):
+    table = _NODES[cls]
+    node = table.get(arg)
+    if node is None:
+        node = table[arg] = cls(arg)
+    return node
+
+
+def meet(a, b):
+    """The normal form of a & b, for normal forms a and b."""
+    return _connect(And, (a, b))
+
+
+def join(a, b):
+    """The normal form of a | b, for normal forms a and b."""
+    return _connect(Or, (a, b))
+
+
+def exists(body):
+    """The normal form of exists x. body, for a normal form body."""
+    return body if type(body) is Bot else _intern(Exists, body)
+
+
+def _connect(cls, items):
+    """The normal form of cls(items) for normal forms items, with the unit
+    and zero laws.  The parts are merged in key order: an item of kind cls
+    brings its sorted parts and their keys, and a part whose key is there
+    already is dropped."""
+    unit, zero = _LAWS[cls]
+    parts, keys = [], []
+    for q in items:
+        t = type(q)
+        if t is type(zero):
+            return zero
+        if t is type(unit):
+            continue
+        qparts, qkeys = (q.parts, q.key[2]) if t is cls else ((q,), (q.key,))
+        if not parts:  # the first item's parts are sorted already
+            parts, keys = list(qparts), list(qkeys)
+            continue
+        for p, k in zip(qparts, qkeys):
+            i = bisect_left(keys, k)
+            if i == len(keys) or keys[i] != k:
+                keys.insert(i, k)
+                parts.insert(i, p)
+    if len(parts) > 1:
+        return _intern(cls, tuple(parts))
+    return parts[0] if parts else unit
+
+
+@cached
 def normalize(phi):
     """Canonical form: flatten and/or, dedupe, sort, unit and zero laws.
 
@@ -258,51 +353,15 @@ def normalize(phi):
     bottom, or a formula at least as large as the bound ``_candidates``
     states.
     """
-    if isinstance(phi, Eq):
+    t = type(phi)
+    if t is Eq:
         if phi.i == phi.j:
             return TOP
         return Eq(min(phi.i, phi.j), max(phi.i, phi.j))
-    if isinstance(phi, And):
-        parts = []
-        for p in phi.parts:
-            q = normalize(p)
-            if isinstance(q, Bot):
-                return BOT
-            if isinstance(q, Top):
-                continue
-            if isinstance(q, And):
-                parts.extend(q.parts)
-            else:
-                parts.append(q)
-        parts = sorted(set(parts), key=formula_key)
-        if not parts:
-            return TOP
-        if len(parts) == 1:
-            return parts[0]
-        return And(tuple(parts))
-    if isinstance(phi, Or):
-        parts = []
-        for p in phi.parts:
-            q = normalize(p)
-            if isinstance(q, Top):
-                return TOP
-            if isinstance(q, Bot):
-                continue
-            if isinstance(q, Or):
-                parts.extend(q.parts)
-            else:
-                parts.append(q)
-        parts = sorted(set(parts), key=formula_key)
-        if not parts:
-            return BOT
-        if len(parts) == 1:
-            return parts[0]
-        return Or(tuple(parts))
-    if isinstance(phi, Exists):
-        body = normalize(phi.body)
-        if isinstance(body, Bot):
-            return BOT
-        return Exists(body)
+    if t is And or t is Or:
+        return _connect(t, map(normalize, phi.parts))
+    if t is Exists:
+        return exists(normalize(phi.body))
     return phi
 
 
@@ -311,11 +370,11 @@ def normalize_sequent(s):
 
 
 def conj(parts):
-    return normalize(And(tuple(parts)))
+    return _connect(And, map(normalize, parts))
 
 
 def disj(parts):
-    return normalize(Or(tuple(parts)))
+    return _connect(Or, map(normalize, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +382,6 @@ def disj(parts):
 
 
 def print_formula(phi, names=None):
-    def name(i):
-        return names[i - 1] if names and i <= len(names) else f"x{i}"
-
     def go(phi, names, prec):
         # prec: 0 = or-level, 1 = and-level, 2 = atom-level
         if isinstance(phi, Top):
@@ -653,8 +709,9 @@ def enum_formulas(sig, n, depth, cap=2000):
     generation depth.
 
     Level 0 holds top, bottom, atoms and equalities; each further level adds
-    normalized binary meets/joins of the ``cap`` simplest formulas found so
-    far and existentials over the context-(n+1) enumeration one level down.
+    the meets and joins (``meet``, ``join``) of pairs of the ``cap`` simplest
+    formulas found so far and the existentials (``exists``) of the
+    context-(n+1) enumeration one level down.
     The list is sorted by (size, structural key) and truncated at ``cap``
     entries, simplest first.
 
@@ -664,8 +721,8 @@ def enum_formulas(sig, n, depth, cap=2000):
     the final list, as both are the ``cap`` smallest by that key, the cap-th
     only falls and distinct normal forms have distinct keys.  A level forms
     its candidates by ascending lower bound on their key and stops at the
-    first bound above the cap-th; a candidate already in normal form is
-    not normalized if its key is above it.  At the last level a meet or
+    first bound above the cap-th; a batch whose keys rise stops at its first
+    result above it.  At the last level a meet or
     join deeper than ``depth`` is not formed.  The list is the one the
     unpruned generation gives.
     """
@@ -674,7 +731,10 @@ def enum_formulas(sig, n, depth, cap=2000):
     return list(_enum(sig, n, depth, cap)) if cap else []
 
 
-@lru_cache(maxsize=None)
+_order = attrgetter("size", "key")
+
+
+@cached
 def _enum(sig, n, depth, cap):
     level = {TOP, BOT}
     for sym, ar in sig.relations:
@@ -684,14 +744,6 @@ def _enum(sig, n, depth, cap):
         for j in range(i + 1, n + 1):
             level.add(Eq(i, j))
     seen = set()
-    keys = {}
-
-    def key(p):
-        k = keys.get(p)
-        if k is None:
-            k = (formula_size(p), formula_key(p))
-            keys[p] = k
-        return k
 
     # best: the sorted keys of the cap smallest formulas of depth <= depth
     # in seen; top: the largest of them once there are cap (cap is >= 1)
@@ -699,97 +751,94 @@ def _enum(sig, n, depth, cap):
     top = (math.inf,)
 
     def add(q):
+        """Keep q if new; False if its key is above top."""
         nonlocal top
-        k = key(q)
-        if k > top or q in seen:
-            return
-        seen.add(q)
-        if formula_depth(q) <= depth:
-            insort(best, k)
-            if len(best) >= cap:
-                del best[cap:]
-                top = best[-1]
+        k = (q.size, q.key)
+        if k > top:
+            return False
+        if q not in seen:
+            seen.add(q)
+            if q.depth <= depth:
+                insort(best, k)
+                if len(best) >= cap:
+                    del best[cap:]
+                    top = best[-1]
+        return True
 
     for p in level:
         add(p)
 
     prev = set()  # pairs drawn entirely from here were combined already
     for level_no in range(1, depth + 1):
-        ordered = sorted(seen, key=key)[:cap]
+        ordered = sorted(seen, key=_order)[:cap]
         bodies = _enum(sig, n + 1, depth - 1, cap)
         # formulas deeper than ``depth`` still take part in the next level's
         # ``ordered`` prefix, but after the last level they are never used
         max_depth = depth if level_no == depth else math.inf
-        for bound, exact, batch in _candidates(ordered, prev, bodies, max_depth):
+        for bound, exact, cons, batch in _candidates(ordered, prev, bodies,
+                                                     max_depth):
             if bound > top:
                 break
-            for phi in batch:
-                if bound > top or exact and _own_key(bound, phi) > top:
+            for args in batch:
+                if bound > top or not add(cons(*args)) and exact:
                     break
-                add(normalize(phi))
         prev = set(ordered)
-    final = [p for p in seen if formula_depth(p) <= depth]
-    final.sort(key=key)
+    final = [p for p in seen if p.depth <= depth]
+    final.sort(key=_order)
     return tuple(final[:cap])
 
 
 def _candidates(ordered, prev, bodies, max_depth):
     """Meets and joins of distinct formulas in ``ordered`` (not both from
     ``prev``) and existentials of ``bodies``, as batches (bound, exact,
-    formulas) in ascending order of bound, leaving out those whose result,
-    if new, would be deeper than ``max_depth``.
+    constructor, argument tuples) in ascending order of bound, leaving out
+    those whose result, if new, would be deeper than ``max_depth``.
 
-    The bound (size, (rank,)) is at most the key of each normalized result
-    unless that is already known: one of its parts, top or bottom.  A new
-    result is of the connective's rank.  As normalize does no absorption,
-    for distinct normalized a, b and a connective C a new result has
+    The bound (size, (rank,)) is at most the key of each result unless that
+    is already known: one of its parts, top or bottom.  A new result is of
+    the connective's rank.  As there is no absorption, for distinct normal
+    forms a, b and a connective C a new result has
       - size 1 + |a| + |b| and depth 1 + max(da, db) if neither is a C;
       - size |a| + |b| and depth max(da, db + 1) if only a is a C;
       - size at least max(|a|, |b|) + 1 and depth max(da, db) if both are
         (the union of their parts is larger than either part list).
-    A formula of an ``exact`` batch is its own normal form unless that is
-    already known, and the keys of its formulas rise along the batch: ∃ of
-    a body, or C(a, b) where neither is a C and a, b come from one group or
-    from groups of two types.  ``ordered`` is sorted and its groups are
-    taken by rank, so such pairs come in the order of their part keys.
+    The result of an ``exact`` batch's arguments is the plain node on them
+    unless it is already known, and the keys of these nodes rise along the
+    batch: ∃ of a body, or C(a, b) where neither is a C and a, b come from
+    one group or from groups of two types.  ``ordered`` is sorted and its
+    groups are taken by rank, so such pairs come in the order of their part
+    keys.
     """
     groups = {}
     for p in ordered:
-        g = (formula_size(p), formula_depth(p), type(p))
-        groups.setdefault(g, []).append(p)
+        groups.setdefault((p.size, p.depth, type(p)), []).append(p)
     groups = sorted(groups.items(), key=lambda g: _RANK[g[0][2]])
     work = {}  # bound -> batches
     for body in bodies:
-        work.setdefault((1 + formula_size(body), (_RANK[Exists],)), []).append(
-            (True, [Exists(body)]))
+        work.setdefault((1 + body.size, (_RANK[Exists],)), []).append(
+            (True, exists, [(body,)]))
     for i, ((sa, da, ta), ga) in enumerate(groups):
         for (sb, db, tb), gb in groups[i:]:
-            for cons in (And, Or):
-                exact = (ga is gb or ta is not tb) and cons not in (ta, tb)
-                if ta is cons and tb is cons:
+            for cls, cons in ((And, meet), (Or, join)):
+                exact = (ga is gb or ta is not tb) and cls not in (ta, tb)
+                if ta is cls and tb is cls:
                     size, depth = max(sa, sb) + 1, max(da, db)
-                elif ta is cons:
+                elif ta is cls:
                     size, depth = sa + sb, max(da, db + 1)
-                elif tb is cons:
+                elif tb is cls:
                     size, depth = sa + sb, max(da + 1, db)
                 else:
                     size, depth = sa + sb + 1, max(da, db) + 1
                 if depth <= max_depth:
-                    work.setdefault((size, (_RANK[cons],)), []).append(
-                        (exact, _combine(cons, ga, gb, prev)))
+                    work.setdefault((size, (_RANK[cls],)), []).append(
+                        (exact, cons, _pairs(ga, gb, prev)))
     for bound in sorted(work):
         for batch in work[bound]:
             yield bound, *batch
 
 
-def _combine(cons, ga, gb, prev):
+def _pairs(ga, gb, prev):
     pairs = combinations(ga, 2) if ga is gb else product(ga, gb)
     for pa, pb in pairs:
         if pa not in prev or pb not in prev:
-            yield cons((pa, pb))
-
-
-def _own_key(bound, phi):
-    """The (size, formula_key) of phi, of the size its bound gives, without
-    caching the key of a formula that may be dropped."""
-    return bound[0], formula_key.__wrapped__(phi)
+            yield pa, pb

@@ -132,21 +132,13 @@ def apply_interpretation(g, phi, ctx):
     context ctx*k.  Existentials are relativized to the domain formula."""
     k = g.k
 
-    def block_map(args):
-        f = []
-        for a in args:
-            f.extend(range((a - 1) * k + 1, a * k + 1))
-        return tuple(f)
-
     def go(phi, n):
         if isinstance(phi, Atom):
-            return normalize(
-                substitute(g.mapping[phi.sym], block_map(phi.args), n * k)
-            )
+            return normalize(substitute(g.mapping[phi.sym], times_k(phi.args, k),
+                                        n * k))
         if isinstance(phi, Eq):
-            return normalize(
-                substitute(g.mapping["="], block_map((phi.i, phi.j)), n * k)
-            )
+            return normalize(substitute(g.mapping["="], times_k((phi.i, phi.j), k),
+                                        n * k))
         if isinstance(phi, And):
             return conj([go(p, n) for p in phi.parts])
         if isinstance(phi, Or):
@@ -181,29 +173,17 @@ def requirement_sequents(g):
     dom = g.domain_formula()  # context k
 
     def eq_at(b1, b2, m):
-        idx = tuple((b1 - 1) * k + t for t in range(1, k + 1)) + tuple(
-            (b2 - 1) * k + t for t in range(1, k + 1)
-        )
-        return substitute(eqf, idx, m * k)
+        return substitute(eqf, times_k((b1, b2), k), m * k)
 
     def dom_at(b, m):
-        idx = tuple((b - 1) * k + t for t in range(1, k + 1))
-        return substitute(dom, idx, m * k)
+        return substitute(dom, times_k((b,), k), m * k)
 
     out = [
         ("eq_refl", Sequent(k, dom_at(1, 1), eq_at(1, 1, 1))),
-        (
-            "eq_sym",
-            Sequent(
-                2 * k,
-                conj([eq_at(1, 2, 2), dom_at(1, 2), dom_at(2, 2)]),
-                eq_at(2, 1, 2),
-            ),
-        ),
-        (
-            "eq_trans",
-            Sequent(3 * k, conj([eq_at(1, 2, 3), eq_at(2, 3, 3)]), eq_at(1, 3, 3)),
-        ),
+        ("eq_sym", Sequent(2 * k, conj([eq_at(1, 2, 2), dom_at(1, 2), dom_at(2, 2)]),
+                           eq_at(2, 1, 2))),
+        ("eq_trans",
+         Sequent(3 * k, conj([eq_at(1, 2, 3), eq_at(2, 3, 3)]), eq_at(1, 3, 3))),
     ]
     for sym, r in g.source.signature.relations:
         gr = g.mapping[sym]  # context r*k
@@ -213,13 +193,8 @@ def requirement_sequents(g):
             moved = list(base)
             for t in range(k):
                 moved[(i - 1) * k + t] = r * k + t + 1
-            lhs = conj(
-                [
-                    substitute(gr, base, m * k),
-                    eq_at(i, r + 1, m),
-                    dom_at(r + 1, m),
-                ]
-            )
+            lhs = conj([substitute(gr, base, m * k), eq_at(i, r + 1, m),
+                        dom_at(r + 1, m)])
             rhs = substitute(gr, tuple(moved), m * k)
             out.append((f"congruence_{sym}_{i}", Sequent(m * k, lhs, rhs)))
     return out
@@ -520,20 +495,22 @@ def compute_typespace(t, N=2, B=3, d=2, cap=600, check_stability=True,
     return approx
 
 
-def _stability(t, approx, bigger):
+def _stability(t, approx, bigger, chunk=64):
     """Per-arity diagnostic: does the point set survive growing the model
     bound or the formula depth by one step each?
 
     bigger holds the models of size B+1.  The enumeration up to B+1 is
     approx.models followed by them, so only they can add a point; one
     profile of theirs missing from approx.points settles the arity as
-    unstable."""
+    unstable.  Their profiles are evaluated ``chunk`` models at a time, up
+    to the chunk that holds the first such profile."""
     out = []
     for n in range(approx.N + 1):
         known = set(approx.points[n])
-        new = {bits for prof in model_profiles(bigger, approx.formulas[n], n)
-               for bits in prof}
-        if any(_indices(bits) not in known for bits in new):
+        new = ({bits for prof in model_profiles(bigger[c:c + chunk],
+                                                approx.formulas[n], n)
+                for bits in prof} for c in range(0, len(bigger), chunk))
+        if any(_indices(bits) not in known for found in new for bits in found):
             out.append(False)
             continue
         deeper = enum_formulas(t.signature, n, approx.d + 1, approx.cap)
@@ -714,10 +691,12 @@ def check_functor_bc(approx, h, f, dn, bn, cn, an, u, v):
     maps of a FinSet pushout, plus the universal-map surjectivity verdict."""
     if not is_pushout(h, f, dn, bn, cn, an, u, v):
         raise TypeSpaceError("the given square is not a pushout")
-    s_u = approx.s_monotone(u, bn, an)
-    s_v = approx.s_monotone(v, cn, an)
-    s_h = approx.s_monotone(h, dn, bn)
-    s_f = approx.s_monotone(f, dn, cn)
+    posets = {k: approx.poset(k) for k in (an, bn, cn, dn)}
+
+    def s(g, n, m):
+        return lattice.MonotoneMap(posets[m], posets[n], approx.s_map(g, n, m))
+
+    s_u, s_v, s_h, s_f = s(u, bn, an), s(v, cn, an), s(h, dn, bn), s(f, dn, cn)
     bc, bc_witness = lattice.check_bc_square(s_u, s_v, s_h, s_f)
     surj, surj_witness = lattice.universal_map_surjective(s_u, s_v, s_h, s_f)
     return {

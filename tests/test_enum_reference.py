@@ -34,15 +34,18 @@ from cohlogic.syntax import (
     Eq,
     Exists,
     Or,
+    _NODES,
     _candidates,
-    _enum,
-    _own_key,
     all_maps,
     build_lattice_theory,
+    clear_caches,
     enum_formulas,
+    exists,
     formula_depth,
     formula_key,
     formula_size,
+    join,
+    meet,
     normalize,
     parse_theory,
 )
@@ -200,13 +203,12 @@ def _cap_size(counts, cap):
 @pytest.fixture(scope="module", autouse=True)
 def _drop_reference_caches():
     # the reference normalizes about a million formulas; without this the
-    # process-wide caches of normalize and formula_key keep them (some
-    # 600 MB) for every later test module
+    # cache of normalize and the intern table keep them (some 600 MB) for
+    # every later test module
     yield
     reference_enum.cache_clear()
     size_pruned_enum.cache_clear()
-    normalize.cache_clear()
-    formula_key.cache_clear()
+    clear_caches()
 
 
 THEORIES = {
@@ -337,31 +339,52 @@ def test_enumeration_work_is_bounded():
     # made 48,881 normalize misses here, normalizing every candidate of the
     # cap-th formula's size
     sig = presented_signature("peq")
-    _enum.cache_clear()
-    normalize.cache_clear()
-    formula_key.cache_clear()
+    clear_caches()
     assert len(enum_formulas(sig, 2, 2, 600)) == 600
     assert normalize.cache_info().misses <= 5000
+
+
+def _interned():
+    return sum(len(table) for table in _NODES.values())
+
+
+@pytest.mark.parametrize("n,nodes", [(0, 7311), (1, 2418), (2, 4077)])
+def test_stability_enumeration_work(n, nodes):
+    # deterministic work counts of the cold depth-3 calls of typespace peq.
+    # When _enum normalized each candidate they made 8,764 / 3,721 / 9,602
+    # normalize misses for n = 0 / 1 / 2; now every candidate is made by
+    # meet, join or exists, and the count is of the interned nodes built
+    sig = THEORIES["peq"].signature
+    clear_caches()
+    enum_formulas(sig, n, 3, 600)
+    assert normalize.cache_info().misses == 0
+    assert _interned() == nodes
+
+
+PLAIN = {meet: And, join: Or}  # the plain node on a meet's or join's parts
 
 
 @pytest.mark.parametrize("name,n", [("pqr", 1), ("peq", 2), ("chain2", 1)])
 def test_candidate_batches_keep_their_promises(name, n):
     # what _enum's pruning relies on: a batch's bound is at most the key of
-    # each new result, and an exact batch lists formulas that are their own
-    # normal form unless the result is known, in ascending key order
+    # each new result, and the results of an exact batch are the plain nodes
+    # on their arguments unless known, with rising keys
     sig = THEORIES[name].signature
     ordered = enum_formulas(sig, n, 2, 100)
     bodies = tuple(enum_formulas(sig, n + 1, 1, 100))
     exact_batches = 0
-    for bound, exact, batch in _candidates(ordered, set(), bodies, math.inf):
+    for bound, exact, cons, batch in _candidates(ordered, set(), bodies,
+                                                  math.inf):
         keys = []
-        for phi in batch:
-            q = normalize(phi)
-            if q not in {TOP, BOT, *getattr(phi, "parts", ())}:
-                assert bound <= (formula_size(q), formula_key(q)), phi
-                assert q == phi or not exact, phi
+        for args in batch:
+            q = cons(*args)
+            plain = Exists(*args) if cons is exists else PLAIN[cons](args)
+            if q not in {TOP, BOT, *args}:
+                assert bound <= (formula_size(q), formula_key(q)), args
+                assert q == plain or not exact, args
             if exact:
-                keys.append(_own_key(bound, phi))
+                assert formula_size(plain) == bound[0], args
+                keys.append(formula_key(plain))
         assert keys == sorted(set(keys)), bound
         exact_batches += exact
     assert exact_batches > 0

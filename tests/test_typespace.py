@@ -51,7 +51,7 @@ from cohlogic.typespace import (
     s_of_interpretation,
     times_k,
 )
-from cohlogic.typespace import _collect
+from cohlogic.typespace import _collect, _stability
 
 PQR = parse_theory(
     "theory pqr\nsig { P/1, Q/1, R/1 }\naxiom [x,y] P(x) & Q(y) |- R(x) | R(y)\n"
@@ -470,3 +470,23 @@ def test_stability_matches_reference(which, kw):
     b = compute_typespace(t, **kw)
     assert b.models == a.models and b.points == a.points
     assert b.stable_arities == reference_stability(t, a)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_stability_reads_every_chunk(chunk):
+    # at B=2, d=2 only new profiles of size-3 models make arities 1 and 2
+    # unstable (the deeper formulas add no point).  One model with a new
+    # profile at both arities comes last, after all models without one, so
+    # a pass that stopped before the last model would miss it
+    a = compute_typespace(PQR, check_stability=False, N=2, B=2, d=2)
+
+    def new(m, n):
+        known = set(a.points[n])
+        return any(p not in known for p in _collect([m], a.formulas[n], n)[0])
+
+    size3 = [m for m in enumerate_models(PQR, 3) if m.size == 3]
+    bigger = [m for m in size3 if not new(m, 1) and not new(m, 2)]
+    bigger.append(next(m for m in size3 if new(m, 1) and new(m, 2)))
+    assert len(bigger) > 7
+    assert _stability(PQR, a, bigger, chunk) == (True, False, False)
+    assert reference_stability(PQR, a) == (True, False, False)
