@@ -343,7 +343,12 @@ def d_to_conjunction(n, lhs, target):
         if target not in lparts:
             raise ValueError("target is not a conjunct of lhs")
         return d_proj(n, lhs, target)
-    kids = [d_identity(n, lhs) if p == lhs else d_proj(n, lhs, p) for p in tparts]
+    kids = []
+    for p in tparts:
+        if p == lhs:
+            kids.append(d_identity(n, lhs))
+        else:
+            kids.append(d_proj(n, lhs, p))
     return _d("conj_rule", n, lhs, target, children=tuple(kids))
 
 
@@ -351,8 +356,13 @@ def d_exists_intro(n, body, witness):
     """body[hole := witness] |- Exists(body), via the double rule + subst."""
     ex = normalize(Exists(body))
     ident = d_identity(n, ex)
-    down = _d("exists_down", n + 1, normalize(body), normalize(shift(ex, n)),
-              children=(ident,))
+    down = _d(
+        "exists_down",
+        n + 1,
+        normalize(body),
+        normalize(shift(ex, n)),
+        children=(ident,),
+    )
     f = tuple(range(1, n + 1)) + (witness,)
     inst_l = normalize(substitute(body, f, n))
     return _d("subst", n, inst_l, ex, params=(f,), children=(down,))

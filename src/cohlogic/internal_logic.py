@@ -193,7 +193,15 @@ def signature_of(pres):
 
 def _collapse_map(i, j, n):
     """The index map n -> n-1 identifying x_j with x_i (i < j)."""
-    return tuple(i if l == j else l - (l > j) for l in range(1, n + 1))
+    out = []
+    for l in range(1, n + 1):
+        if l < j:
+            out.append(l)
+        elif l == j:
+            out.append(i)
+        else:
+            out.append(l - 1)
+    return tuple(out)
 
 
 def denote(pres, phi, n):
@@ -315,8 +323,11 @@ def export_presentation(approx, gen_depth=1, max_size=80, generators=None):
     for n in range(N + 1):
         d = {}
         if generators is None:
-            gens = [phi for phi in approx.formulas[n]
-                    if formula_depth(phi) <= gen_depth]
+            gens = [
+                phi
+                for phi in approx.formulas[n]
+                if formula_depth(phi) <= gen_depth
+            ]
         else:
             gens = [TOP, BOT] + list(generators.get(n, ()))
         for phi in gens:
@@ -368,8 +379,15 @@ def export_presentation(approx, gen_depth=1, max_size=80, generators=None):
             pre = frozenset(q for q in range(npoints[m]) if smap[q] in s)
             values.append(index[m][pre])
         homs[(n, m, f)] = LatticeHom(lattices[n], lattices[m], values)
-    return FunctorPresentation(N, lattices, homs, formulas, extents, approx,
-                               f"S_{approx.theory.name}")
+    return FunctorPresentation(
+        N,
+        lattices,
+        homs,
+        formulas,
+        extents,
+        approx,
+        f"S_{approx.theory.name}",
+    )
 
 
 def induced_models(pres):

@@ -34,30 +34,35 @@ class SyntaxError_(Exception):
 # Keys sort formulas by kind (top, bottom, atom, equality, and, or, exists),
 # then symbol, then arguments or the keys of the parts.  Every formula stores
 # its key and hash; And, Or and Exists also store their size (node count) and
-# depth (connective nesting), from their parts' stored values.
+# depth (connective nesting).  Each is computed once, from the parts' stored
+# values.
+
+
+_set = object.__setattr__  # fills the stored fields of a frozen node
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class _Formula:
-    """Equality is structural: two formulas are equal when their keys are,
-    and their stored hashes settle most unequal pairs.  A leaf has size 1
-    and depth 0."""
+    """Equality is structural: two formulas are equal when they are of one
+    kind with equal fields, and their stored hashes settle most unequal
+    pairs.  A leaf has size 1 and depth 0."""
     key: tuple = field(init=False, repr=False)
     _hash: int = field(init=False, repr=False)
     size, depth = 1, 0
 
-    def __post_init__(self):
-        object.__setattr__(self, "key", self._key())
-        object.__setattr__(self, "_hash", hash(self.key))
+    def __post_init__(self):  # a leaf's key is flat; it is hashed whole
+        key = self._key()
+        _set(self, "key", key)
+        _set(self, "_hash", hash(key))
 
-    def _key(self):  # of top and bottom; the other kinds have their own
+    def _key(self):  # of top and bottom; atoms and equalities have their own
         return (_RANK[type(self)], "", ())
 
     def __hash__(self):
         return self._hash
 
-    def __eq__(self, other):
-        return self is other or (isinstance(other, _Formula)
+    def __eq__(self, other):  # of leaves, whose keys hold their fields
+        return self is other or (type(self) is type(other)
                                  and self._hash == other._hash
                                  and self.key == other.key)
 
@@ -90,15 +95,28 @@ class Bot(_Formula):
 
 @dataclass(frozen=True, slots=True, eq=False)
 class _Node(_Formula):
+    """A node stores its hash when made, from its parts' stored hashes, and
+    its key, size and depth on first use: substitute builds trees only for
+    normalize to look up, which reads nothing but their hashes."""
     size: int = field(init=False, repr=False)
     depth: int = field(init=False, repr=False)
 
     def __post_init__(self):
+        _set(self, "_hash", hash((_RANK[type(self)], self._kids())))
+
+    def __getattr__(self, name):  # a stored field not set yet
+        if name not in ("key", "size", "depth"):
+            raise AttributeError(name)
         kids = self._kids()
-        object.__setattr__(self, "size", 1 + sum(p.size for p in kids))
-        object.__setattr__(self, "depth",
-                           1 + max((p.depth for p in kids), default=0))
-        _Formula.__post_init__(self)
+        size, depth = 1, 0
+        for p in kids:
+            size += p.size
+            if p.depth > depth:
+                depth = p.depth
+        _set(self, "size", size)
+        _set(self, "depth", depth + 1)
+        _set(self, "key", self._key())
+        return _Formula.__getattribute__(self, name)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -108,8 +126,15 @@ class _Junction(_Node):
     def _kids(self):
         return self.parts
 
+    def __eq__(self, other):
+        return self is other or (type(self) is type(other)
+                                 and self._hash == other._hash
+                                 and self.parts == other.parts)
+
+    __hash__ = _Formula.__hash__  # which defining __eq__ would unset
+
     def _key(self):
-        return (_RANK[type(self)], "", tuple(p.key for p in self.parts))
+        return (_RANK[type(self)], "", tuple([p.key for p in self.parts]))
 
 
 class And(_Junction):
@@ -126,6 +151,13 @@ class Exists(_Node):
 
     def _kids(self):
         return (self.body,)
+
+    def __eq__(self, other):
+        return self is other or (type(self) is type(other)
+                                 and self._hash == other._hash
+                                 and self.body == other.body)
+
+    __hash__ = _Formula.__hash__  # which defining __eq__ would unset
 
     def _key(self):
         return (6, "", self.body.key)
@@ -241,10 +273,9 @@ def substitute(phi, f, m):
     for v in f:
         if not 1 <= v <= m:
             raise SyntaxError_(f"substitution image {v} outside context 1..{m}")
-    return _subst(phi, tuple(f), m)
+    return _subst(phi, f, m)
 
 
-@cached
 def _subst(phi, f, m):
     if isinstance(phi, Atom):
         return Atom(phi.sym, tuple(f[a - 1] for a in phi.args))
@@ -370,11 +401,11 @@ def normalize_sequent(s):
 
 
 def conj(parts):
-    return _connect(And, map(normalize, parts))
+    return normalize(And(tuple(parts)))
 
 
 def disj(parts):
-    return _connect(Or, map(normalize, parts))
+    return normalize(Or(tuple(parts)))
 
 
 # ---------------------------------------------------------------------------

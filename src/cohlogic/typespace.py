@@ -134,11 +134,13 @@ def apply_interpretation(g, phi, ctx):
 
     def go(phi, n):
         if isinstance(phi, Atom):
-            return normalize(substitute(g.mapping[phi.sym], times_k(phi.args, k),
-                                        n * k))
+            return normalize(
+                substitute(g.mapping[phi.sym], times_k(phi.args, k), n * k)
+            )
         if isinstance(phi, Eq):
-            return normalize(substitute(g.mapping["="], times_k((phi.i, phi.j), k),
-                                        n * k))
+            return normalize(
+                substitute(g.mapping["="], times_k((phi.i, phi.j), k), n * k)
+            )
         if isinstance(phi, And):
             return conj([go(p, n) for p in phi.parts])
         if isinstance(phi, Or):
@@ -180,10 +182,18 @@ def requirement_sequents(g):
 
     out = [
         ("eq_refl", Sequent(k, dom_at(1, 1), eq_at(1, 1, 1))),
-        ("eq_sym", Sequent(2 * k, conj([eq_at(1, 2, 2), dom_at(1, 2), dom_at(2, 2)]),
-                           eq_at(2, 1, 2))),
-        ("eq_trans",
-         Sequent(3 * k, conj([eq_at(1, 2, 3), eq_at(2, 3, 3)]), eq_at(1, 3, 3))),
+        (
+            "eq_sym",
+            Sequent(
+                2 * k,
+                conj([eq_at(1, 2, 2), dom_at(1, 2), dom_at(2, 2)]),
+                eq_at(2, 1, 2),
+            ),
+        ),
+        (
+            "eq_trans",
+            Sequent(3 * k, conj([eq_at(1, 2, 3), eq_at(2, 3, 3)]), eq_at(1, 3, 3)),
+        ),
     ]
     for sym, r in g.source.signature.relations:
         gr = g.mapping[sym]  # context r*k
@@ -193,8 +203,13 @@ def requirement_sequents(g):
             moved = list(base)
             for t in range(k):
                 moved[(i - 1) * k + t] = r * k + t + 1
-            lhs = conj([substitute(gr, base, m * k), eq_at(i, r + 1, m),
-                        dom_at(r + 1, m)])
+            lhs = conj(
+                [
+                    substitute(gr, base, m * k),
+                    eq_at(i, r + 1, m),
+                    dom_at(r + 1, m),
+                ]
+            )
             rhs = substitute(gr, tuple(moved), m * k)
             out.append((f"congruence_{sym}_{i}", Sequent(m * k, lhs, rhs)))
     return out
@@ -495,21 +510,25 @@ def compute_typespace(t, N=2, B=3, d=2, cap=600, check_stability=True,
     return approx
 
 
-def _stability(t, approx, bigger, chunk=64):
+_STABILITY_CHUNK = 64  # models of size B+1 whose profiles _stability batches
+
+
+def _stability(t, approx, bigger):
     """Per-arity diagnostic: does the point set survive growing the model
     bound or the formula depth by one step each?
 
     bigger holds the models of size B+1.  The enumeration up to B+1 is
     approx.models followed by them, so only they can add a point; one
     profile of theirs missing from approx.points settles the arity as
-    unstable.  Their profiles are evaluated ``chunk`` models at a time, up
-    to the chunk that holds the first such profile."""
+    unstable.  Their profiles are evaluated ``_STABILITY_CHUNK`` models at a
+    time, up to the chunk that holds the first such profile."""
     out = []
     for n in range(approx.N + 1):
         known = set(approx.points[n])
-        new = ({bits for prof in model_profiles(bigger[c:c + chunk],
+        new = ({bits for prof in model_profiles(bigger[c:c + _STABILITY_CHUNK],
                                                 approx.formulas[n], n)
-                for bits in prof} for c in range(0, len(bigger), chunk))
+                for bits in prof}
+               for c in range(0, len(bigger), _STABILITY_CHUNK))
         if any(_indices(bits) not in known for found in new for bits in found):
             out.append(False)
             continue
@@ -691,7 +710,7 @@ def check_functor_bc(approx, h, f, dn, bn, cn, an, u, v):
     maps of a FinSet pushout, plus the universal-map surjectivity verdict."""
     if not is_pushout(h, f, dn, bn, cn, an, u, v):
         raise TypeSpaceError("the given square is not a pushout")
-    posets = {k: approx.poset(k) for k in (an, bn, cn, dn)}
+    posets = {k: approx.poset(k) for k in {an, bn, cn, dn}}
 
     def s(g, n, m):
         return lattice.MonotoneMap(posets[m], posets[n], approx.s_map(g, n, m))

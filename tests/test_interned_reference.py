@@ -154,6 +154,21 @@ def test_stored_fields_match_recursive_definitions(name):
 
 
 @pytest.mark.parametrize("name", list(THEORIES))
+def test_equality_and_hash_follow_the_key(name):
+    # raw trees (parsed, substituted) and interned nodes alike: two formulas
+    # are equal, with equal hashes, exactly when their recursive keys are
+    formulas = [p for _, phi in corpus(name) for p in subformulas(phi)]
+    formulas += [normalize(phi) for phi in formulas]
+    twins = [substitute(phi, tuple(range(1, n + 1)), n)
+             for n, phi in corpus(name)]
+    keys = {reference_key(phi) for phi in formulas}
+    assert len(set(formulas)) == len(keys)
+    assert len(set(formulas + twins)) == len(keys)
+    assert all(phi == twin and hash(phi) == hash(twin)
+               for (_, phi), twin in zip(corpus(name), twins))
+
+
+@pytest.mark.parametrize("name", list(THEORIES))
 def test_constructors_match_reference_normalize(name):
     formulas = [phi for _, phi in corpus(name)]
     for phi in formulas:

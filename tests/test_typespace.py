@@ -2,7 +2,7 @@ from itertools import permutations, product
 
 import pytest
 
-from cohlogic import calculus
+from cohlogic import calculus, typespace
 from cohlogic.semantics import (
     FiniteModel,
     SemanticsError,
@@ -473,7 +473,7 @@ def test_stability_matches_reference(which, kw):
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1000])
-def test_stability_reads_every_chunk(chunk):
+def test_stability_reads_every_chunk(chunk, monkeypatch):
     # at B=2, d=2 only new profiles of size-3 models make arities 1 and 2
     # unstable (the deeper formulas add no point).  One model with a new
     # profile at both arities comes last, after all models without one, so
@@ -488,5 +488,6 @@ def test_stability_reads_every_chunk(chunk):
     bigger = [m for m in size3 if not new(m, 1) and not new(m, 2)]
     bigger.append(next(m for m in size3 if new(m, 1) and new(m, 2)))
     assert len(bigger) > 7
-    assert _stability(PQR, a, bigger, chunk) == (True, False, False)
+    monkeypatch.setattr(typespace, "_STABILITY_CHUNK", chunk)
+    assert _stability(PQR, a, bigger) == (True, False, False)
     assert reference_stability(PQR, a) == (True, False, False)
