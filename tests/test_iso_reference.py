@@ -6,16 +6,22 @@ The package answers every isomorphism question through
 are kept here as references: the canonical forms of models and of posets,
 ``poset_iso`` and orbit marking.  Canonical forms, orders, isomorphisms and
 orbits must be the same.
+
+The nested loops that validated posets and lattices, and the search for
+each meet and join among all lower and upper bounds, are kept as well:
+``FinPoset`` and ``FinDistLattice`` must reject the same matrices with the
+same first witness.
 """
 
 import math
+import random
 from collections import Counter
 from itertools import permutations
 
 import pytest
 
 from cohlogic import lattice
-from cohlogic.lattice import FinPoset
+from cohlogic.lattice import FinDistLattice, FinPoset, LatticeError
 from cohlogic.semantics import FiniteModel, enumerate_models
 from cohlogic.syntax import parse_theory
 
@@ -129,3 +135,127 @@ def test_model_canonical_matches_reference(text):
                 sym: {tuple(perm[v] for v in row) for row in rows}
                 for sym, rows in m.tables.items()})
             assert relabelled.canonical() == reference_model_canonical(relabelled)
+
+
+def reference_poset_error(n, leq):
+    """The ``LatticeError`` message of ``FinPoset(n, leq)`` as the nested
+    loops over (i, j, k) find it, or None."""
+    for i in range(n):
+        if not leq[i][i]:
+            return f"not reflexive at {i}"
+        for j in range(n):
+            if not leq[i][j]:
+                continue
+            if i != j and leq[j][i]:
+                return f"not antisymmetric at ({i},{j})"
+            for k in range(n):
+                if leq[j][k] and not leq[i][k]:
+                    return f"not transitive at ({i},{j},{k})"
+    return None
+
+
+def reference_lattice_error(n, leq):
+    """The ``LatticeError`` message of ``FinDistLattice(n, leq)`` with every
+    meet and join found among all lower and upper bounds, or None."""
+    if n == 0:
+        return "lattice must be non-empty"
+    err = reference_poset_error(n, leq)
+    if err:
+        return err
+
+    def bound(a, b, lower):
+        if lower:
+            cands = [c for c in range(n) if leq[c][a] and leq[c][b]]
+            best = [c for c in cands if all(leq[d][c] for d in cands)]
+        else:
+            cands = [c for c in range(n) if leq[a][c] and leq[b][c]]
+            best = [c for c in cands if all(leq[c][d] for d in cands)]
+        if len(best) != 1:
+            raise LatticeError(f"no {'meet' if lower else 'join'} for ({a},{b})")
+        return best[0]
+
+    meet = [[None] * n for _ in range(n)]
+    join = [[None] * n for _ in range(n)]
+    try:
+        for a in range(n):
+            for b in range(n):
+                meet[a][b] = bound(a, b, True)
+                join[a][b] = bound(a, b, False)
+    except LatticeError as e:
+        return str(e)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
+                    return f"not distributive at ({a},{b},{c})"
+    return None
+
+
+def _error(make, n, leq):
+    try:
+        make(n, leq)
+    except LatticeError as e:
+        return str(e)
+    return None
+
+
+def _relabel(leq, perm):
+    return [[leq[a][b] for b in perm] for a in perm]
+
+
+def _order(n, pairs):
+    """The reflexive-transitive closure of pairs on range(n)."""
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for i, j in pairs:
+        leq[i][j] = True
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                leq[i][j] = leq[i][j] or leq[i][k] and leq[k][j]
+    return leq
+
+
+# M3 and N5, the two five-element lattices that are not distributive
+M3 = _order(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+N5 = _order(5, [(0, 1), (1, 2), (0, 3), (2, 4), (3, 4)])
+
+
+def _witness_matrices():
+    """Seeded boolean matrices on at most 6 points: uniform ones, orders of
+    random DAGs, the same with one entry flipped, and relabellings of M3 and
+    N5."""
+    rng = random.Random(2014)
+    out = [[[True]], [[False]]]
+    for n in range(1, 7):
+        for _ in range(40):
+            out.append([[rng.random() < 0.6 for _ in range(n)] for _ in range(n)])
+        for _ in range(120):
+            rank = rng.sample(range(n), n)
+            pairs = [(i, j) for i in range(n) for j in range(n)
+                     if rank[i] < rank[j] and rng.random() < 0.4]
+            leq = _order(n, pairs)
+            out.append(leq)
+            flipped = [row[:] for row in leq]
+            i, j = rng.randrange(n), rng.randrange(n)
+            flipped[i][j] = not flipped[i][j]
+            out.append(flipped)
+    for leq in (M3, N5):
+        for _ in range(10):
+            out.append(_relabel(leq, rng.sample(range(5), 5)))
+    return out
+
+
+def test_lattice_errors_match_reference():
+    seen = Counter()
+    for leq in _witness_matrices():
+        n = len(leq)
+        want = reference_poset_error(n, leq)
+        assert _error(FinPoset, n, leq) == want, leq
+        want = reference_lattice_error(n, leq)
+        assert _error(FinDistLattice, n, leq) == want, leq
+        seen[(want or "none").split(" at ")[0].split(" for ")[0]] += 1
+    # every kind of rejection occurs, and M3 and N5 are non-distributive
+    assert set(seen) == {"not reflexive", "not antisymmetric", "not transitive",
+                         "no meet", "no join", "not distributive", "none"}, seen
+    for leq in (M3, N5):
+        assert _error(FinDistLattice, 5, leq).startswith("not distributive")
