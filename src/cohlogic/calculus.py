@@ -41,7 +41,6 @@ from .syntax import (
     check_formula,
     conj,
     disj,
-    formula_key,
     normalize,
     normalize_sequent,
     print_formula,
@@ -131,13 +130,19 @@ class Tally:
 # helpers shared by checker and prover
 
 
-def parts_of(phi):
-    """Conjunct set of a normalized formula; TOP contributes nothing."""
+def conjuncts(phi):
+    """The conjuncts of a normalized formula in ``formula_key`` order, in
+    which a normalized ``And`` keeps its parts; TOP contributes nothing."""
     if isinstance(phi, Top):
-        return frozenset()
+        return ()
     if isinstance(phi, And):
-        return frozenset(phi.parts)
-    return frozenset((phi,))
+        return phi.parts
+    return (phi,)
+
+
+def parts_of(phi):
+    """Conjunct set of a normalized formula, for membership tests."""
+    return frozenset(conjuncts(phi))
 
 
 def make_pattern(phi, j, n):
@@ -337,14 +342,12 @@ def d_to_conjunction(n, lhs, target):
         return d_identity(n, lhs)
     if target == TOP:
         return _d("top_intro", n, lhs, TOP)
-    tparts = sorted(parts_of(target), key=formula_key)
-    lparts = parts_of(lhs)
     if not isinstance(target, And):
-        if target not in lparts:
+        if target not in conjuncts(lhs):
             raise ValueError("target is not a conjunct of lhs")
         return d_proj(n, lhs, target)
     kids = []
-    for p in tparts:
+    for p in conjuncts(target):
         if p == lhs:
             kids.append(d_identity(n, lhs))
         else:
@@ -393,7 +396,7 @@ def _axiom_instances(t, n):
             alp = parts_of(al)
             inst = (alp, al, ar, ai, f)
             by_rhs.setdefault(ar, []).append(inst)
-            least = min(alp, key=formula_key) if alp else None
+            least = (*conjuncts(al), None)[0]
             by_part.setdefault(least, []).append(len(out))
             out.append(inst)
     cache[n] = out, by_rhs, by_part
@@ -451,11 +454,9 @@ class _Prover:
             return _d("bot_elim", n, BOT, rhs)
 
         # collapse variables identified by an equality on the left
-        eqs = sorted(
-            (p for p in parts_of(lhs) if isinstance(p, Eq)), key=formula_key
-        )
-        if eqs:
-            d = self._by_eq_collapse(n, lhs, rhs, eqs[0], depth)
+        eq = next((p for p in conjuncts(lhs) if isinstance(p, Eq)), None)
+        if eq is not None:
+            d = self._by_eq_collapse(n, lhs, rhs, eq, depth)
             if d is not None:
                 return d
 
@@ -553,7 +554,7 @@ class _Prover:
             d3 = d_proj(n, lhs, eq) if lhs != eq else d_identity(n, eq)
         else:
             kids = []
-            for p in sorted(parts_of(with_eq), key=formula_key):
+            for p in conjuncts(with_eq):
                 if p == eq:
                     kids.append(d_proj(n, lhs, eq) if lhs != eq else d_identity(n, eq))
                 elif p == rhs_c:
@@ -608,7 +609,7 @@ class _Prover:
             d_to_al = d_to_conjunction(n, lhs, al)
             d_ar = d_cut(d_to_al, d_axi)  # lhs |- ar
             kids = []
-            for p in sorted(parts_of(newlhs), key=formula_key):
+            for p in conjuncts(newlhs):
                 if p in lparts or p == lhs:
                     kids.append(
                         d_identity(n, lhs) if p == lhs else d_proj(n, lhs, p)

@@ -28,7 +28,7 @@ from .lattice import (
     left_adjoint,
     prime_filters,
 )
-from .semantics import FiniteModel, is_model
+from .semantics import FiniteModel, ResourceGuard, is_model
 from .syntax import (
     BOT,
     TOP,
@@ -310,8 +310,9 @@ def export_presentation(approx, gen_depth=1, max_size=80, generators=None):
     ``generators`` (a dict arity -> formulas) replaces the default choice of
     all opens of depth <= gen_depth; top and bottom are always included.
     The closure can be much larger than the generator set — near-independent
-    generators approach a free distributive lattice — so the size guard is a
-    hard error, not a truncation."""
+    generators approach a free distributive lattice — so max_size is a
+    budget, not a truncation: ResourceGuard is raised as soon as the set of
+    one arity would pass it."""
     N = approx.N
     npoints = {n: len(approx.points[n]) for n in range(N + 1)}
     smaps = {}
@@ -319,9 +320,18 @@ def export_presentation(approx, gen_depth=1, max_size=80, generators=None):
         for m in range(N + 1):
             for f in all_maps(n, m):
                 smaps[(n, m, f)] = approx.s_map(f, n, m)
-    sets = {}
+    sets = {n: {} for n in range(N + 1)}
+    changed = True
+
+    def add(n, s, phi):
+        nonlocal changed
+        if s not in sets[n]:
+            if len(sets[n]) == max_size:
+                raise ResourceGuard(f"generated lattice exceeds {max_size} elements")
+            sets[n][s] = normalize(phi)
+            changed = True
+
     for n in range(N + 1):
-        d = {}
         if generators is None:
             gens = [
                 phi
@@ -332,20 +342,9 @@ def export_presentation(approx, gen_depth=1, max_size=80, generators=None):
             gens = [TOP, BOT] + list(generators.get(n, ()))
         for phi in gens:
             phi = normalize(phi)
-            op = approx.open_of(phi, n)
-            if op not in d:
-                d[op] = phi
-        sets[n] = d
-    changed = True
+            add(n, approx.open_of(phi, n), phi)
     while changed:
         changed = False
-
-        def add(n, s, phi):
-            nonlocal changed
-            if s not in sets[n]:
-                sets[n][s] = normalize(phi)
-                changed = True
-
         for n in range(N + 1):
             items = list(sets[n].items())
             for i, (u, fu) in enumerate(items):
@@ -359,11 +358,6 @@ def export_presentation(approx, gen_depth=1, max_size=80, generators=None):
             for w, fw in list(sets[m].items()):
                 img = frozenset(smap[q] for q in w)
                 add(n, img, direct_image_formula(fw, f, n, m))
-        total = max(len(sets[n]) for n in range(N + 1))
-        if total > max_size:
-            raise InternalLogicError(
-                f"generated lattice exceeds {max_size} elements ({total})"
-            )
     lattices, homs, formulas, extents = {}, {}, {}, {}
     index = {}
     for n in range(N + 1):

@@ -30,17 +30,17 @@ class FinPoset:
         self.leq = tuple(tuple(bool(v) for v in row) for row in leq)
         if len(self.leq) != n or any(len(r) != n for r in self.leq):
             raise LatticeError("leq matrix shape mismatch")
-        for i in range(n):
-            if not self.leq[i][i]:
+        # ups[i]: bit j is set when i <= j
+        self.up_bits = ups = [sum(1 << j for j, v in enumerate(row) if v) for row in self.leq]
+        for i, up in enumerate(ups):
+            if not up >> i & 1:
                 raise LatticeError(f"not reflexive at {i}")
-            for j in range(n):
-                if not self.leq[i][j]:
-                    continue  # (i, j) can break neither law
-                if i != j and self.leq[j][i]:
+            for j in _bits(up):  # (i, j) with i </= j can break neither law
+                if i != j and ups[j] >> i & 1:
                     raise LatticeError(f"not antisymmetric at ({i},{j})")
-                for k in range(n):
-                    if self.leq[j][k] and not self.leq[i][k]:
-                        raise LatticeError(f"not transitive at ({i},{j},{k})")
+                if ups[j] & ~up:
+                    k = _bits(ups[j] & ~up)[0]
+                    raise LatticeError(f"not transitive at ({i},{j},{k})")
 
     def __eq__(self, other):
         return isinstance(other, FinPoset) and self.leq == other.leq
@@ -56,18 +56,25 @@ class FinPoset:
 
     def up_sets(self):
         """All up-sets in a fixed deterministic order (by size then
-        contents), found by a scan of all subsets."""
-        out = []
-        for bits in range(1 << self.n):
-            s = frozenset(i for i in range(self.n) if bits >> i & 1)
-            if all(self.leq[i][j] <= (j in s) for i in s for j in range(self.n)):
-                out.append(s)
+        contents), found by a scan of all subsets: a subset is an up-set
+        when it is its own up-closure, the union of its points' up-sets."""
+        closure, out = [0], [frozenset()]
+        for bits in range(1, 1 << self.n):
+            closure.append(closure[bits & bits - 1]
+                           | self.up_bits[(bits & -bits).bit_length() - 1])
+            if closure[bits] == bits:
+                out.append(frozenset(_bits(bits)))
         out.sort(key=lambda s: (len(s), sorted(s)))
         return out
 
     def canonical(self):
         """Lexicographically minimal leq encoding over all relabelings."""
         return (self.n, min(relabelings(self.n, _leq_code(self.leq))))
+
+
+def _bits(x):
+    """The positions of the set bits of x, ascending."""
+    return [j for j in range(x.bit_length()) if x >> j & 1]
 
 
 def relabelings(n, code):
@@ -235,35 +242,34 @@ class FinDistLattice:
         self.poset = FinPoset(n, leq)
         self.n = n
         self.leq = self.poset.leq
-        self._meet = [[None] * n for _ in range(n)]
-        self._join = [[None] * n for _ in range(n)]
+        # meet(a, b) is the element whose down-set is down(a) & down(b), and
+        # join(a, b) the one whose up-set is up(a) & up(b), when there is one
+        ups = self.poset.up_bits
+        downs = [sum(1 << i for i in range(n) if self.leq[i][a]) for a in range(n)]
+        by_up = {u: c for c, u in enumerate(ups)}
+        by_down = {d: c for c, d in enumerate(downs)}
+        self._meet = meet = [[None] * n for _ in range(n)]
+        self._join = join = [[None] * n for _ in range(n)]
         for a in range(n):
             for b in range(n):
-                self._meet[a][b] = self._bound(a, b, lower=True)
-                self._join[a][b] = self._bound(a, b, lower=False)
+                meet[a][b] = by_down.get(downs[a] & downs[b])
+                if meet[a][b] is None:
+                    raise LatticeError(f"no meet for ({a},{b})")
+                join[a][b] = by_up.get(ups[a] & ups[b])
+                if join[a][b] is None:
+                    raise LatticeError(f"no join for ({a},{b})")
         self.bot = 0
         self.top = 0
         for a in range(n):
-            self.bot = self.meet(self.bot, a)
-            self.top = self.join(self.top, a)
+            self.bot = meet[self.bot][a]
+            self.top = join[self.top][a]
         for a in range(n):
+            ma = meet[a]
             for b in range(n):
+                jb, mab = join[b], ma[b]
                 for c in range(n):
-                    lhs = self.meet(a, self.join(b, c))
-                    rhs = self.join(self.meet(a, b), self.meet(a, c))
-                    if lhs != rhs:
+                    if ma[jb[c]] != join[mab][ma[c]]:
                         raise LatticeError(f"not distributive at ({a},{b},{c})")
-
-    def _bound(self, a, b, lower):
-        if lower:
-            cands = [c for c in range(self.n) if self.leq[c][a] and self.leq[c][b]]
-            best = [c for c in cands if all(self.leq[d][c] for d in cands)]
-        else:
-            cands = [c for c in range(self.n) if self.leq[a][c] and self.leq[b][c]]
-            best = [c for c in cands if all(self.leq[c][d] for d in cands)]
-        if len(best) != 1:
-            raise LatticeError(f"no {'meet' if lower else 'join'} for ({a},{b})")
-        return best[0]
 
     def __eq__(self, other):
         return isinstance(other, FinDistLattice) and self.leq == other.leq

@@ -15,6 +15,7 @@ tuple j of model i.  A run of s bits never straddles two models, and a lone
 from __future__ import annotations
 
 from itertools import product
+from types import SimpleNamespace
 
 from .lattice import relabelings
 from .syntax import (
@@ -215,23 +216,34 @@ def is_model(m, t):
 GUARD_BITS = 22  # largest table space enumerate_models scans: 2^22 valuations
 
 
-class _Valuation:
-    """The tables of a mask over slots, in the shape ``extension`` reads:
-    slot i, a (symbol, row) pair, is in its table when bit i is set."""
+class _SetBits(dict):
+    """v -> the positions of the set bits of v, ascending, filled on demand."""
 
-    blocks = 1
-
-    def __init__(self, size, slots, mask):
-        self.size = size
-        self.tables = {}
-        for i, (sym, row) in enumerate(slots):
-            if mask >> i & 1:
-                self.tables.setdefault(sym, []).append(row)
+    def __missing__(self, v):
+        self[v] = out = tuple(j for j in range(v.bit_length()) if v >> j & 1)
+        return out
 
 
-def _model_masks(size, slots, axioms):
-    """The masks over slots whose valuations satisfy every axiom, in
-    ascending order.
+def _tables(blocks, mask, ones):
+    """The tables of a mask: each symbol's rows whose bits are set in its
+    block.  blocks lists (symbol, first slot, rows in ``product`` order);
+    ones is a ``_SetBits``."""
+    return {sym: [rows[j] for j in ones[mask >> off & (1 << len(rows)) - 1]]
+            for sym, off, rows in blocks}
+
+
+def _symbols(phi):
+    """The relation symbols that occur in phi."""
+    if isinstance(phi, Atom):
+        return {phi.sym}
+    kids = phi.parts if isinstance(phi, (And, Or)) else \
+        (phi.body,) if isinstance(phi, Exists) else ()
+    return set().union(*map(_symbols, kids))
+
+
+def _model_masks(size, blocks, axioms):
+    """The masks over the slots of blocks whose tables satisfy every axiom,
+    in ascending order.
 
     The slots are decided from the last to the first, 0 before 1, so full
     masks come in ascending order.  A partial mask is pruned once some axiom
@@ -240,28 +252,114 @@ def _model_masks(size, slots, axioms):
     formula is monotone in the tables, so each completion satisfies lhs at
     least where the lower table does and rhs at most where the upper table
     does; and a full mask is its own lower and upper table, where the test
-    is ``is_model``'s."""
-    lhs = [(ax.lhs, ax.ctx) for ax in axioms]
-    rhs = [(ax.rhs, ax.ctx) for ax in axioms]
+    is ``is_model``'s.  Deciding a slot 1 changes only the lower table and
+    0 only the upper one, and only in the slot's symbol: a node re-evaluates
+    just the lhs, or just the rhs, of the axioms that mention it and takes
+    every other extension from its parent, where they passed the test."""
+    width = sum(len(rows) for _, _, rows in blocks)
+    if not axioms:
+        yield from range(1 << width)
+        return
+    sides = ([(ax.lhs, ax.ctx) for ax in axioms], [(ax.rhs, ax.ctx) for ax in axioms])
+    # watch[side][i]: the axioms whose side mentions the symbol of slot i
+    watch = []
+    for side in sides:
+        mentions = [_symbols(phi) for phi, _ in side]
+        watch.append([[a for a, syms in enumerate(mentions) if sym in syms]
+                      for sym, _, rows in blocks for _ in rows])
+    ones = _SetBits()
 
-    def ext(mask, side):
-        v, memo = _Valuation(size, slots, mask), {}
-        return [extension(v, phi, n, memo) for phi, n in side]
+    def ext(mask, side, which, exts):
+        view = SimpleNamespace(size=size, blocks=1, tables=_tables(blocks, mask, ones))
+        memo, exts = {}, list(exts)
+        for a in which:
+            phi, n = sides[side][a]
+            exts[a] = extension(view, phi, n, memo)
+        return exts
 
+    everything = range(len(axioms))
+    lower = ext(0, 0, everything, everything)  # every entry is overwritten
+    upper = ext((1 << width) - 1, 1, everything, everything)
+    if any(lo & ~up for lo, up in zip(lower, upper)):
+        return
     # (mask, undecided slots, lhs exts of the lower table, rhs exts of the
-    # upper table); deciding a slot 0 keeps the lower table, 1 the upper
-    stack = [(0, len(slots), ext(0, lhs), ext((1 << len(slots)) - 1, rhs))]
+    # upper table), each node passing the test
+    stack = [(0, width, lower, upper)]
     while stack:
         mask, i, lower, upper = stack.pop()
-        if any(lo & ~up for lo, up in zip(lower, upper)):
-            continue
         if not i:
             yield mask
             continue
         i -= 1
         one = mask | 1 << i
-        stack.append((one, i, ext(one, lhs), upper))
-        stack.append((mask, i, lower, ext(mask | (1 << i) - 1, rhs)))
+        new = ext(one, 0, watch[0][i], lower)
+        if not any(new[a] & ~upper[a] for a in watch[0][i]):
+            stack.append((one, i, new, upper))
+        new = ext(mask | (1 << i) - 1, 1, watch[1][i], upper)
+        if not any(lower[a] & ~new[a] for a in watch[1][i]):
+            stack.append((mask, i, lower, new))
+
+
+def _relabeller(size, blocks, perm):
+    """Relabelling of masks by perm as lookup tables over 8 slots at a time:
+    the image of a mask is the OR over lo of ``table[mask >> lo & 255]``
+    for each (lo, table) pair."""
+    image = [off + tuple_index(size, [perm[v] for v in row])
+             for _, off, rows in blocks for row in rows]
+    out = []
+    for lo in range(0, len(image), 8):
+        chunk, table = image[lo:lo + 8], [0]
+        for b in range(1, 1 << len(chunk)):
+            table.append(table[b & b - 1] | 1 << chunk[(b & -b).bit_length() - 1])
+        out.append((lo, table))
+    return out
+
+
+def _orbit(mask, relabellers):
+    """The masks of every relabelling of mask, as the closure of mask under
+    the relabellers of a generating set of the permutations."""
+    orbit, todo = {mask}, [mask]
+    while todo:
+        x = todo.pop()
+        for tables in relabellers:
+            y = 0
+            for lo, table in tables:
+                y |= table[x >> lo & 255]
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return orbit
+
+
+def _classes(t, size):
+    """(key, model) for each isomorphism class of models of t of one size,
+    ascending by key, the model's ``FiniteModel.canonical``; see
+    ``enumerate_models``."""
+    blocks, off = [], 0
+    for sym, ar in t.signature.relations:
+        rows = list(product(range(size), repeat=ar))
+        blocks.append((sym, off, rows))
+        off += len(rows)
+    perms = [(1, 0, *range(2, size)), (*range(1, size), 0)] if size > 1 else []
+    relabellers = [_relabeller(size, blocks, perm) for perm in perms]
+    order = sorted(blocks)
+    syms = tuple(sym for sym, _, _ in order)
+    spans = [(off, (1 << len(rows)) - 1) for _, off, rows in order]
+    seen, level, ones = set(), [], _SetBits()
+    for mask in _model_masks(size, blocks, t.axioms):
+        if mask in seen:
+            continue
+        m = FiniteModel(size, _tables(blocks, mask, ones))
+        if not is_model(m, t):
+            continue
+        orbit = _orbit(mask, relabellers)
+        seen |= orbit
+        code = min(tuple([ones[x >> off & full] for off, full in spans])
+                   for x in orbit)
+        key = tuple([tuple([rows[j] for j in c]) for (_, _, rows), c in zip(order, code)])
+        level.append(((size, syms, key), m))
+    level.sort(key=lambda kv: kv[0])
+    return level
 
 
 def enumerate_models(t, max_size):
@@ -274,39 +372,27 @@ def enumerate_models(t, max_size):
     row) pairs with the symbols in signature order and the rows of each in
     ``product`` order; bit i is slot i.  The representative of each class
     is its least-mask model.  ``_model_masks`` gives the models in
-    ascending mask order, pruned by monotonicity; the first of a class
-    marks the masks of all its relabelings, so every later one is skipped
-    unbuilt, and a ``FiniteModel`` is built and canonicalised once per
-    class."""
+    ascending mask order, and the first of a class marks its orbit, so
+    every later one is skipped unbuilt.  The orbit is the closure of the
+    mask under relabelling by a transposition and a full cycle, which
+    generate all permutations; so a ``FiniteModel`` is built once per
+    class, and its masks are relabelled once each per generator.
+
+    The key of a class is its ``FiniteModel.canonical``: the least code
+    over all permutations, where a permutation's code lists the rows of
+    each symbol, in sorted-symbol order, of the relabelled tables.  That
+    code depends only on the relabelled tables, which the relabelled mask
+    is, so the least code over the permutations is the least code over the
+    distinct masks of the orbit.  A mask's code is read off its set bits,
+    which come in row order within each symbol's block, so codes compare
+    as tuples of slot indices."""
     for size in range(max_size + 1):
         bits = sum(size ** ar for _, ar in t.signature.relations)
         if bits > GUARD_BITS:
             raise ResourceGuard(
                 f"size {size} needs 2^{bits} valuations (> 2^{GUARD_BITS})"
             )
-    out = []
-    for size in range(max_size + 1):
-        slots = [(sym, row) for sym, ar in t.signature.relations
-                 for row in product(range(size), repeat=ar)]
-        index = {slot: i for i, slot in enumerate(slots)}
-        seen = set()
-        level = []
-        for mask in _model_masks(size, slots, t.axioms):
-            if mask in seen:
-                continue
-            rows = [slot for i, slot in enumerate(slots) if mask >> i & 1]
-            tables = {sym: set() for sym, _ in t.signature.relations}
-            for sym, row in rows:
-                tables[sym].add(row)
-            m = FiniteModel(size, tables)
-            if not is_model(m, t):
-                continue
-            seen.update(relabelings(size, lambda perm: sum(
-                1 << index[sym, tuple(perm[v] for v in row)] for sym, row in rows)))
-            level.append((m.canonical(), m))
-        level.sort(key=lambda kv: kv[0])
-        out.extend(m for _, m in level)
-    return out
+    return [m for size in range(max_size + 1) for _, m in _classes(t, size)]
 
 
 def ctp(m, a, t, d, cap=2000):

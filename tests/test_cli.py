@@ -372,6 +372,16 @@ def test_roundtrip_with_generators(capsys, pqr_file, tmp_path):
     assert v["refuted"] == 0 and not v["failures"]
 
 
+def test_roundtrip_export_budget_is_unknown(capsys, pqr_file):
+    # the depth-1 opens of pqr generate well over 200 elements per arity;
+    # the export stops at the 201st, an exhausted budget and not bad input
+    code, out, err = run(capsys, "roundtrip", "--theory", pqr_file,
+                         "--mode", "both", "--cap", "6")
+    assert code == 2
+    assert err == "unknown: generated lattice exceeds 200 elements\n"
+    assert not out
+
+
 def test_roundtrip_builds_one_type_space(capsys, monkeypatch, empty_file):
     # one type space of the input theory per run, and no stability pass
     from cohlogic import internal_logic, typespace

@@ -27,7 +27,7 @@ from cohlogic.internal_logic import (
     trivial_presentation,
     validate_presentation,
 )
-from cohlogic.semantics import FiniteModel, is_model
+from cohlogic.semantics import FiniteModel, ResourceGuard, is_model
 from cohlogic.syntax import (
     BOT,
     TOP,
@@ -183,7 +183,7 @@ def test_peq_export_sizes():
 
 
 def test_export_size_guard():
-    with pytest.raises(InternalLogicError):
+    with pytest.raises(ResourceGuard, match="exceeds 200 elements"):
         export_presentation(
             approx("pqr"),
             generators={1: [Atom("P", (1,)), Atom("Q", (1,))]},

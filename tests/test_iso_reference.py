@@ -7,10 +7,10 @@ are kept here as references: the canonical forms of models and of posets,
 ``poset_iso`` and orbit marking.  Canonical forms, orders, isomorphisms and
 orbits must be the same.
 
-The nested loops that validated posets and lattices, and the search for
-each meet and join among all lower and upper bounds, are kept as well:
-``FinPoset`` and ``FinDistLattice`` must reject the same matrices with the
-same first witness.
+The nested loops that validated posets and lattices, the search for each
+meet and join among all lower and upper bounds, and the scan for up-sets
+are kept as well: ``FinPoset`` and ``FinDistLattice`` must reject the same
+matrices with the same first witness, and up-sets come in the same order.
 """
 
 import math
@@ -110,6 +110,22 @@ def _labelled_posets(max_n):
         for perm in permutations(range(p.n)):
             out.add(FinPoset(p.n, [[p.leq[a][b] for b in perm] for a in perm]))
     return sorted(out, key=lambda p: (p.n, p.leq))
+
+
+def reference_up_sets(p):
+    """``FinPoset.up_sets`` as a test of every subset against every pair."""
+    out = []
+    for bits in range(1 << p.n):
+        s = frozenset(i for i in range(p.n) if bits >> i & 1)
+        if all(p.leq[i][j] <= (j in s) for i in s for j in range(p.n)):
+            out.append(s)
+    out.sort(key=lambda s: (len(s), sorted(s)))
+    return out
+
+
+def test_up_sets_match_reference():
+    for p in _labelled_posets(4) + lattice.all_posets(6):
+        assert p.up_sets() == reference_up_sets(p)
 
 
 def test_poset_iso_matches_reference():

@@ -17,7 +17,7 @@ from itertools import islice, permutations, product
 
 import pytest
 
-from cohlogic import lattice
+from cohlogic import lattice, semantics
 from cohlogic.lattice import FinPoset
 from cohlogic.semantics import (
     GUARD_BITS,
@@ -191,6 +191,9 @@ def test_enumerate_models_matches_reference(name):
     assert [m.tables for m in got] == [m.tables for m in want]
     assert len(got) == count
     assert got == orbit_marking_reference(t, bound)
+    for size in range(bound + 1):
+        for key, m in semantics._classes(t, size):
+            assert key == m.canonical()
 
 
 def _digest(models):
@@ -202,10 +205,32 @@ def _digest(models):
 def test_two_binary_size_three_list_is_pinned():
     # 2^18 table valuations at size 3, no axioms; the digest was taken from
     # the orbit-marking generation
-    ms = enumerate_models(parse_theory("theory two\nsig { E/2, F/2 }\n"), 3)
+    t = parse_theory("theory two\nsig { E/2, F/2 }\n")
+    ms = enumerate_models(t, 3)
     assert len(ms) == 44365
     assert _digest(ms) == \
         "d1ad7680f901ff4301cecd1f19965015e58695594c99d5648e50677c5ef39f38"
+    level = semantics._classes(t, 3)
+    assert [m for _, m in level] == ms[-len(level):]
+    assert all(key == m.canonical() for key, m in level)
+
+
+@pytest.mark.parametrize("name, most", [
+    ("mixed", 250_000),  # 406,608 with every axiom re-read at every node
+    ("pqr", 15_000),  # 21,042 so
+    ("unary", 0), ("empty", 0), ("two-binary", 0),
+])
+def test_model_search_work_is_bounded(monkeypatch, name, most):
+    text, bound, _ = CASES[name]
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return extension(*args)
+
+    monkeypatch.setattr(semantics, "extension", counted)
+    enumerate_models(parse_theory(text), bound)
+    assert len(calls) <= most
 
 
 def test_resource_guard_unchanged():
