@@ -30,12 +30,13 @@ class FinPoset:
         self.leq = tuple(tuple(bool(v) for v in row) for row in leq)
         if len(self.leq) != n or any(len(r) != n for r in self.leq):
             raise LatticeError("leq matrix shape mismatch")
-        # ups[i]: bit j is set when i <= j
-        self.up_bits = ups = [sum(1 << j for j, v in enumerate(row) if v) for row in self.leq]
+        # up_bits[i]: bit j is set when i <= j
+        self.up_bits = ups = [sum(1 << j for j, v in enumerate(row) if v)
+                              for row in self.leq]
         for i, up in enumerate(ups):
             if not up >> i & 1:
                 raise LatticeError(f"not reflexive at {i}")
-            for j in _bits(up):  # (i, j) with i </= j can break neither law
+            for j in _bits(up):  # a pair (i, j) with i </= j breaks neither law
                 if i != j and ups[j] >> i & 1:
                     raise LatticeError(f"not antisymmetric at ({i},{j})")
                 if ups[j] & ~up:
@@ -80,7 +81,8 @@ def _bits(x):
 def relabelings(n, code):
     """code(perm) for each permutation perm of range(n), lazily, in the order
     of ``itertools.permutations``; code(perm) encodes one object relabelled
-    by perm.  Every isomorphism check of the package reads this sequence."""
+    by perm.  Isomorphism checks and canonical forms read this sequence,
+    except that model generation closes orbits under generators instead."""
     return map(code, permutations(range(n)))
 
 

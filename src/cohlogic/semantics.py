@@ -14,10 +14,11 @@ tuple j of model i.  A run of s bits never straddles two models, and a lone
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from types import SimpleNamespace
 
-from .lattice import relabelings
+from .lattice import _bits, relabelings
 from .syntax import (
     And,
     Atom,
@@ -216,19 +217,16 @@ def is_model(m, t):
 GUARD_BITS = 22  # largest table space enumerate_models scans: 2^22 valuations
 
 
-class _SetBits(dict):
-    """v -> the positions of the set bits of v, ascending, filled on demand."""
-
-    def __missing__(self, v):
-        self[v] = out = tuple(j for j in range(v.bit_length()) if v >> j & 1)
-        return out
+def _set_bits():
+    """A cache of v -> the positions of the set bits of v, ascending."""
+    return cache(lambda v: tuple(_bits(v)))
 
 
 def _tables(blocks, mask, ones):
     """The tables of a mask: each symbol's rows whose bits are set in its
     block.  blocks lists (symbol, first slot, rows in ``product`` order);
-    ones is a ``_SetBits``."""
-    return {sym: [rows[j] for j in ones[mask >> off & (1 << len(rows)) - 1]]
+    ones is a ``_set_bits``."""
+    return {sym: [rows[j] for j in ones(mask >> off & (1 << len(rows)) - 1)]
             for sym, off, rows in blocks}
 
 
@@ -267,9 +265,11 @@ def _model_masks(size, blocks, axioms):
         mentions = [_symbols(phi) for phi, _ in side]
         watch.append([[a for a, syms in enumerate(mentions) if sym in syms]
                       for sym, _, rows in blocks for _ in rows])
-    ones = _SetBits()
+    ones = _set_bits()
 
     def ext(mask, side, which, exts):
+        if not which:
+            return exts
         view = SimpleNamespace(size=size, blocks=1, tables=_tables(blocks, mask, ones))
         memo, exts = {}, list(exts)
         for a in which:
@@ -300,35 +300,34 @@ def _model_masks(size, blocks, axioms):
             stack.append((mask, i, lower, new))
 
 
-def _relabeller(size, blocks, perm):
-    """Relabelling of masks by perm as lookup tables over 8 slots at a time:
-    the image of a mask is the OR over lo of ``table[mask >> lo & 255]``
-    for each (lo, table) pair."""
-    image = [off + tuple_index(size, [perm[v] for v in row])
-             for _, off, rows in blocks for row in rows]
-    out = []
-    for lo in range(0, len(image), 8):
-        chunk, table = image[lo:lo + 8], [0]
-        for b in range(1, 1 << len(chunk)):
-            table.append(table[b & b - 1] | 1 << chunk[(b & -b).bit_length() - 1])
-        out.append((lo, table))
+def _orbit(code, moves):
+    """The codes of every relabelling of one encoded object: the closure of
+    code under moves, functions that relabel a code by each of a set of
+    permutations that generate all of them."""
+    out, todo = {code}, [code]
+    while todo:
+        x = todo.pop()
+        for move in moves:
+            y = move(x)
+            if y not in out:
+                out.add(y)
+                todo.append(y)
     return out
 
 
-def _orbit(mask, relabellers):
-    """The masks of every relabelling of mask, as the closure of mask under
-    the relabellers of a generating set of the permutations."""
-    orbit, todo = {mask}, [mask]
-    while todo:
-        x = todo.pop()
-        for tables in relabellers:
-            y = 0
-            for lo, table in tables:
-                y |= table[x >> lo & 255]
-            if y not in orbit:
-                orbit.add(y)
-                todo.append(y)
-    return orbit
+def _relabeller(size, blocks, perm):
+    """The relabelling of masks by perm, looked up 8 slots at a time in three
+    tables, which cover the GUARD_BITS slots."""
+    image = [off + tuple_index(size, [perm[v] for v in row])
+             for _, off, rows in blocks for row in rows]
+    tables = []
+    for lo in (0, 8, 16):
+        chunk, table = image[lo:lo + 8], [0]
+        for b in range(1, 1 << len(chunk)):
+            table.append(table[b & b - 1] | 1 << chunk[(b & -b).bit_length() - 1])
+        tables.append(table)
+    t0, t1, t2 = tables
+    return lambda x: t0[x & 255] | t1[x >> 8 & 255] | t2[x >> 16]
 
 
 def _classes(t, size):
@@ -341,22 +340,23 @@ def _classes(t, size):
         blocks.append((sym, off, rows))
         off += len(rows)
     perms = [(1, 0, *range(2, size)), (*range(1, size), 0)] if size > 1 else []
-    relabellers = [_relabeller(size, blocks, perm) for perm in perms]
+    moves = [_relabeller(size, blocks, perm) for perm in perms]
     order = sorted(blocks)
     syms = tuple(sym for sym, _, _ in order)
     spans = [(off, (1 << len(rows)) - 1) for _, off, rows in order]
-    seen, level, ones = set(), [], _SetBits()
+    seen, level, ones = set(), [], _set_bits()
     for mask in _model_masks(size, blocks, t.axioms):
         if mask in seen:
             continue
         m = FiniteModel(size, _tables(blocks, mask, ones))
         if not is_model(m, t):
             continue
-        orbit = _orbit(mask, relabellers)
-        seen |= orbit
-        code = min(tuple([ones[x >> off & full] for off, full in spans])
-                   for x in orbit)
-        key = tuple([tuple([rows[j] for j in c]) for (_, _, rows), c in zip(order, code)])
+        masks = _orbit(mask, moves)
+        seen |= masks
+        code = min(tuple([ones(x >> off & full) for off, full in spans])
+                   for x in masks)
+        key = tuple([tuple([rows[j] for j in c])
+                     for (_, _, rows), c in zip(order, code)])
         level.append(((size, syms, key), m))
     level.sort(key=lambda kv: kv[0])
     return level
@@ -370,22 +370,19 @@ def enumerate_models(t, max_size):
 
     A table valuation of one size is a mask over its slots, the (symbol,
     row) pairs with the symbols in signature order and the rows of each in
-    ``product`` order; bit i is slot i.  The representative of each class
-    is its least-mask model.  ``_model_masks`` gives the models in
-    ascending mask order, and the first of a class marks its orbit, so
-    every later one is skipped unbuilt.  The orbit is the closure of the
-    mask under relabelling by a transposition and a full cycle, which
-    generate all permutations; so a ``FiniteModel`` is built once per
-    class, and its masks are relabelled once each per generator.
+    ``product`` order; bit i is slot i.  ``_model_masks`` gives the models
+    in ascending mask order, and the first of a class, its representative,
+    marks its orbit: the closure of its mask under relabelling by a
+    transposition and a full cycle, which generate all permutations.  So
+    every later mask of the class is skipped unbuilt.
 
-    The key of a class is its ``FiniteModel.canonical``: the least code
-    over all permutations, where a permutation's code lists the rows of
-    each symbol, in sorted-symbol order, of the relabelled tables.  That
-    code depends only on the relabelled tables, which the relabelled mask
-    is, so the least code over the permutations is the least code over the
-    distinct masks of the orbit.  A mask's code is read off its set bits,
-    which come in row order within each symbol's block, so codes compare
-    as tuples of slot indices."""
+    The key of a class is ``FiniteModel.canonical``, the least code over
+    all permutations of the relabelled tables, which list the rows of each
+    symbol in sorted-symbol order.  A permutation's code depends only on the
+    relabelled tables, which the relabelled mask is, so the least code is
+    the least over the distinct masks of the orbit.  Within a symbol's
+    block the set bits come in row order, so codes compare as tuples of
+    slot indices."""
     for size in range(max_size + 1):
         bits = sum(size ** ar for _, ar in t.signature.relations)
         if bits > GUARD_BITS:
