@@ -36,11 +36,11 @@ class FinPoset:
         for i, up in enumerate(ups):
             if not up >> i & 1:
                 raise LatticeError(f"not reflexive at {i}")
-            for j in _bits(up):  # a pair (i, j) with i </= j breaks neither law
+            for j in bit_positions(up):  # no pair (i, j) with i </= j breaks a law
                 if i != j and ups[j] >> i & 1:
                     raise LatticeError(f"not antisymmetric at ({i},{j})")
                 if ups[j] & ~up:
-                    k = _bits(ups[j] & ~up)[0]
+                    k = bit_positions(ups[j] & ~up)[0]
                     raise LatticeError(f"not transitive at ({i},{j},{k})")
 
     def __eq__(self, other):
@@ -64,7 +64,7 @@ class FinPoset:
             closure.append(closure[bits & bits - 1]
                            | self.up_bits[(bits & -bits).bit_length() - 1])
             if closure[bits] == bits:
-                out.append(frozenset(_bits(bits)))
+                out.append(frozenset(bit_positions(bits)))
         out.sort(key=lambda s: (len(s), sorted(s)))
         return out
 
@@ -73,7 +73,7 @@ class FinPoset:
         return (self.n, min(relabelings(self.n, _leq_code(self.leq))))
 
 
-def _bits(x):
+def bit_positions(x):
     """The positions of the set bits of x, ascending."""
     return [j for j in range(x.bit_length()) if x >> j & 1]
 

@@ -18,7 +18,7 @@ from functools import cache
 from itertools import product
 from types import SimpleNamespace
 
-from .lattice import _bits, relabelings
+from .lattice import bit_positions, relabelings
 from .syntax import (
     And,
     Atom,
@@ -217,15 +217,10 @@ def is_model(m, t):
 GUARD_BITS = 22  # largest table space enumerate_models scans: 2^22 valuations
 
 
-def _set_bits():
-    """A cache of v -> the positions of the set bits of v, ascending."""
-    return cache(lambda v: tuple(_bits(v)))
-
-
 def _tables(blocks, mask, ones):
     """The tables of a mask: each symbol's rows whose bits are set in its
     block.  blocks lists (symbol, first slot, rows in ``product`` order);
-    ones is a ``_set_bits``."""
+    ones(v) is the tuple of ``bit_positions(v)``."""
     return {sym: [rows[j] for j in ones(mask >> off & (1 << len(rows)) - 1)]
             for sym, off, rows in blocks}
 
@@ -265,11 +260,12 @@ def _model_masks(size, blocks, axioms):
         mentions = [_symbols(phi) for phi, _ in side]
         watch.append([[a for a, syms in enumerate(mentions) if sym in syms]
                       for sym, _, rows in blocks for _ in rows])
-    ones = _set_bits()
+    ones = cache(lambda v: tuple(bit_positions(v)))
 
     def ext(mask, side, which, exts):
         if not which:
             return exts
+        # the tables of mask, which ``extension`` reads as a lone model
         view = SimpleNamespace(size=size, blocks=1, tables=_tables(blocks, mask, ones))
         memo, exts = {}, list(exts)
         for a in which:
@@ -344,7 +340,8 @@ def _classes(t, size):
     order = sorted(blocks)
     syms = tuple(sym for sym, _, _ in order)
     spans = [(off, (1 << len(rows)) - 1) for _, off, rows in order]
-    seen, level, ones = set(), [], _set_bits()
+    seen, level = set(), []
+    ones = cache(lambda v: tuple(bit_positions(v)))
     for mask in _model_masks(size, blocks, t.axioms):
         if mask in seen:
             continue

@@ -191,6 +191,14 @@ def test_export_size_guard():
         )
 
 
+def test_export_size_guard_admits_exactly_max_size():
+    # the largest peq lattice has 22 elements
+    F = export_presentation(approx("peq"), gen_depth=1, max_size=22)
+    assert [F.lattices[n].n for n in range(3)] == [4, 4, 22]
+    with pytest.raises(ResourceGuard, match="exceeds 21 elements"):
+        export_presentation(approx("peq"), gen_depth=1, max_size=21)
+
+
 def test_mutated_presentation_invalid():
     F = peq_pres()
     homs = dict(F.homs)

@@ -5,11 +5,11 @@ the table space, keeps the models and canonicalises each one, keeping the
 first of every class.  ``orbit_marking_reference`` is the generation that
 ``enumerate_models`` replaced: partial tables pruned by monotonicity with
 every axiom re-evaluated at every search node, and two passes over all
-relabelings per class, one to mark the orbit and one to canonicalise.  ``reference_poset_levels`` grows posets by a new
-maximal point and canonicalises every grown poset.  The fast versions prune
-partial tables and mark whole orbits instead, and must give the same
-objects: the same models with the same tables, the same representatives and
-the same order.
+relabelings per class, one to mark the orbit and one to canonicalise.
+``reference_poset_levels`` grows posets by a new maximal point and
+canonicalises every grown poset.  The fast versions prune partial tables
+and mark whole orbits instead, and must give the same objects: the same
+models with the same tables, the same representatives and the same order.
 """
 
 import hashlib
