@@ -273,9 +273,9 @@ def _model_masks(size, blocks, axioms):
             exts[a] = extension(view, phi, n, memo)
         return exts
 
-    everything = range(len(axioms))
-    lower = ext(0, 0, everything, everything)  # every entry is overwritten
-    upper = ext((1 << width) - 1, 1, everything, everything)
+    everything, unset = range(len(axioms)), [None] * len(axioms)
+    lower = ext(0, 0, everything, unset)
+    upper = ext((1 << width) - 1, 1, everything, unset)
     if any(lo & ~up for lo, up in zip(lower, upper)):
         return
     # (mask, undecided slots, lhs exts of the lower table, rhs exts of the
