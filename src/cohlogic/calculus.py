@@ -4,7 +4,8 @@ Rules: identity, substitution, cut, the two equality rules, n-ary
 conjunction and disjunction introduction/elimination, the existential double
 rule, distributivity and Frobenius axioms, and theory axioms.  Conclusions
 are compared up to `syntax.normalize`, which is semantics-preserving; the
-prover only ever builds sequents with normalized sides.
+prover only ever builds sequents with normalized sides, through `meet`, `join`,
+`exists` and `reindex`, which the checker re-derives from raw substitutions.
 
 Verdicts are three-valued: Proved carries a checked derivation, Refuted a
 finite model with a falsifying assignment, Unknown names the budget that
@@ -38,13 +39,18 @@ from .syntax import (
     Sequent,
     Top,
     all_maps,
+    cached,
     check_formula,
     conj,
     disj,
+    exists,
+    join,
+    meet,
     normalize,
     normalize_sequent,
     print_formula,
     print_sequent,
+    reindex,
     shift,
     substitute,
 )
@@ -356,19 +362,14 @@ def d_to_conjunction(n, lhs, target):
 
 
 def d_exists_intro(n, body, witness):
-    """body[hole := witness] |- Exists(body), via the double rule + subst."""
-    ex = normalize(Exists(body))
-    ident = d_identity(n, ex)
-    down = _d(
-        "exists_down",
-        n + 1,
-        normalize(body),
-        normalize(shift(ex, n)),
-        children=(ident,),
-    )
-    f = tuple(range(1, n + 1)) + (witness,)
-    inst_l = normalize(substitute(body, f, n))
-    return _d("subst", n, inst_l, ex, params=(f,), children=(down,))
+    """body[hole := witness] |- Exists(body), body normal, via the double
+    rule + subst."""
+    ex = exists(body)
+    ids = tuple(range(1, n + 1))
+    down = _d("exists_down", n + 1, body, reindex(ex, ids, n + 1),
+              children=(d_identity(n, ex),))
+    f = ids + (witness,)
+    return _d("subst", n, reindex(body, f, n), ex, params=(f,), children=(down,))
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +410,13 @@ def _d_axiom_instance(t, n, ai, f, al, ar):
     if f == tuple(range(1, ax.ctx + 1)) and ax.ctx == n:
         return leaf
     return _d("subst", n, al, ar, params=(f,), children=(leaf,))
+
+
+@cached
+def _extended(lhs, ar):
+    """meet(lhs, ar), the forward step's new antecedent: half of these meets
+    repeat within their search, and a warm session repeats the rest."""
+    return meet(lhs, ar)
 
 
 class _Prover:
@@ -473,8 +481,8 @@ class _Prover:
             return None
 
         if isinstance(lhs, Exists):
-            body = normalize(lhs.body)
-            d = self.derive(n + 1, body, normalize(shift(rhs, n)), depth - 1)
+            up = reindex(rhs, tuple(range(1, n + 1)), n + 1)
+            d = self.derive(n + 1, lhs.body, up, depth - 1)
             if d is not None:
                 return _d("exists_up", n, lhs, rhs, children=(d,))
             return None
@@ -514,12 +522,11 @@ class _Prover:
                     return d_cut(d, inj)
 
         if isinstance(rhs, Exists):
-            body = normalize(rhs.body)
             for w in range(1, n + 1):
-                target = normalize(substitute(body, tuple(range(1, n + 1)) + (w,), n))
+                target = reindex(rhs.body, tuple(range(1, n + 1)) + (w,), n)
                 d = self.derive(n, lhs, target, depth - 1)
                 if d is not None:
-                    return d_cut(d, d_exists_intro(n, body, w))
+                    return d_cut(d, d_exists_intro(n, rhs.body, w))
 
         d = self._by_axiom_backward(n, lhs, rhs, depth)
         if d is not None:
@@ -535,8 +542,8 @@ class _Prover:
     def _by_eq_collapse(self, n, lhs, rhs, eq, depth):
         i, j = eq.i, eq.j
         c = tuple(i if v == j else v for v in range(1, n + 1))
-        lhs_c = normalize(substitute(lhs, c, n))
-        rhs_c = normalize(substitute(rhs, c, n))
+        lhs_c = reindex(lhs, c, n)
+        rhs_c = reindex(rhs, c, n)
         if lhs_c == lhs and rhs_c == rhs:
             return None
         d_c = self.derive(n, lhs_c, rhs_c, depth - 1)
@@ -547,7 +554,7 @@ class _Prover:
         d1 = _d("eq_subst", n, lhs, lhs_c, params=(j, i, p_l))
         d2 = d_cut(d1, d_c)
         # carry the equality along so the goal can be rewritten back
-        with_eq = conj([rhs_c, eq])
+        with_eq = meet(rhs_c, eq)
         if with_eq == rhs_c:
             d3 = d2
         elif with_eq == eq:
@@ -567,9 +574,8 @@ class _Prover:
         return d_cut(d3, d4)
 
     def _by_distributivity(self, n, lhs, rhs, orpart, depth):
-        others = [p for p in lhs.parts if p != orpart]
-        phi = conj(others)
-        dist_rhs = disj([conj([phi, p]) for p in orpart.parts])
+        phi = meet(*[p for p in lhs.parts if p != orpart])
+        dist_rhs = join(*[meet(phi, p) for p in orpart.parts])
         dist = _d(
             "distributivity", n, lhs, dist_rhs, params=(phi, orpart.parts)
         )
@@ -579,10 +585,9 @@ class _Prover:
         return d_cut(dist, d)
 
     def _by_frobenius(self, n, lhs, rhs, expart, depth):
-        others = [p for p in lhs.parts if p != expart]
-        phi = conj(others)
-        psi = normalize(expart.body)
-        frob_rhs = normalize(Exists(conj([shift(phi, n), psi])))
+        phi = meet(*[p for p in lhs.parts if p != expart])
+        psi = expart.body
+        frob_rhs = exists(meet(reindex(phi, tuple(range(1, n + 1)), n + 1), psi))
         frob = _d("frobenius", n, lhs, frob_rhs, params=(phi, psi))
         d = self.derive(n, frob_rhs, rhs, depth - 1)
         if d is None:
@@ -598,10 +603,9 @@ class _Prover:
             alp, al, ar, ai, f = out[i]
             if not alp <= lparts:
                 continue
-            arparts = parts_of(ar)
-            if arparts <= lparts:
+            if all(p in lparts for p in conjuncts(ar)):
                 continue  # nothing new
-            newlhs = conj([lhs, ar])
+            newlhs = _extended(lhs, ar)
             d_rest = self.derive(n, newlhs, rhs, depth - 1)
             if d_rest is None:
                 continue

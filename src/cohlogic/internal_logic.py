@@ -43,9 +43,10 @@ from .syntax import (
     Theory,
     Top,
     all_maps,
-    conj,
     enum_formulas,
     formula_depth,
+    join,
+    meet,
     normalize,
     normalize_sequent,
 )
@@ -323,12 +324,12 @@ def export_presentation(approx, gen_depth=1, max_size=80, generators=None):
     sets = {n: {} for n in range(N + 1)}
     changed = True
 
-    def add(n, s, phi):
+    def add(n, s, build, *args):  # builds the formula only for a new extent
         nonlocal changed
         if s not in sets[n]:
             if len(sets[n]) == max_size:
                 raise ResourceGuard(f"generated lattice exceeds {max_size} elements")
-            sets[n][s] = normalize(phi)
+            sets[n][s] = build(*args)
             changed = True
 
     for n in range(N + 1):
@@ -341,23 +342,22 @@ def export_presentation(approx, gen_depth=1, max_size=80, generators=None):
         else:
             gens = [TOP, BOT] + list(generators.get(n, ()))
         for phi in gens:
-            phi = normalize(phi)
-            add(n, approx.open_of(phi, n), phi)
+            add(n, approx.open_of(phi, n), normalize, phi)
     while changed:
         changed = False
         for n in range(N + 1):
             items = list(sets[n].items())
             for i, (u, fu) in enumerate(items):
                 for v, fv in items[i + 1 :]:
-                    add(n, u & v, conj([fu, fv]))
-                    add(n, u | v, Or((fu, fv)))
+                    add(n, u & v, meet, fu, fv)
+                    add(n, u | v, join, fu, fv)
         for (n, m, f), smap in smaps.items():
             for u, fu in list(sets[n].items()):
                 pre = frozenset(q for q in range(npoints[m]) if smap[q] in u)
-                add(m, pre, preimage_formula(fu, f, m))
+                add(m, pre, preimage_formula, fu, f, m)
             for w, fw in list(sets[m].items()):
                 img = frozenset(smap[q] for q in w)
-                add(n, img, direct_image_formula(fw, f, n, m))
+                add(n, img, direct_image_formula, fw, f, n, m)
     lattices, homs, formulas, extents = {}, {}, {}, {}
     index = {}
     for n in range(N + 1):
@@ -542,7 +542,7 @@ def roundtrip_theory(theory, pres, cap=10, budgets=None):
     gen_b = replace(budgets, model_pool=induced_models(pres))
     tgt_b = replace(budgets, model_pool=tuple(approx.models))
     for n in range(pres.cutoff + 1):
-        formulas = enum_formulas(gen_th.signature, n, approx.d, cap=200)[:cap]
+        formulas = enum_formulas(gen_th.signature, n, approx.d, min(cap, 200))
         values = {phi: denote(pres, phi, n) for phi in formulas}
         for phi in formulas:
             translated = apply_interpretation(gamma, phi, n)

@@ -96,8 +96,9 @@ class Bot(_Formula):
 @dataclass(frozen=True, slots=True, eq=False)
 class _Node(_Formula):
     """A node stores its hash when made, from its parts' stored hashes, and
-    its key, size and depth on first use: substitute builds trees only for
-    normalize to look up, which reads nothing but their hashes."""
+    its key, size and depth on first use: of a raw tree, such as the
+    parser's or substitute's, normalize mostly reads nothing but the hash
+    when it looks the tree up."""
     size: int = field(init=False, repr=False)
     depth: int = field(init=False, repr=False)
 
@@ -309,7 +310,8 @@ def shift(phi, n):
 # them (hash-consing, Filliatre & Conchon, ML 2006): until clear_caches,
 # each normal form And, Or or Exists is one node, so equal normal forms are
 # nearly always the same object.  normalize takes any tree, such as a parsed
-# or substituted one, to its normal form through the same constructors.
+# one, to its normal form through the same constructors, and reindex builds
+# the normal form of a substitution through them without a raw tree.
 
 _NODES = {And: {}, Or: {}, Exists: {}}  # interned nodes by parts or body
 _LAWS = {And: (TOP, BOT), Or: (BOT, TOP)}  # (unit, zero) of each junction
@@ -332,14 +334,14 @@ def _intern(cls, arg):
     return node
 
 
-def meet(a, b):
-    """The normal form of a & b, for normal forms a and b."""
-    return _connect(And, (a, b))
+def meet(*items):
+    """The normal form of the conjunction of normal forms items."""
+    return _connect(And, items)
 
 
-def join(a, b):
-    """The normal form of a | b, for normal forms a and b."""
-    return _connect(Or, (a, b))
+def join(*items):
+    """The normal form of the disjunction of normal forms items."""
+    return _connect(Or, items)
 
 
 def exists(body):
@@ -393,6 +395,24 @@ def normalize(phi):
         return _connect(t, map(normalize, phi.parts))
     if t is Exists:
         return exists(normalize(phi.body))
+    return phi
+
+
+@cached
+def reindex(phi, f, m):
+    """normalize(substitute(phi, f, m)), built bottom-up through meet, join
+    and exists, for an index map f whose images lie in 1..m.  Keyed by the
+    interned node of a normal form phi, the cache holds no raw tree."""
+    t = type(phi)
+    if t is Atom:
+        return Atom(phi.sym, tuple([f[a - 1] for a in phi.args]))
+    if t is Eq:
+        i, j = f[phi.i - 1], f[phi.j - 1]
+        return TOP if i == j else Eq(min(i, j), max(i, j))
+    if t is And or t is Or:
+        return _connect(t, [reindex(p, f, m) for p in phi.parts])
+    if t is Exists:
+        return exists(reindex(phi.body, f + (m + 1,), m + 1))
     return phi
 
 

@@ -31,9 +31,12 @@ from .syntax import (
     all_maps,
     check_formula,
     conj,
-    disj,
     enum_formulas,
+    exists,
+    join,
+    meet,
     normalize,
+    reindex,
     substitute,
 )
 
@@ -62,18 +65,16 @@ def times_k(f, k):
 def direct_image_formula(phi, f, n, m):
     """Formula for the image along f: n -> m of [phi], phi in context m:
     exists y1..ym (phi(y) /\\ /\\_i xi = y_f(i)), in context n."""
-    inner = [substitute(phi, tuple(range(n + 1, n + m + 1)), n + m)]
-    for i in range(1, n + 1):
-        inner.append(Eq(i, n + f[i - 1]))
-    out = conj(inner)
+    out = meet(reindex(phi, tuple(range(n + 1, n + m + 1)), n + m),
+               *[Eq(i, n + f[i - 1]) for i in range(1, n + 1)])
     for _ in range(m):
-        out = normalize(Exists(out))
+        out = exists(out)
     return out
 
 
 def preimage_formula(psi, f, m):
     """Formula for the preimage along f: n -> m of [psi], psi in context n."""
-    return normalize(substitute(psi, f, m))
+    return reindex(psi, f, m)
 
 
 # ---------------------------------------------------------------------------
@@ -108,16 +109,14 @@ class Interpretation:
     def domain_formula(self):
         """Gamma(x = x), one k-block, in context k."""
         f = identity_index_map(self.k) * 2
-        return normalize(substitute(self.mapping["="], f, self.k))
+        return reindex(self.equality_formula(), f, self.k)
 
     def domain_at_blocks(self, blocks, ctx):
         """Conjunction of the domain formula over the given 1-based block
         starts, in the given context."""
-        out = []
-        for b in blocks:
-            f = tuple(range(b, b + self.k))
-            out.append(substitute(self.domain_formula(), f, ctx))
-        return conj(out)
+        dom = self.domain_formula()
+        return meet(*[reindex(dom, tuple(range(b, b + self.k)), ctx)
+                      for b in blocks])
 
 
 def identity_interpretation(t):
@@ -134,23 +133,18 @@ def apply_interpretation(g, phi, ctx):
 
     def go(phi, n):
         if isinstance(phi, Atom):
-            return normalize(
-                substitute(g.mapping[phi.sym], times_k(phi.args, k), n * k)
-            )
+            return reindex(normalize(g.mapping[phi.sym]), times_k(phi.args, k), n * k)
         if isinstance(phi, Eq):
-            return normalize(
-                substitute(g.mapping["="], times_k((phi.i, phi.j), k), n * k)
-            )
+            return reindex(g.equality_formula(), times_k((phi.i, phi.j), k), n * k)
         if isinstance(phi, And):
-            return conj([go(p, n) for p in phi.parts])
+            return meet(*[go(p, n) for p in phi.parts])
         if isinstance(phi, Or):
-            return disj([go(p, n) for p in phi.parts])
+            return join(*[go(p, n) for p in phi.parts])
         if isinstance(phi, Exists):
             body = go(phi.body, n + 1)
-            dom = g.domain_at_blocks([n * k + 1], (n + 1) * k)
-            out = conj([dom, body])
+            out = meet(g.domain_at_blocks([n * k + 1], (n + 1) * k), body)
             for _ in range(k):
-                out = normalize(Exists(out))
+                out = exists(out)
             return out
         return phi
 
@@ -229,7 +223,7 @@ def check_interpretation(g, budgets=calculus.Budgets(), depth=2, ctxs=(0, 1, 2),
         w = calculus.entails(g.target, s, tgt_b)
         report.add(w, (tag, s.lhs, s.rhs, w))
     for n in ctxs:
-        formulas = enum_formulas(g.source.signature, n, depth)[:cap]
+        formulas = enum_formulas(g.source.signature, n, depth, min(cap, 2000))
         for phi in formulas:
             for psi in formulas:
                 v = calculus.entails(g.source, Sequent(n, phi, psi), src_b)
@@ -307,7 +301,7 @@ def morphism_condition_sequents(theta, depth=1, cap=10, ctxs=(1, 2)):
     seqs.append(("(4)", Sequent(ctx, conj([th_xy, eq_yy]), normalize(th_xy2))))
     # (5) Gamma(phi)(xs) /\ /\ theta(xi,yi) |- Gamma'(phi)(ys)
     for n in ctxs:
-        formulas = enum_formulas(g.source.signature, n, depth)[:cap]
+        formulas = enum_formulas(g.source.signature, n, depth, min(cap, 2000))
         ctx = n * (k + k2)
         xpos = tuple(range(1, n * k + 1))
         ypos = tuple(range(n * k + 1, ctx + 1))

@@ -7,6 +7,7 @@ from cohlogic.calculus import (
     Proved,
     Refuted,
     Unknown,
+    _Prover,
     check_derivation,
     check_derivation_reason,
     derivation_to_json,
@@ -26,9 +27,12 @@ from cohlogic.syntax import (
     Or,
     Sequent,
     normalize,
+    normalize_sequent,
     parse_sequent,
     parse_theory,
 )
+
+from test_prover_reference import ReferenceProver, search
 
 PQR = parse_theory(
     "theory pqr\nsig { P/1, Q/1, R/1 }\naxiom [x,y] P(x) & Q(y) |- R(x) | R(y)\n"
@@ -222,3 +226,24 @@ def test_derivation_json():
     obj = derivation_to_json(prove(PQR, s))
     assert obj["rule"] == "identity"
     assert obj["children"] == []
+
+
+@pytest.mark.parametrize("text", [
+    "[x] P(x) & Q(x) |- S(x)",
+    "[x] P(x) & R(x) |- S(x) & Q(x)",
+    "[x] P(x) & Q(x) & R(x) |- S(x) | P(x)",
+    "[x,y] P(x) & P(y) |- S(x) & S(y)",
+])
+def test_conjunctive_consequent_matches_reference(text):
+    """Axioms whose consequent has several conjuncts, some of them already
+    in the lhs: the forward step adds the instance exactly when one
+    conjunct is new, with the reference's derivation and call count."""
+    t = parse_theory(
+        "theory conj\nsig { P/1, Q/1, R/1, S/1 }\n"
+        "axiom [x] P(x) |- Q(x) & R(x)\n"
+        "axiom [x] R(x) & Q(x) |- S(x) & Q(x)\n"
+    )
+    s = normalize_sequent(parse_sequent(text, t.signature))
+    got = search(_Prover(t, Budgets()), s)
+    assert got[0] not in (None, "calls")
+    assert got == search(ReferenceProver(t, Budgets()), s)

@@ -327,6 +327,22 @@ def test_roundtrip_theory_empty():
     assert rep.refuted == 0 and not rep.failures
 
 
+@pytest.mark.parametrize("which", ["pqr", "peq"])
+def test_enumeration_at_the_kept_cap(which):
+    """roundtrip_theory (on the rebuilt theory), check_interpretation and
+    morphism_condition_sequents enumerate at the cap they keep: at their
+    default caps and depths that list is the head of the longer list each
+    once enumerated and cut."""
+    t, pres = (PQR, pqr_pres()) if which == "pqr" else (PEQ, peq_pres())
+    sites = [(th_of(pres).signature, approx(which).d, range(3), 10, 200),
+             (t.signature, 2, (0, 1, 2), 16, 2000),
+             (t.signature, 1, (1, 2), 10, 2000)]
+    for sig, depth, ctxs, cap, old in sites:
+        for n in ctxs:
+            kept = enum_formulas(sig, n, depth, cap)
+            assert kept == enum_formulas(sig, n, depth, old)[:cap], (sig, n)
+
+
 def test_roundtrip_functor_trivial():
     out = roundtrip_functor(trivial_presentation(2), models=trivial_models())
     assert out["ok"]

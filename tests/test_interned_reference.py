@@ -9,11 +9,14 @@ once did.  ``reference_normalize`` flattens, dedupes and sorts by
 a few theories, their parsed axioms, and the enumerated formulas
 substituted along every index map into a context one larger.  The file also
 pins what ``clear_caches`` promises: the same lists afterwards, and old
-nodes equal to their rebuilt twins.
+nodes equal to their rebuilt twins.  ``reindex``, the substitution into
+normal forms, is pinned to ``normalize`` of the raw ``substitute`` it
+replaces in the prover and the functor layers.
 """
 
 import pytest
 
+from cohlogic.internal_logic import th_of
 from cohlogic.lattice import chain
 from cohlogic.syntax import (
     BOT,
@@ -38,7 +41,9 @@ from cohlogic.syntax import (
     join,
     meet,
     normalize,
+    parse_formula,
     parse_theory,
+    reindex,
     substitute,
 )
 
@@ -214,3 +219,56 @@ def test_clear_caches_keeps_lists_and_equality():
     # an old node still builds with new ones, and equals the new result
     a, b = old[1][-1], enum_formulas(sig, 1, 2, 200)[-2]
     assert meet(a, b) == meet(enum_formulas(sig, 1, 2, 200)[-1], b)
+
+
+def presented_signature(name):
+    from test_internal_logic import peq_pres, pqr_pres
+
+    return th_of(pqr_pres() if name == "th_pqr" else peq_pres()).signature
+
+
+@pytest.mark.parametrize("name", ["pqr", "peq", "th_pqr", "th_peq"])
+def test_reindex_is_normalize_of_substitute(name):
+    """Every formula of the depth-2 lists at n <= 2, along every index map
+    n -> m for m <= 3: reindex builds the very node that normalizing the
+    raw substitution looks up; leaves are equal."""
+    sig = (THEORIES[name].signature if name in THEORIES
+           else presented_signature(name))
+    checked = 0
+    for n in (0, 1, 2):
+        for phi in enum_formulas(sig, n, 2, cap=200):
+            for m in range(4):
+                for f in all_maps(n, m):
+                    want = normalize(substitute(phi, f, m))
+                    got = reindex(phi, f, m)
+                    assert got is want or type(got) in (Atom, Eq) and got == want
+                    checked += 1
+    assert checked > 3000
+
+
+def test_reindex_of_normalized_parsed_formulas():
+    """Parsed trees, normalized first as apply_interpretation does: unsorted
+    and nested junctions, units and zeros, reversed and reflexive
+    equalities, existentials."""
+    sig = THEORIES["mixed"].signature
+    raw = [(ax.ctx, side) for t in THEORIES.values() for ax in t.axioms
+           for side in (ax.lhs, ax.rhs)]
+    raw += [(2, parse_formula(text, ["x", "y"], sig)) for text in (
+        "y = x & (P(y) & (C | false)) & (y = x | true)",
+        "exists z. (E(z, x) | z = y) & (exists w. E(w, z) & w = x)",
+        "(x = x & P(x)) | (P(y) | (E(y, x) & true)) | false",
+    )]
+    for n, phi in raw:
+        for m in range(4):
+            for f in all_maps(n, m):
+                want = normalize(substitute(phi, f, m))
+                got = reindex(normalize(phi), f, m)
+                assert got is want or type(got) in (Atom, Eq) and got == want
+
+
+def test_clear_caches_empties_reindex():
+    phi = enum_formulas(THEORIES["peq"].signature, 1, 2, 200)[-1]
+    reindex(phi, (2,), 2)
+    assert reindex.cache_info().currsize > 0
+    clear_caches()
+    assert reindex.cache_info().currsize == 0
