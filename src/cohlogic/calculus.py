@@ -415,7 +415,7 @@ def _d_axiom_instance(t, n, ai, f, al, ar):
 @cached
 def _extended(lhs, ar):
     """meet(lhs, ar), the forward step's new antecedent: half of these meets
-    repeat within their search, and a warm session repeats the rest."""
+    repeat within their search, the rest when a sequent is decided again."""
     return meet(lhs, ar)
 
 
