@@ -12,14 +12,19 @@ finite model with a falsifying assignment, Unknown names the budget that
 ended the search: the call budget, or the depth bound when the search ran
 out of steps without a derivation.
 
-The prover's memo maps ``(n, rhs)`` to the derivations found for each lhs.
-The axiom instances of a theory in context n are cached with two indexes:
-by consequent, which gives the backward step its instances, and by the
-least conjunct of the antecedent (in ``formula_key`` order), which gives
-the forward step every instance whose antecedent may lie in the current
-lhs, in list order.  Below depth 2 the forward step is skipped unless the
-memo holds some derivation of ``rhs``: each of its premises would be a
-depth-0 call, which can only return a memo entry.  Neither changes the
+The prover's memo maps ``(n, rhs)`` to the derivations found for each lhs,
+and one table maps each goal ``(n, lhs, rhs)`` to the depth it was last
+attempted at (0 when never).  A goal missing from the memo is not attempted
+again at that depth or less, whether the attempt failed or is still running
+further up the search: a nested call on a goal is always shallower.  Most
+calls are at depth 0, and return before the goal is hashed.  The axiom
+instances of a theory in context n are cached with two indexes: by
+consequent, which gives the backward step its instances, and by the least
+conjunct of the antecedent (in ``formula_key`` order), which gives the
+forward step every instance whose antecedent may lie in the current lhs, in
+list order.  Below depth 2 the forward step is skipped unless the memo
+holds some derivation of ``rhs``: each of its premises would be a depth-0
+call, which can only return a memo entry.  None of these changes the
 search: derivations, verdicts and call counts are those of the linear scan
 (``tests/test_prover_reference.py``).
 """
@@ -389,9 +394,9 @@ def _axiom_instances(t, n):
     out = []
     by_rhs, by_part = {}, {}
     for ai, ax in enumerate(t.axioms):
+        lhs, rhs = normalize(ax.lhs), normalize(ax.rhs)
         for f in all_maps(ax.ctx, n):
-            al = normalize(substitute(ax.lhs, f, n))
-            ar = normalize(substitute(ax.rhs, f, n))
+            al, ar = reindex(lhs, f, n), reindex(rhs, f, n)
             if al == ar or ar == TOP:
                 continue
             alp = parts_of(al)
@@ -424,33 +429,22 @@ class _Prover:
         self.t = t
         self.budgets = budgets
         self.memo = {}  # (n, rhs) -> {lhs: derivation}
-        self.fail_depth = {}
-        self.in_progress = set()
+        self.fail_depth = {}  # (n, lhs, rhs) -> depth of its last attempt
         self.calls = 0
 
     def derive(self, n, lhs, rhs, depth):
         proved = self.memo.get((n, rhs))
         if proved is not None and lhs in proved:
             return proved[lhs]
-        key = (n, lhs, rhs)
-        if depth <= 0 or key in self.in_progress:
-            return None
-        if key in self.fail_depth and self.fail_depth[key] >= depth:
+        if depth <= 0 or depth <= self.fail_depth.get((n, lhs, rhs), 0):
             return None
         self.calls += 1
         if self.calls > self.budgets.size:
             raise BudgetExceeded()
-        self.in_progress.add(key)
-        try:
-            d = self._derive(n, lhs, rhs, depth)
-        finally:
-            self.in_progress.discard(key)
+        self.fail_depth[n, lhs, rhs] = depth
+        d = self._derive(n, lhs, rhs, depth)
         if d is not None:
             self.memo.setdefault((n, rhs), {})[lhs] = d
-        else:
-            prev = self.fail_depth.get(key, -1)
-            if depth > prev:
-                self.fail_depth[key] = depth
         return d
 
     def _derive(self, n, lhs, rhs, depth):

@@ -53,8 +53,7 @@ def _sha256(text):
 
 
 def _jsonable(x):
-    if isinstance(x, (syntax.Top, syntax.Bot, syntax.Atom, syntax.Eq,
-                      syntax.And, syntax.Or, syntax.Exists)):
+    if isinstance(x, syntax.Formula):
         return syntax.print_formula(x)
     if isinstance(x, syntax.Sequent):
         return syntax.print_sequent(x)
@@ -104,7 +103,10 @@ def _read(path):
     p = Path(path)
     if not p.is_file():
         raise CliError(f"no such file: {path}")
-    return p.read_text()
+    try:
+        return p.read_text()
+    except UnicodeDecodeError as e:
+        raise CliError(f"{path} is not {e.encoding} text: {e.reason}") from None
 
 
 def _object(value, what):
@@ -198,7 +200,10 @@ def _cmd_eval(args):
             raise CliError(f"a row of {sym} does not have its arity {ar}")
     names = [v for v in args.vars.split(",") if v] if args.vars else []
     phi = syntax.parse_formula(args.formula, names, t.signature)
-    a = tuple(int(v) for v in args.args.split(",") if v) if args.args else ()
+    try:
+        a = tuple(int(v) for v in args.args.split(",") if v)
+    except ValueError:
+        raise CliError("--args must be comma-separated integers") from None
     if len(a) != len(names):
         raise CliError("--args must assign every context variable")
     if any(not 0 <= v < m.size for v in a):
@@ -286,8 +291,11 @@ def _parse_map(text, dn, size):
         if dn == 0:
             return ()
         raise CliError("span legs with nonempty source need --left/--right")
-    values = tuple(int(v) for v in text.split(","))
-    if len(values) != dn or any(not 1 <= v <= size for v in values):
+    try:
+        values = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        values = None
+    if values is None or len(values) != dn or any(not 1 <= v <= size for v in values):
         raise CliError(f"map {text!r} is not a function [{dn}] -> [{size}]")
     return values
 
@@ -330,11 +338,12 @@ def _cmd_check_bc(args):
 def _cmd_check_frobenius(args):
     text = _read(args.map)
     obj = _object(json.loads(text), "a map")
-    src = lattice.poset_from_json(_object(obj["source"], "the source"))
-    tgt = lattice.poset_from_json(_object(obj["target"], "the target"))
-    if not isinstance(obj["values"], list):
+    src = lattice.poset_from_json(_object(obj.get("source"), "the source"))
+    tgt = lattice.poset_from_json(_object(obj.get("target"), "the target"))
+    values = obj.get("values")
+    if not isinstance(values, list):
         raise CliError("the values must be a JSON list")
-    g = lattice.MonotoneMap(src, tgt, obj["values"])
+    g = lattice.MonotoneMap(src, tgt, values)
     f = lattice.dual_lattice_hom(g)
     h = lattice.left_adjoint(f)
     frob, witness = lattice.check_frobenius(h, f)
@@ -390,6 +399,8 @@ def _generators(args, t):
     obj = _object(json.loads(_read(args.generators)), "the generators")
     gens = {}
     for n_text, formulas in obj.items():
+        if not n_text.isdecimal():
+            raise CliError(f"generator key {n_text!r} is not an arity")
         n = int(n_text)
         names = [f"x{i}" for i in range(1, n + 1)]
         if not isinstance(formulas, list):
@@ -631,8 +642,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
         t0 = time.monotonic()
         rep, lines = args.run(args)
-    except (CliError, syntax.SyntaxError_, json.JSONDecodeError, KeyError,
-            ValueError, OSError, lattice.LatticeError, semantics.SemanticsError,
+    except (CliError, syntax.SyntaxError_, json.JSONDecodeError, OSError,
+            lattice.LatticeError, semantics.SemanticsError,
             typespace.TypeSpaceError, internal_logic.InternalLogicError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -44,11 +44,11 @@ from .syntax import (
     Top,
     all_maps,
     enum_formulas,
+    exists,
     formula_depth,
     join,
     meet,
     normalize,
-    normalize_sequent,
 )
 from .typespace import (
     Interpretation,
@@ -262,10 +262,10 @@ def th_of(pres):
                 if lat.leq[a][b] or lat.leq[b][a]:
                     continue
                 axioms.append(
-                    Sequent(n, And((atom(n, a), atom(n, b))), atom(n, lat.meet(a, b)))
+                    Sequent(n, meet(atom(n, a), atom(n, b)), atom(n, lat.meet(a, b)))
                 )
                 axioms.append(
-                    Sequent(n, atom(n, lat.join(a, b)), Or((atom(n, a), atom(n, b))))
+                    Sequent(n, atom(n, lat.join(a, b)), join(atom(n, a), atom(n, b)))
                 )
     for (n, m, f) in sorted(pres.homs):
         if n == m and f == identity_index_map(n):
@@ -279,7 +279,7 @@ def th_of(pres):
     for n in range(pres.cutoff):
         e_inc = pres.adjoint(identity_index_map(n), n, n + 1)
         for w in range(pres.lattices[n + 1].n):
-            ex = Exists(atom(n + 1, w))
+            ex = exists(atom(n + 1, w))
             axioms.append(Sequent(n, ex, atom(n, e_inc[w])))
             axioms.append(Sequent(n, atom(n, e_inc[w]), ex))
     for n in range(2, pres.cutoff + 1):
@@ -290,12 +290,11 @@ def th_of(pres):
                 axioms.append(Sequent(n, atom(n, e), Eq(i, j)))
     out, seen = [], set()
     for s in axioms:
-        ns = normalize_sequent(s)
-        if ns.lhs == ns.rhs or ns.rhs == TOP or ns.lhs == BOT:
+        if s.lhs == s.rhs or s.rhs == TOP or s.lhs == BOT:
             continue
-        if ns not in seen:
-            seen.add(ns)
-            out.append(ns)
+        if s not in seen:
+            seen.add(s)
+            out.append(s)
     return Theory(f"th_{pres.name}", sig, tuple(out))
 
 
@@ -649,20 +648,20 @@ def presentation_to_json(pres):
 
 
 def presentation_from_json(obj):
-    cutoff, lats, hom_values = obj["cutoff"], obj["lattices"], obj["homs"]
+    cutoff, lats, hom_values = obj.get("cutoff"), obj.get("lattices"), obj.get("homs")
     if type(cutoff) is not int or cutoff < 0 or not isinstance(lats, dict) \
             or not isinstance(hom_values, dict) \
-            or not all(isinstance(l, dict) for l in lats.values()) \
+            or not all(n.isdecimal() and isinstance(l, dict) for n, l in lats.items()) \
             or not all(isinstance(v, list) for v in hom_values.values()):
         raise InternalLogicError("a presentation needs a natural-number cutoff, "
-                                 "an object of lattices and an object of hom "
-                                 "value lists")
+                                 "an object of lattices by arity and an object "
+                                 "of hom value lists")
     lattices = {int(n): lattice_from_json(l) for n, l in lats.items()}
     for n in range(cutoff + 1):
         if n not in lattices:
             raise InternalLogicError(f"no lattice for arity {n}")
     homs = {}
-    key_re = re.compile(r"(\d+)->(\d+):\[([0-9, ]*)\]")
+    key_re = re.compile(r"(\d+)->(\d+):\[((?: *[0-9]+ *,)* *[0-9]+ *)?\]")
     for key, values in hom_values.items():
         m = key_re.fullmatch(key)
         if m is None:

@@ -559,7 +559,7 @@ def poset_to_json(p):
 
 
 def poset_from_json(obj):
-    n, pairs = obj["elements"], obj["leq"]
+    n, pairs = obj.get("elements"), obj.get("leq")
     if type(n) is not int or n < 0 or not isinstance(pairs, list):
         raise LatticeError("a poset needs a natural number of elements and "
                            "a list of leq pairs")

@@ -563,7 +563,7 @@ def model_to_json(m):
 
 
 def model_from_json(obj):
-    size, relations = obj["carrier"], obj["relations"]
+    size, relations = obj.get("carrier"), obj.get("relations")
     if type(size) is not int or size < 0 or not isinstance(relations, dict):
         raise SemanticsError("a model needs a natural-number carrier and an "
                              "object of relations")

@@ -33,9 +33,8 @@ class SyntaxError_(Exception):
 #
 # Keys sort formulas by kind (top, bottom, atom, equality, and, or, exists),
 # then symbol, then arguments or the keys of the parts.  Every formula stores
-# its key and hash; And, Or and Exists also store their size (node count) and
-# depth (connective nesting).  Each is computed once, from the parts' stored
-# values.
+# its hash, size (node count) and depth (connective nesting) when it is made,
+# from its parts' stored values, and its key on first use.
 
 
 _set = object.__setattr__  # fills the stored fields of a frozen node
@@ -44,8 +43,8 @@ _set = object.__setattr__  # fills the stored fields of a frozen node
 @dataclass(frozen=True, slots=True, eq=False)
 class _Formula:
     """Equality is structural: two formulas are equal when they are of one
-    kind with equal fields, and their stored hashes settle most unequal
-    pairs.  A leaf has size 1 and depth 0."""
+    kind with equal keys, as a key determines the formula, and their stored
+    hashes settle most unequal pairs.  A leaf has size 1 and depth 0."""
     key: tuple = field(init=False, repr=False)
     _hash: int = field(init=False, repr=False)
     size, depth = 1, 0
@@ -61,7 +60,7 @@ class _Formula:
     def __hash__(self):
         return self._hash
 
-    def __eq__(self, other):  # of leaves, whose keys hold their fields
+    def __eq__(self, other):
         return self is other or (type(self) is type(other)
                                  and self._hash == other._hash
                                  and self.key == other.key)
@@ -95,29 +94,29 @@ class Bot(_Formula):
 
 @dataclass(frozen=True, slots=True, eq=False)
 class _Node(_Formula):
-    """A node stores its hash when made, from its parts' stored hashes, and
-    its key, size and depth on first use: of a raw tree, such as the
-    parser's or substitute's, normalize mostly reads nothing but the hash
-    when it looks the tree up."""
+    """A node stores its hash, size and depth when it is made, from its
+    parts' stored values, and its key on first use: most interned nodes are
+    never ordered or compared with an equal copy, and never build one."""
     size: int = field(init=False, repr=False)
     depth: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        _set(self, "_hash", hash((_RANK[type(self)], self._kids())))
-
-    def __getattr__(self, name):  # a stored field not set yet
-        if name not in ("key", "size", "depth"):
-            raise AttributeError(name)
         kids = self._kids()
         size, depth = 1, 0
         for p in kids:
             size += p.size
             if p.depth > depth:
                 depth = p.depth
+        _set(self, "_hash", hash((_RANK[type(self)], kids)))
         _set(self, "size", size)
         _set(self, "depth", depth + 1)
-        _set(self, "key", self._key())
-        return _Formula.__getattribute__(self, name)
+
+    def __getattr__(self, name):  # the key, not set yet
+        if name != "key":
+            raise AttributeError(name)
+        key = self._key()
+        _set(self, "key", key)
+        return key
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -126,13 +125,6 @@ class _Junction(_Node):
 
     def _kids(self):
         return self.parts
-
-    def __eq__(self, other):
-        return self is other or (type(self) is type(other)
-                                 and self._hash == other._hash
-                                 and self.parts == other.parts)
-
-    __hash__ = _Formula.__hash__  # which defining __eq__ would unset
 
     def _key(self):
         return (_RANK[type(self)], "", tuple([p.key for p in self.parts]))
@@ -152,13 +144,6 @@ class Exists(_Node):
 
     def _kids(self):
         return (self.body,)
-
-    def __eq__(self, other):
-        return self is other or (type(self) is type(other)
-                                 and self._hash == other._hash
-                                 and self.body == other.body)
-
-    __hash__ = _Formula.__hash__  # which defining __eq__ would unset
 
     def _key(self):
         return (6, "", self.body.key)
@@ -203,9 +188,6 @@ class Signature:
             if s == sym:
                 return ar
         raise SyntaxError_(f"unknown relation symbol {sym!r}")
-
-
-EMPTY_SIGNATURE = Signature("empty", ())
 
 
 @dataclass(frozen=True)
@@ -311,7 +293,9 @@ def shift(phi, n):
 # each normal form And, Or or Exists is one node, so equal normal forms are
 # nearly always the same object.  normalize takes any tree, such as a parsed
 # one, to its normal form through the same constructors, and reindex builds
-# the normal form of a substitution through them without a raw tree.
+# the normal form of a substitution through them without a raw tree.  Raw
+# trees are made only by the parser, build_lattice_theory and the derivation
+# checker (tests/test_normal_form_edge.py).
 
 _NODES = {And: {}, Or: {}, Exists: {}}  # interned nodes by parts or body
 _LAWS = {And: (TOP, BOT), Or: (BOT, TOP)}  # (unit, zero) of each junction
@@ -493,8 +477,6 @@ _TOKEN = re.compile(
     r"\s*(?:(?P<comment>#[^\n]*)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"
     r"|(?P<punct>\|-|[()\[\]{},.&|=/])|(?P<num>[0-9]+))"
 )
-
-_KEYWORDS = {"theory", "sig", "axiom", "true", "false", "exists"}
 
 # Parentheses and existentials nested deeper than this are rejected: the
 # parser and every later pass over formulas recurse once per level.

@@ -30,14 +30,12 @@ from .syntax import (
     Theory,
     all_maps,
     check_formula,
-    conj,
     enum_formulas,
     exists,
     join,
     meet,
     normalize,
     reindex,
-    substitute,
 )
 
 
@@ -169,10 +167,10 @@ def requirement_sequents(g):
     dom = g.domain_formula()  # context k
 
     def eq_at(b1, b2, m):
-        return substitute(eqf, times_k((b1, b2), k), m * k)
+        return reindex(eqf, times_k((b1, b2), k), m * k)
 
     def dom_at(b, m):
-        return substitute(dom, times_k((b,), k), m * k)
+        return reindex(dom, times_k((b,), k), m * k)
 
     out = [
         ("eq_refl", Sequent(k, dom_at(1, 1), eq_at(1, 1, 1))),
@@ -180,31 +178,26 @@ def requirement_sequents(g):
             "eq_sym",
             Sequent(
                 2 * k,
-                conj([eq_at(1, 2, 2), dom_at(1, 2), dom_at(2, 2)]),
+                meet(eq_at(1, 2, 2), dom_at(1, 2), dom_at(2, 2)),
                 eq_at(2, 1, 2),
             ),
         ),
         (
             "eq_trans",
-            Sequent(3 * k, conj([eq_at(1, 2, 3), eq_at(2, 3, 3)]), eq_at(1, 3, 3)),
+            Sequent(3 * k, meet(eq_at(1, 2, 3), eq_at(2, 3, 3)), eq_at(1, 3, 3)),
         ),
     ]
     for sym, r in g.source.signature.relations:
-        gr = g.mapping[sym]  # context r*k
+        gr = normalize(g.mapping[sym])  # context r*k
         for i in range(1, r + 1):
             m = r + 1
             base = tuple(range(1, r * k + 1))
             moved = list(base)
             for t in range(k):
                 moved[(i - 1) * k + t] = r * k + t + 1
-            lhs = conj(
-                [
-                    substitute(gr, base, m * k),
-                    eq_at(i, r + 1, m),
-                    dom_at(r + 1, m),
-                ]
-            )
-            rhs = substitute(gr, tuple(moved), m * k)
+            lhs = meet(reindex(gr, base, m * k), eq_at(i, r + 1, m),
+                       dom_at(r + 1, m))
+            rhs = reindex(gr, tuple(moved), m * k)
             out.append((f"congruence_{sym}_{i}", Sequent(m * k, lhs, rhs)))
     return out
 
@@ -229,10 +222,8 @@ def check_interpretation(g, budgets=calculus.Budgets(), depth=2, ctxs=(0, 1, 2),
                 v = calculus.entails(g.source, Sequent(n, phi, psi), src_b)
                 if not isinstance(v, calculus.Proved):
                     continue
-                lhs = conj(
-                    [apply_interpretation(g, phi, n),
-                     g.domain_at_blocks(range(1, n * g.k + 1, g.k), n * g.k)]
-                )
+                lhs = meet(apply_interpretation(g, phi, n),
+                           g.domain_at_blocks(range(1, n * g.k + 1, g.k), n * g.k))
                 rhs = apply_interpretation(g, psi, n)
                 w = calculus.entails(g.target, Sequent(n * g.k, lhs, rhs), tgt_b)
                 report.add(w, (n, phi, psi, w))
@@ -265,10 +256,6 @@ def identity_2cell(g):
     return Morphism2Cell(g, g, g.equality_formula())
 
 
-def _shift_formula(phi, ctx, offset, new_ctx):
-    return substitute(phi, tuple(range(offset + 1, offset + ctx + 1)), new_ctx)
-
-
 def morphism_condition_sequents(theta, depth=1, cap=10, ctxs=(1, 2)):
     """The condition (1)-(5) proof obligations as target-theory sequents."""
     g, g2 = theta.source, theta.target
@@ -278,27 +265,27 @@ def morphism_condition_sequents(theta, depth=1, cap=10, ctxs=(1, 2)):
     # (1) domain(x) |- exists y. theta(x, y)
     rhs = th
     for _ in range(k2):
-        rhs = normalize(Exists(rhs))
+        rhs = exists(rhs)
     seqs.append(("(1)", Sequent(k, g.domain_formula(), rhs)))
     # (2) theta |- dom(x) /\ dom'(y)
     ctx = k + k2
     dom_x = g.domain_at_blocks([1], ctx)
     dom_y = g2.domain_at_blocks([k + 1], ctx)
-    seqs.append(("(2)", Sequent(ctx, th, conj([dom_x, dom_y]))))
+    seqs.append(("(2)", Sequent(ctx, th, meet(dom_x, dom_y))))
     # (3) theta(x,y) /\ Gamma(x=x')(x,x') |- theta(x',y)
     ctx = 2 * k + k2
-    th_xy = substitute(th, tuple(range(1, k + 1)) + tuple(range(2 * k + 1, ctx + 1)), ctx)
-    eq_xx = _shift_formula(g.equality_formula(), 2 * k, 0, ctx)
-    th_x2y = substitute(th, tuple(range(k + 1, 2 * k + 1)) + tuple(range(2 * k + 1, ctx + 1)), ctx)
-    seqs.append(("(3)", Sequent(ctx, conj([th_xy, eq_xx]), normalize(th_x2y))))
+    th_xy = reindex(th, tuple(range(1, k + 1)) + tuple(range(2 * k + 1, ctx + 1)), ctx)
+    eq_xx = reindex(g.equality_formula(), tuple(range(1, 2 * k + 1)), ctx)
+    th_x2y = reindex(th, tuple(range(k + 1, 2 * k + 1)) + tuple(range(2 * k + 1, ctx + 1)), ctx)
+    seqs.append(("(3)", Sequent(ctx, meet(th_xy, eq_xx), th_x2y)))
     # (4) theta(x,y) /\ Gamma'(y=y')(y,y') |- theta(x,y')
     ctx = k + 2 * k2
-    th_xy = substitute(th, tuple(range(1, k + k2 + 1)), ctx)
-    eq_yy = _shift_formula(g2.equality_formula(), 2 * k2, k, ctx)
-    th_xy2 = substitute(
+    th_xy = reindex(th, tuple(range(1, k + k2 + 1)), ctx)
+    eq_yy = reindex(g2.equality_formula(), tuple(range(k + 1, ctx + 1)), ctx)
+    th_xy2 = reindex(
         th, tuple(range(1, k + 1)) + tuple(range(k + k2 + 1, ctx + 1)), ctx
     )
-    seqs.append(("(4)", Sequent(ctx, conj([th_xy, eq_yy]), normalize(th_xy2))))
+    seqs.append(("(4)", Sequent(ctx, meet(th_xy, eq_yy), th_xy2)))
     # (5) Gamma(phi)(xs) /\ /\ theta(xi,yi) |- Gamma'(phi)(ys)
     for n in ctxs:
         formulas = enum_formulas(g.source.signature, n, depth, min(cap, 2000))
@@ -306,17 +293,15 @@ def morphism_condition_sequents(theta, depth=1, cap=10, ctxs=(1, 2)):
         xpos = tuple(range(1, n * k + 1))
         ypos = tuple(range(n * k + 1, ctx + 1))
         for phi in formulas:
-            gl = substitute(apply_interpretation(g, phi, n), xpos, ctx)
-            gr = substitute(apply_interpretation(g2, phi, n), ypos, ctx)
+            gl = reindex(apply_interpretation(g, phi, n), xpos, ctx)
+            gr = reindex(apply_interpretation(g2, phi, n), ypos, ctx)
             thetas = []
             for i in range(n):
                 f = tuple(range(i * k + 1, (i + 1) * k + 1)) + tuple(
                     range(n * k + i * k2 + 1, n * k + (i + 1) * k2 + 1)
                 )
-                thetas.append(substitute(th, f, ctx))
-            seqs.append(
-                (f"(5) n={n}", Sequent(ctx, conj([gl] + thetas), normalize(gr)))
-            )
+                thetas.append(reindex(th, f, ctx))
+            seqs.append((f"(5) n={n}", Sequent(ctx, meet(gl, *thetas), gr)))
     return seqs
 
 
@@ -338,19 +323,19 @@ def compose_2cells_vertical(eta, theta):
     g, gm, g2 = theta.source, theta.target, eta.target
     k, km, k2 = g.k, gm.k, g2.k
     ctx = k + k2 + km  # x, z, then bound y
-    th = substitute(
+    th = reindex(
         normalize(theta.formula),
         tuple(range(1, k + 1)) + tuple(range(k + k2 + 1, ctx + 1)),
         ctx,
     )
-    et = substitute(
+    et = reindex(
         normalize(eta.formula),
         tuple(range(k + k2 + 1, ctx + 1)) + tuple(range(k + 1, k + k2 + 1)),
         ctx,
     )
-    out = conj([th, et])
+    out = meet(th, et)
     for _ in range(km):
-        out = normalize(Exists(out))
+        out = exists(out)
     return Morphism2Cell(g, g2, out)
 
 
@@ -367,15 +352,15 @@ def compose_2cells_horizontal(eta, theta):
     d_theta = apply_interpretation(dl, theta.formula, k + k2)  # ctx (k+k2)*l
     xpos = tuple(range(1, k * l + 1))
     ypos = tuple(range(k * l + k2 * l2 + 1, ctx + 1))
-    parts = [substitute(d_theta, xpos + ypos, ctx)]
+    parts = [reindex(d_theta, xpos + ypos, ctx)]
     et = normalize(eta.formula)  # ctx l + l2
     for i in range(k2):
         yi = tuple(range(k * l + k2 * l2 + i * l + 1, k * l + k2 * l2 + (i + 1) * l + 1))
         zi = tuple(range(k * l + i * l2 + 1, k * l + (i + 1) * l2 + 1))
-        parts.append(substitute(et, yi + zi, ctx))
-    out = conj(parts)
+        parts.append(reindex(et, yi + zi, ctx))
+    out = meet(*parts)
     for _ in range(k2 * l):
-        out = normalize(Exists(out))
+        out = exists(out)
     return Morphism2Cell(src, tgt, out)
 
 
@@ -383,10 +368,8 @@ def equal_2cells(a, b, budgets=calculus.Budgets()):
     """Equality of 2-cells = equivalence of formulas modulo the target theory."""
     if a.source.k != b.source.k or a.target.k != b.target.k:
         return calculus.EquivalenceVerdict("Inequivalent", None, None)
-    t = a.source.target
-    return calculus.equivalent(
-        t, normalize(a.formula), normalize(b.formula), a.source.k + a.target.k, budgets
-    )
+    ctx = a.source.k + a.target.k
+    return calculus.equivalent(a.source.target, a.formula, b.formula, ctx, budgets)
 
 
 # ---------------------------------------------------------------------------

@@ -226,12 +226,51 @@ MALFORMED = {
     "presentation-hom-arity-missing": ("thf", "validate", {
         "cutoff": 0, "lattices": {"0": {"elements": 1, "leq": [[0, 0]]}},
         "homs": {"0->1:[]": [0]}}),
+    # inputs that are read with named errors rather than a KeyError or a
+    # ValueError.  A case whose argv names {input} takes the file there,
+    # bytes are written as they are, and None writes no file
+    "input-not-utf8": ("duality", "--poset", b'{"elements": 1}\xff'),
+    "poset-leq-missing": ("duality", "--poset", {"elements": 2}),
+    "model-carrier-missing": ("eval", {"relations": {}}),
+    "presentation-homs-missing": ("thf", "validate", {"cutoff": 0, "lattices": {}}),
+    "map-values-missing": ("check-frobenius", "--map", {
+        "source": {"elements": 1, "leq": [[0, 0]]},
+        "target": {"elements": 1, "leq": [[0, 0]]},
+    }),
+    "eval-args-not-int": ("eval", "{pqr}", "{input}", "P(x)", "--vars", "x",
+                          "--args", "a", {"carrier": 2, "relations": {}}),
+    "span-leg-not-int": ("check-bc", "--theory", "{pqr}", "--pushout", "1<-1->1",
+                         "--left", "a", "--right", "1", None),
+    "generator-key-not-arity": ("thf", "build", "{pqr}", "--out", "{out}",
+                                "--generators", {"x": []}),
+    "presentation-lattice-key-not-arity": ("thf", "validate", {
+        "cutoff": 0, "lattices": {"x": {"elements": 1, "leq": [[0, 0]]}},
+        "homs": {}}),
+    "presentation-hom-key-empty-entry": ("thf", "validate", {
+        "cutoff": 0, "lattices": {"0": {"elements": 1, "leq": [[0, 0]]}},
+        "homs": {"0->0:[1,,2]": [0]}}),
 }
+PRESENTATION_SHAPE = ("error: a presentation needs a natural-number cutoff, "
+                      "an object of lattices by arity and an object of hom "
+                      "value lists\n")
 # the error line of cases whose message is pinned
 MALFORMED_MESSAGE = {
     "presentation-lattice-missing": "error: no lattice for arity 1\n",
     "presentation-hom-arity-missing":
         "error: hom '0->1:[]' names arity 1, which has no lattice\n",
+    "input-not-utf8":
+        "error: {input} is not utf-8 text: invalid start byte\n",
+    "poset-leq-missing": "error: a poset needs a natural number of elements "
+                         "and a list of leq pairs\n",
+    "map-values-missing": "error: the values must be a JSON list\n",
+    "model-carrier-missing": "error: a model needs a natural-number carrier and "
+                             "an object of relations\n",
+    "presentation-homs-missing": PRESENTATION_SHAPE,
+    "presentation-lattice-key-not-arity": PRESENTATION_SHAPE,
+    "eval-args-not-int": "error: --args must be comma-separated integers\n",
+    "span-leg-not-int": "error: map 'a' is not a function [1] -> [1]\n",
+    "generator-key-not-arity": "error: generator key 'x' is not an arity\n",
+    "presentation-hom-key-empty-entry": "error: bad hom key '0->0:[1,,2]'\n",
 }
 
 
@@ -239,17 +278,36 @@ MALFORMED_MESSAGE = {
 def test_malformed_json_is_input_error(capsys, pqr_file, tmp_path, case):
     *argv, obj = MALFORMED[case]
     f = tmp_path / "input.json"
-    f.write_text(json.dumps(obj))
+    if isinstance(obj, bytes):
+        f.write_bytes(obj)
+    elif obj is not None:
+        f.write_text(json.dumps(obj))
     if argv == ["eval"]:
         argv = ["eval", pqr_file, str(f), "P(x)", "--vars", "x", "--args", "0"]
     else:
-        argv = [a.format(pqr=pqr_file, out=tmp_path / "out.json") for a in argv]
-        argv.append(str(f))
+        names = dict(pqr=pqr_file, out=tmp_path / "out.json", input=f)
+        if obj is not None and "{input}" not in argv:
+            argv.append("{input}")
+        argv = [a.format(**names) for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert err.startswith("error:") and "Traceback" not in err
     if case in MALFORMED_MESSAGE:
-        assert err == MALFORMED_MESSAGE[case]
+        assert err == MALFORMED_MESSAGE[case].format(input=f)
+
+
+def test_internal_errors_are_not_input_errors(monkeypatch, empty_file):
+    """A KeyError or ValueError raised by a bug propagates out of main
+    instead of exiting 3 as if the input were bad."""
+    from cohlogic import typespace
+
+    for exc in (KeyError("bug"), ValueError("bug")):
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(typespace, "compute_typespace", broken)
+        with pytest.raises(type(exc)):
+            cli.main(["typespace", empty_file])
 
 
 def test_models(capsys, pqr_file):

@@ -80,6 +80,10 @@ def reference_axiom_instances(t, n):
 class ReferenceProver(_Prover):
     """The search with a flat memo and linear scans of the instances."""
 
+    def __init__(self, t, budgets):
+        super().__init__(t, budgets)
+        self.in_progress = set()
+
     def derive(self, n, lhs, rhs, depth):
         key = (n, lhs, rhs)
         if key in self.memo:

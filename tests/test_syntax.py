@@ -226,3 +226,15 @@ def test_enum_formulas_small():
     assert all(formula_depth(p) <= 1 for p in fs1)
     # deterministic, simplest first
     assert fs1[0] == TOP or fs1[0] == BOT
+
+
+def test_equality_is_structural_when_hashes_collide():
+    # hash(-1) == hash(-2) in CPython: these formulas differ with one hash
+    a, b = Atom("P", (-1,)), Atom("P", (-2,))
+    assert hash(a) == hash(b) and a != b
+    for cls in (And, Or):
+        assert hash(cls((a, TOP))) == hash(cls((b, TOP)))
+        assert cls((a, TOP)) != cls((b, TOP))
+        assert cls((a, TOP)) == cls((Atom("P", (-1,)), TOP))
+    assert hash(Exists(a)) == hash(Exists(b)) and Exists(a) != Exists(b)
+    assert Exists(a) == Exists(Atom("P", (-1,)))
