@@ -668,6 +668,9 @@ def presentation_from_json(obj):
             raise InternalLogicError(f"bad hom key {key!r}")
         n, mm = int(m.group(1)), int(m.group(2))
         f = tuple(int(x) for x in m.group(3).split(",")) if m.group(3) else ()
+        if len(f) != n or not all(1 <= v <= mm for v in f):
+            raise InternalLogicError(f"hom {key!r} is not an index map "
+                                     f"{n} -> {mm}")
         for a in (n, mm):
             if a not in lattices:
                 raise InternalLogicError(f"hom {key!r} names arity {a}, "

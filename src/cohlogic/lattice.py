@@ -69,8 +69,13 @@ class FinPoset:
         return out
 
     def canonical(self):
-        """Lexicographically minimal leq encoding over all relabelings."""
-        return (self.n, min(relabelings(self.n, _leq_code(self.leq))))
+        """Lexicographically minimal leq encoding over all relabelings,
+        found by ``_canonical_step`` without trying each of them."""
+        downs = [sum(1 << i for i in range(self.n) if self.leq[i][x])
+                 for x in range(self.n)]
+        best = []
+        _canonical_step(self.up_bits, downs, (), (1 << self.n) - 1, (), best)
+        return (self.n, _leq_code(self.leq)(best[1]))
 
 
 def bit_positions(x):
@@ -81,8 +86,10 @@ def bit_positions(x):
 def relabelings(n, code):
     """code(perm) for each permutation perm of range(n), lazily, in the order
     of ``itertools.permutations``; code(perm) encodes one object relabelled
-    by perm.  Isomorphism checks and canonical forms read this sequence,
-    except that model generation closes orbits under generators instead."""
+    by perm.  Orbit marking, ``poset_iso`` and the canonical forms of models
+    read this sequence.  Canonical forms of posets come from
+    ``_canonical_step`` instead, and model generation closes orbits under
+    generators."""
     return map(code, permutations(range(n)))
 
 
@@ -91,6 +98,51 @@ def _leq_code(leq):
     columns taken in the order of perm, flattened to bytes.  Bytes of 0 and
     1 order like the tuple of bools."""
     return lambda perm: bytes([leq[a][b] for a in perm for b in perm])
+
+
+def _canonical_step(ups, downs, prefix, rest, rows, best):
+    """One node of the search for the least ``_leq_code`` over all
+    relabelings, a branch and bound after McKay and Piperno's ordered
+    partition refinement.  The code is row-major, so the least code has the
+    least row 0, then the least row 1, and so on.
+
+    ``prefix`` holds the points placed at positions 0..k-1, and ``rest``
+    the others as a bit set.  Position k takes a point x of ``rest``, and
+    its least row is leq[x][prefix], then 1, then the points of ``rest``
+    not above x before those above x.  A point x below some z of ``rest``
+    never has the least row: z is below no placed point that x is not
+    below, and z is above fewer points of ``rest``.  So x is maximal in
+    ``rest``, the refinement's cell ``rest`` never splits, and the row is
+    leq[x][prefix] then 1 then zeros: the rows compare by their first k
+    bits, kept in ``rows`` as integers.  Only the x whose bits are least
+    stay; ties branch.  A node whose rows exceed those of the best complete
+    code ``best`` = [rows, perm] is pruned.  Twins, points of equal strict
+    up- and down-sets, are swapped by an automorphism that fixes the
+    prefix, so only the first of them is tried."""
+    if not rest:
+        if not best or rows < best[0]:
+            best[:] = [rows, prefix]
+        return
+    least, tied = None, []
+    for x in bit_positions(rest):
+        if ups[x] & rest != 1 << x:
+            continue
+        row = 0
+        for p in prefix:
+            row = row << 1 | downs[p] >> x & 1
+        if least is None or row < least:
+            least, tied = row, [x]
+        elif row == least:
+            tied.append(x)
+    rows += (least,)
+    if best and rows > best[0][:len(rows)]:
+        return
+    tried = set()
+    for x in tied:
+        twin = (ups[x] & ~(1 << x), downs[x] & ~(1 << x))
+        if twin not in tried:
+            tried.add(twin)
+            _canonical_step(ups, downs, prefix + (x,), rest & ~(1 << x), rows, best)
 
 
 def poset_from_pairs(n, pairs):

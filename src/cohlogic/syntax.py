@@ -498,7 +498,8 @@ class _Tokens:
                         f"unexpected character {stripped[0]!r}", lineno, pos + 1
                     )
                 if m.lastgroup != "comment":
-                    self.toks.append((m.group(m.lastgroup), lineno, m.start() + 1))
+                    self.toks.append((m.group(m.lastgroup), lineno,
+                                      m.start(m.lastgroup) + 1))
                 pos = m.end()
             self.toks.append(("\n", lineno, len(line) + 1))
         self.pos = 0
@@ -667,6 +668,9 @@ def parse_sequent(text, sig):
     return s
 
 
+_KEYWORDS = frozenset({"true", "false", "exists", "theory", "sig", "axiom"})
+
+
 def parse_theory(text):
     """Parse theory source text; see the grammar in the README."""
     toks = _Tokens(text)
@@ -688,6 +692,9 @@ def parse_theory(text):
                 sym = toks.next()
                 if sym is None or not (sym[0].isalpha() or sym[0] == "_"):
                     raise SyntaxError_("expected relation symbol", sline, scol)
+                if sym in _KEYWORDS:
+                    raise SyntaxError_(f"keyword {sym!r} is not a relation symbol",
+                                       sline, scol)
                 toks.expect("/")
                 aline, acol = toks.loc()
                 ar = toks.next()

@@ -163,6 +163,15 @@ def test_prove_deep_nesting_is_input_error(capsys, pqr_file):
     assert "nesting" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("word", ["true", "false", "exists", "theory", "sig", "axiom"])
+def test_keyword_symbol_is_input_error(capsys, tmp_path, word):
+    p = tmp_path / "kw.thy"
+    p.write_text(f"theory t\nsig {{ P/1, {word}/0 }}\naxiom [] {word} |- false\n")
+    code, _, err = run(capsys, "parse", str(p))
+    assert code == 3
+    assert err == f"error: 2:12: keyword {word!r} is not a relation symbol\n"
+
+
 def test_eval(capsys, pqr_file, tmp_path):
     m = tmp_path / "m.json"
     m.write_text(json.dumps(
@@ -249,6 +258,10 @@ MALFORMED = {
     "presentation-hom-key-empty-entry": ("thf", "validate", {
         "cutoff": 0, "lattices": {"0": {"elements": 1, "leq": [[0, 0]]}},
         "homs": {"0->0:[1,,2]": [0]}}),
+    "presentation-hom-key-not-index-map": ("thf", "validate", {
+        "cutoff": 1,
+        "lattices": {n: {"elements": 2, "leq": [[0, 0], [0, 1], [1, 1]]} for n in "01"},
+        "homs": {"1->0:[7]": [0, 1]}}),
 }
 PRESENTATION_SHAPE = ("error: a presentation needs a natural-number cutoff, "
                       "an object of lattices by arity and an object of hom "
@@ -271,6 +284,8 @@ MALFORMED_MESSAGE = {
     "span-leg-not-int": "error: map 'a' is not a function [1] -> [1]\n",
     "generator-key-not-arity": "error: generator key 'x' is not an arity\n",
     "presentation-hom-key-empty-entry": "error: bad hom key '0->0:[1,,2]'\n",
+    "presentation-hom-key-not-index-map":
+        "error: hom '1->0:[7]' is not an index map 1 -> 0\n",
 }
 
 

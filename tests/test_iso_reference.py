@@ -1,11 +1,14 @@
 """Differential tests: isomorphism checks against the plain permutation
 loops.
 
-The package answers every isomorphism question through
-``lattice.relabelings``.  The four loops over all permutations it replaced
-are kept here as references: the canonical forms of models and of posets,
-``poset_iso`` and orbit marking.  Canonical forms, orders, isomorphisms and
-orbits must be the same.
+The package answers isomorphism questions through ``lattice.relabelings``,
+except the canonical form of a poset, which a search by ordered partition
+refinement finds without trying every relabeling.  The four loops over all
+permutations these replaced are kept here as references: the canonical
+forms of models and of posets, ``poset_iso`` and orbit marking.  Canonical
+forms, orders, isomorphisms and orbits must be the same.  The poset
+canonical form is also compared on random labellings and on posets with
+many automorphisms, where the search ties most.
 
 The nested loops that validated posets and lattices, the search for each
 meet and join among all lower and upper bounds, and the scan for up-sets
@@ -16,7 +19,9 @@ matrices with the same first witness, and up-sets come in the same order.
 import math
 import random
 from collections import Counter
-from itertools import permutations
+from functools import cache
+from itertools import chain, permutations
+from operator import itemgetter
 
 import pytest
 
@@ -42,10 +47,14 @@ def reference_model_canonical(m):
 
 def reference_poset_canonical(p):
     """``FinPoset.canonical`` as a loop over all relabelings, with the leq
-    encoding a tuple of bools."""
+    encoding a tuple of bools: the rows, and in each row the columns, taken
+    in the order of perm."""
+    if p.n < 2:  # itemgetter needs two indices to return a tuple
+        return (p.n, tuple(chain.from_iterable(p.leq)))
     best = None
     for perm in permutations(range(p.n)):
-        enc = tuple(p.leq[perm[i]][perm[j]] for i in range(p.n) for j in range(p.n))
+        pick = itemgetter(*perm)
+        enc = tuple(chain.from_iterable(map(pick, pick(p.leq))))
         if best is None or enc < best:
             best = enc
     return (p.n, best)
@@ -102,6 +111,57 @@ def test_poset_canonical_matches_reference(generate):
         [(n, bytes(enc)) for n, enc in map(reference_poset_canonical, got)]
 
 
+@cache
+def _all_posets(max_n):
+    """``lattice.all_posets``, built once for the tests that read it."""
+    return lattice.all_posets(max_n)
+
+
+def _reference_key(p):
+    """``reference_poset_canonical`` with the encoding as bytes, the type
+    ``FinPoset.canonical`` returns."""
+    n, enc = reference_poset_canonical(p)
+    return (n, bytes(enc))
+
+
+def test_poset_canonical_of_random_labellings():
+    rng = random.Random(15)
+    for p in _all_posets(6):
+        q = FinPoset(p.n, _relabel(p.leq, rng.sample(range(p.n), p.n)))
+        assert q.canonical() == _reference_key(q) == p.canonical(), q.leq
+
+
+def test_dist_lattice_canonical_matches_reference():
+    got = lattice.all_dist_lattices(8)
+    keys = [_reference_key(l.poset) for l in got]
+    assert len(got) == 36
+    assert keys == sorted(set(keys))  # sorted, one lattice per class
+    assert [l.canonical() for l in got] == keys
+
+
+def _equal_chains(k, m):
+    """k disjoint chains of m points, chain c on the points c, c + k, ...,
+    c + (m - 1)k."""
+    n = k * m
+    return FinPoset(n, [[a % k == b % k and a <= b for b in range(n)]
+                        for a in range(n)])
+
+
+# posets with many automorphisms, where the search ties most; the Boolean
+# lattice goes through ``FinDistLattice.canonical``
+SYMMETRIC = {f"antichain{n}": lattice.discrete_poset(n) for n in range(1, 8)}
+SYMMETRIC.update({f"chains{k}x{m}": _equal_chains(k, m)
+                  for k, m in ((2, 2), (3, 2), (4, 2), (2, 3), (2, 4))})
+SYMMETRIC["boolean8"] = FinDistLattice(8, [[a & b == a for b in range(8)]
+                                           for a in range(8)])
+
+
+@pytest.mark.parametrize("name", SYMMETRIC)
+def test_symmetric_canonical_matches_reference(name):
+    p = SYMMETRIC[name]
+    assert p.canonical() == _reference_key(getattr(p, "poset", p))
+
+
 def _labelled_posets(max_n):
     """Every poset on at most max_n points, labelled: each class in each of
     its labellings."""
@@ -124,7 +184,7 @@ def reference_up_sets(p):
 
 
 def test_up_sets_match_reference():
-    for p in _labelled_posets(4) + lattice.all_posets(6):
+    for p in _labelled_posets(4) + _all_posets(6):
         assert p.up_sets() == reference_up_sets(p)
 
 

@@ -2,6 +2,8 @@ from itertools import product
 
 import pytest
 
+from test_iso_reference import reference_poset_canonical
+
 from cohlogic.lattice import (
     FinDistLattice,
     FinPoset,
@@ -254,10 +256,11 @@ def _downset_lattice(p):
 
 def reference_all_dist_lattices(max_n):
     """all_dist_lattices as first written: every grown poset is
-    canonicalised before its down-set count is tested."""
+    canonicalised before its down-set count is tested.  Its key is the loop
+    over all relabelings, so it does not share the code under test."""
     out = []
     frontier = [FinPoset(0, [])]
-    seen = {FinPoset(0, []).canonical()}
+    seen = {reference_poset_canonical(FinPoset(0, []))}
     while frontier:
         nxt = []
         for p in frontier:
@@ -274,14 +277,14 @@ def reference_all_dist_lattices(max_n):
                     q = FinPoset(p.n + 1, leq)
                 except LatticeError:
                     continue
-                key = q.canonical()
+                key = reference_poset_canonical(q)
                 if key in seen:
                     continue
                 seen.add(key)
                 if _count_downsets(q) <= max_n:
                     nxt.append(q)
         frontier = nxt
-    out.sort(key=lambda l: l.canonical())
+    out.sort(key=lambda l: reference_poset_canonical(l.poset))
     return out
 
 

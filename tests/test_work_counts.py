@@ -1,4 +1,5 @@
-"""Deterministic work counts of the proof search, pinned by equality.
+"""Deterministic work counts of the proof search and of the search for
+canonical forms of posets, pinned by equality.
 
 ``work_counts`` starts from ``clear_caches()`` and decides the sequents of
 the ``tests/test_prover_reference.py`` corpus, on pqr, peq and the two
@@ -14,9 +15,13 @@ still handed to ``normalize``: the sequents, the two sides of each axiom
 and the raw substitutions of the derivation checker.  The search and the
 axiom instances substitute with ``syntax.reindex``.
 
+``canonical_steps`` counts the calls of ``lattice._canonical_step``, one
+per node of the search tree, while ``all_posets(6)`` and
+``all_dist_lattices(8)`` sort their results by canonical form.
+
 Print the counts of the checkout with
 
-    PYTHONPATH=src:tests python tests/test_work_counts.py
+    PYTHONPATH=src:tests python tests/test_work_counts.py [canonical]
 """
 
 import json
@@ -28,9 +33,10 @@ from pathlib import Path
 
 import pytest
 
-from cohlogic import calculus, syntax
+from cohlogic import calculus, lattice, syntax
 
 EXPECTED = {"normalize_cache": 798, "interned": 3385, "calls": 2201}
+CANONICAL_EXPECTED = {"all_posets(6)": 5103, "all_dist_lattices(8)": 351}
 
 
 def work_counts():
@@ -58,15 +64,56 @@ def work_counts():
     }
 
 
-@pytest.mark.parametrize("seed", ["0", "1", "77"])
-def test_prover_work_counts(seed):
+def _count_steps(patch):
+    """Route ``lattice._canonical_step``, whose recursion goes through the
+    module name, through a counter that ``patch(lattice, name, value)``
+    installs; returns the count as a one-item list."""
+    step, count = lattice._canonical_step, [0]
+
+    def counted(*args):
+        count[0] += 1
+        return step(*args)
+
+    patch(lattice, "_canonical_step", counted)
+    return count
+
+
+def canonical_steps():
+    count, out = _count_steps(setattr), {}  # this runs only in its own interpreter
+    for generate, n in ((lattice.all_posets, 6), (lattice.all_dist_lattices, 8)):
+        count[0] = 0
+        generate(n)
+        out[f"{generate.__name__}({n})"] = count[0]
+    return out
+
+
+def _counts_in_fresh_interpreter(seed, *argv):
     here = Path(__file__).parent
     path = os.pathsep.join([str(here.parent / "src"), str(here)])
     env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
-    out = subprocess.run([sys.executable, str(Path(__file__))], env=env,
+    out = subprocess.run([sys.executable, str(Path(__file__)), *argv], env=env,
                          capture_output=True, text=True, timeout=60, check=True)
-    assert json.loads(out.stdout) == EXPECTED
+    return json.loads(out.stdout)
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "77"])
+def test_prover_work_counts(seed):
+    assert _counts_in_fresh_interpreter(seed) == EXPECTED
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "77"])
+def test_canonical_step_counts(seed):
+    assert _counts_in_fresh_interpreter(seed, "canonical") == CANONICAL_EXPECTED
+
+
+def test_antichain_canonical_steps(monkeypatch):
+    # every point of an antichain is a twin of every other, so the search
+    # tries one point per position: one step per position and the leaf
+    count = _count_steps(monkeypatch.setattr)
+    lattice.discrete_poset(8).canonical()
+    assert count[0] <= 9
 
 
 if __name__ == "__main__":
-    print(json.dumps(work_counts()))
+    print(json.dumps(canonical_steps() if sys.argv[1:] == ["canonical"]
+                     else work_counts()))
