@@ -434,8 +434,10 @@ class _Prover:
 
     def derive(self, n, lhs, rhs, depth):
         proved = self.memo.get((n, rhs))
-        if proved is not None and lhs in proved:
-            return proved[lhs]
+        if proved is not None:
+            d = proved.get(lhs)  # a stored derivation is never None
+            if d is not None:
+                return d
         if depth <= 0 or depth <= self.fail_depth.get((n, lhs, rhs), 0):
             return None
         self.calls += 1

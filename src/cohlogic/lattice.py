@@ -10,7 +10,7 @@ derived and validated on construction.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import islice, permutations, product
+from itertools import islice, product
 
 
 class LatticeError(Exception):
@@ -69,13 +69,17 @@ class FinPoset:
         return out
 
     def canonical(self):
-        """Lexicographically minimal leq encoding over all relabelings,
-        found by ``_canonical_step`` without trying each of them."""
+        """The isomorphism key: the lexicographically minimal leq encoding
+        over all relabellings, found by ``_canonical_step`` without trying
+        each of them.  A relabelling perm encodes the leq matrix with its
+        rows and columns taken in the order of perm, flattened to bytes;
+        bytes of 0 and 1 order like the tuple of bools."""
         downs = [sum(1 << i for i in range(self.n) if self.leq[i][x])
                  for x in range(self.n)]
         best = []
         _canonical_step(self.up_bits, downs, (), (1 << self.n) - 1, (), best)
-        return (self.n, _leq_code(self.leq)(best[1]))
+        perm = best[1]
+        return (self.n, bytes([self.leq[a][b] for a in perm for b in perm]))
 
 
 def bit_positions(x):
@@ -83,28 +87,12 @@ def bit_positions(x):
     return [j for j in range(x.bit_length()) if x >> j & 1]
 
 
-def relabelings(n, code):
-    """code(perm) for each permutation perm of range(n), lazily, in the order
-    of ``itertools.permutations``; code(perm) encodes one object relabelled
-    by perm.  Orbit marking, ``poset_iso`` and the canonical forms of models
-    read this sequence.  Canonical forms of posets come from
-    ``_canonical_step`` instead, and model generation closes orbits under
-    generators."""
-    return map(code, permutations(range(n)))
-
-
-def _leq_code(leq):
-    """The poset encoding: code(perm) is the leq matrix with its rows and
-    columns taken in the order of perm, flattened to bytes.  Bytes of 0 and
-    1 order like the tuple of bools."""
-    return lambda perm: bytes([leq[a][b] for a in perm for b in perm])
-
-
 def _canonical_step(ups, downs, prefix, rest, rows, best):
-    """One node of the search for the least ``_leq_code`` over all
-    relabelings, a branch and bound after McKay and Piperno's ordered
-    partition refinement.  The code is row-major, so the least code has the
-    least row 0, then the least row 1, and so on.
+    """One node of the search for the least leq encoding over all
+    relabellings (see ``FinPoset.canonical``), a branch and bound after
+    McKay and Piperno's ordered partition refinement.  The code is
+    row-major, so the least code has the least row 0, then the least row 1,
+    and so on.
 
     ``prefix`` holds the points placed at positions 0..k-1, and ``rest``
     the others as a bit set.  Position k takes a point x of ``rest``, and
@@ -254,27 +242,23 @@ def _poset_levels(keep):
     point.  Every poset on n + 1 points arises so, by deleting a maximal
     point.  A grown poset q is kept, and grown further, only when keep(q)
     holds, so keep must fail again on every poset grown from one it
-    rejects.  keep must not tell isomorphic posets apart: a grown poset
-    isomorphic to one kept earlier is dropped unseen.  A level is grown
-    only when the next list is asked for."""
+    rejects.  keep is asked first, and only a poset it accepts is keyed by
+    ``canonical()``: the first of each key is kept, and a later one is
+    dropped unseen, so keep must not tell isomorphic posets apart.  A
+    level is grown only when the next list is asked for."""
     level = [FinPoset(0, [])]
     while level:
         yield level
-        nxt, seen = [], set()
+        nxt = {}
         for p in level:
             # the new point p.n lies above the down-closure of each subset
             for bits in range(1 << p.n):
                 leq = tuple(row + (any(row[i] for i in range(p.n) if bits >> i & 1),)
                             for row in p.leq) + ((False,) * p.n + (True,),)
-
-                code = _leq_code(leq)
-                if code(range(p.n + 1)) in seen:
-                    continue
                 q = FinPoset(p.n + 1, leq)
-                if keep(q):  # mark the orbit of q
-                    seen.update(relabelings(q.n, code))
-                    nxt.append(q)
-        level = nxt
+                if keep(q):
+                    nxt.setdefault(q.canonical(), q)
+        level = list(nxt.values())
 
 
 def all_posets(max_n):
@@ -367,21 +351,6 @@ class FinDistLattice:
 
 def chain(n):
     return FinDistLattice(n, [[i <= j for j in range(n)] for i in range(n)])
-
-
-def poset_iso(p1, p2):
-    """An order isomorphism p1 -> p2 as a tuple, or None; lattices are
-    compared as posets.  It is the first perm, in the order of
-    ``relabelings``, that relabels p2 into p1's encoding."""
-    if p1.n != p2.n:
-        return None
-    goal, code = _leq_code(p1.leq)(range(p1.n)), _leq_code(p2.leq)
-    # relabelings(n, tuple) are the permutations themselves
-    return next((perm for perm in relabelings(p1.n, tuple) if code(perm) == goal),
-                None)
-
-
-lattice_iso = poset_iso
 
 
 class LatticeHom(_Map):

@@ -18,7 +18,7 @@ from functools import cache
 from itertools import product
 from types import SimpleNamespace
 
-from .lattice import bit_positions, relabelings
+from .lattice import bit_positions
 from .syntax import (
     And,
     Atom,
@@ -67,18 +67,6 @@ class FiniteModel:
     def __repr__(self):
         rels = {s: sorted(r) for s, r in sorted(self.tables.items())}
         return f"FiniteModel(size={self.size}, tables={rels})"
-
-    def canonical(self):
-        """Minimal relabeling of the relation tables; isomorphism invariant."""
-        syms = sorted(self.tables)
-
-        def code(perm):
-            return tuple(
-                tuple(sorted(tuple(perm[v] for v in row) for row in self.tables[s]))
-                for s in syms
-            )
-
-        return (self.size, tuple(syms), min(relabelings(self.size, code)))
 
     def ext(self, phi, ctx):
         """Extension of phi in context ctx as a frozenset of ctx-tuples,
@@ -299,7 +287,7 @@ def _model_masks(size, blocks, axioms):
 def _orbit(code, moves):
     """The codes of every relabelling of one encoded object: the closure of
     code under moves, functions that relabel a code by each of a set of
-    permutations that generate all of them."""
+    relabellings that generate all of them."""
     out, todo = {code}, [code]
     while todo:
         x = todo.pop()
@@ -328,8 +316,7 @@ def _relabeller(size, blocks, perm):
 
 def _classes(t, size):
     """(key, model) for each isomorphism class of models of t of one size,
-    ascending by key, the model's ``FiniteModel.canonical``; see
-    ``enumerate_models``."""
+    ascending by key, the class key of ``enumerate_models``."""
     blocks, off = [], 0
     for sym, ar in t.signature.relations:
         rows = list(product(range(size), repeat=ar))
@@ -370,16 +357,17 @@ def enumerate_models(t, max_size):
     ``product`` order; bit i is slot i.  ``_model_masks`` gives the models
     in ascending mask order, and the first of a class, its representative,
     marks its orbit: the closure of its mask under relabelling by a
-    transposition and a full cycle, which generate all permutations.  So
+    transposition and a full cycle, which generate every relabelling.  So
     every later mask of the class is skipped unbuilt.
 
-    The key of a class is ``FiniteModel.canonical``, the least code over
-    all permutations of the relabelled tables, which list the rows of each
-    symbol in sorted-symbol order.  A permutation's code depends only on the
-    relabelled tables, which the relabelled mask is, so the least code is
-    the least over the distinct masks of the orbit.  Within a symbol's
-    block the set bits come in row order, so codes compare as tuples of
-    slot indices."""
+    The key of a class is (size, symbols, code) with the symbols sorted and
+    code the least over all relabellings of the model's tables: a
+    relabelling's code lists, for each symbol in sorted order, its
+    relabelled rows in ascending order.  Isomorphic models, and only they,
+    have equal keys.  A relabelling's code depends only on the relabelled
+    tables, which the relabelled mask is, so the least code is the least
+    over the distinct masks of the orbit.  Within a symbol's block the set
+    bits come in row order, so codes compare as tuples of slot indices."""
     for size in range(max_size + 1):
         bits = sum(size ** ar for _, ar in t.signature.relations)
         if bits > GUARD_BITS:

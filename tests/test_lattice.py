@@ -25,12 +25,10 @@ from cohlogic.lattice import (
     is_open_map,
     k_o,
     lattice_from_json,
-    lattice_iso,
     lattice_to_json,
     left_adjoint,
     monotone_maps,
     poset_from_pairs,
-    poset_iso,
     prime_filters,
     spec,
     universal_map_surjective,
@@ -86,11 +84,12 @@ def test_spec_diamond_is_discrete():
 
 def test_k_o_examples():
     l1, _ = k_o(discrete_poset(1))
-    assert lattice_iso(l1, chain(2))
+    assert l1.canonical() == chain(2).canonical()
     l2, _ = k_o(discrete_poset(2))
-    assert lattice_iso(l2, diamond())
+    assert l2.canonical() == diamond().canonical()
     l3, _ = k_o(poset_from_pairs(2, [(0, 1)]))
-    assert lattice_iso(l3, chain(3))
+    assert l3.canonical() == chain(3).canonical()
+    assert chain(4).canonical() != diamond().canonical()
 
 
 def test_duality_roundtrips_basic():
@@ -296,12 +295,6 @@ def test_all_dist_lattices_match_reference(max_n):
     assert got == want
 
 
-def test_lattice_iso_is_poset_iso():
-    assert lattice_iso is poset_iso
-    assert lattice_iso(chain(3), diamond()) is None
-    assert lattice_iso(diamond(), diamond()) is not None
-
-
 def test_prime_filters_diamond():
     fs = prime_filters(diamond())
     assert fs == [frozenset({1, 3}), frozenset({2, 3})]
@@ -310,13 +303,6 @@ def test_prime_filters_diamond():
 def test_lattice_json_roundtrip():
     l = diamond()
     assert lattice_from_json(lattice_to_json(l)) == l
-
-
-def test_poset_iso():
-    p1 = poset_from_pairs(2, [(0, 1)])
-    p2 = poset_from_pairs(2, [(1, 0)])
-    assert poset_iso(p1, p2) is not None
-    assert poset_iso(p1, discrete_poset(2)) is None
 
 
 def _prime_filters_brute(l):

@@ -6,16 +6,20 @@ first of every class.  ``orbit_marking_reference`` is the generation that
 ``enumerate_models`` replaced: partial tables pruned by monotonicity with
 every axiom re-evaluated at every search node, and two passes over all
 relabelings per class, one to mark the orbit and one to canonicalise.
-``reference_poset_levels`` grows posets by a new maximal point and
-canonicalises every grown poset.  The fast versions prune partial tables
-and mark whole orbits instead, and must give the same objects: the same
-models with the same tables, the same representatives and the same order.
+Both take the class key as ``reference_model_canonical``, a loop over all
+relabelings.  ``reference_poset_levels`` grows posets by a new maximal
+point and marks the whole orbit of every poset it keeps.  The fast versions
+close orbits under generators and key each kept poset by its canonical
+form instead, and must give the same objects: the same models with the
+same tables, the same representatives and the same order.
 """
 
 import hashlib
-from itertools import islice, permutations, product
+from itertools import islice, product
 
 import pytest
+
+from test_iso_reference import reference_mark_orbit, reference_model_canonical
 
 from cohlogic import lattice, semantics
 from cohlogic.lattice import FinPoset
@@ -53,7 +57,7 @@ def reference_enumerate_models(t, max_size):
             m = FiniteModel(size, tables)
             if not is_model(m, t):
                 continue
-            key = m.canonical()
+            key = reference_model_canonical(m)
             if key in seen:
                 continue
             seen.add(key)
@@ -103,7 +107,7 @@ def _reference_model_masks(size, slots, axioms):
 
 def orbit_marking_reference(t, max_size):
     """``enumerate_models`` with the orbit of each class marked by one pass
-    over all relabelings and its key taken by ``FiniteModel.canonical``."""
+    over all relabelings and its key taken by another."""
     for size in range(max_size + 1):
         bits = sum(size ** ar for _, ar in t.signature.relations)
         if bits > GUARD_BITS:
@@ -127,30 +131,33 @@ def orbit_marking_reference(t, max_size):
             m = FiniteModel(size, tables)
             if not is_model(m, t):
                 continue
-            for perm in permutations(range(size)):
-                seen.add(sum(1 << index[sym, tuple(perm[v] for v in row)]
-                             for sym, row in rows))
-            level.append((m.canonical(), m))
+            reference_mark_orbit(seen, size, lambda perm: sum(
+                1 << index[sym, tuple(perm[v] for v in row)] for sym, row in rows))
+            level.append((reference_model_canonical(m), m))
         level.sort(key=lambda kv: kv[0])
         out.extend(m for _, m in level)
     return out
 
 
 def reference_poset_levels(keep):
-    """``lattice._poset_levels`` with every grown poset canonicalised."""
+    """``lattice._poset_levels`` by orbit marking: a grown poset that keep
+    accepts, and whose leq matrix no kept poset has marked, is kept and
+    marks every relabeling of its matrix."""
     level = [FinPoset(0, [])]
     while level:
         yield level
-        nxt = {}
+        nxt, seen = [], set()
         for p in level:
             for bits in range(1 << p.n):
                 leq = [list(row) + [any(row[i] for i in range(p.n) if bits >> i & 1)]
                        for row in p.leq]
                 leq.append([False] * p.n + [True])
                 q = FinPoset(p.n + 1, leq)
-                if keep(q):
-                    nxt.setdefault(q.canonical(), q)
-        level = list(nxt.values())
+                if q.leq not in seen and keep(q):
+                    reference_mark_orbit(seen, q.n, lambda perm: tuple(
+                        tuple(q.leq[a][b] for b in perm) for a in perm))
+                    nxt.append(q)
+        level = nxt
 
 
 PEQ = """theory peq
@@ -193,7 +200,7 @@ def test_enumerate_models_matches_reference(name):
     assert got == orbit_marking_reference(t, bound)
     for size in range(bound + 1):
         for key, m in semantics._classes(t, size):
-            assert key == m.canonical()
+            assert key == reference_model_canonical(m)
 
 
 def _digest(models):
@@ -212,7 +219,7 @@ def test_two_binary_size_three_list_is_pinned():
         "d1ad7680f901ff4301cecd1f19965015e58695594c99d5648e50677c5ef39f38"
     level = semantics._classes(t, 3)
     assert [m for _, m in level] == ms[-len(level):]
-    assert all(key == m.canonical() for key, m in level)
+    assert all(key == reference_model_canonical(m) for key, m in level)
 
 
 @pytest.mark.parametrize("name, most", [
@@ -259,9 +266,3 @@ def test_lattice_poset_levels_match_reference():
     got = list(lattice._poset_levels(keep))
     assert got == list(reference_poset_levels(keep))
     assert sum(map(len, got)) == 36  # A006982: distributive lattices on <= 8
-
-
-def test_mark_orbit_marks_every_relabeling():
-    seen = set()
-    seen.update(lattice.relabelings(3, lambda perm: perm))
-    assert seen == set(permutations(range(3)))

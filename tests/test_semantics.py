@@ -1,5 +1,7 @@
 import pytest
 
+from test_iso_reference import reference_model_canonical
+
 from cohlogic.semantics import (
     FiniteModel,
     SemanticsError,
@@ -108,7 +110,7 @@ def test_enumerate_models_peq_size1():
 
 def test_enumerate_models_no_isomorphic_pairs():
     ms = enumerate_models(PQR, 2)
-    keys = [m.canonical() for m in ms]
+    keys = [reference_model_canonical(m) for m in ms]
     assert len(keys) == len(set(keys))
 
 
