@@ -15,7 +15,8 @@ tuple j of model i.  A run of s bits never straddles two models, and a lone
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
+from itertools import chain, product
+from operator import itemgetter
 from types import SimpleNamespace
 
 from .lattice import bit_positions
@@ -80,12 +81,42 @@ class FiniteModel:
 
 class ModelBatch:
     """Models of one size laid end to end for ``extension``: bit
-    ``i * size**n + j`` of an extension is tuple j of models[i]."""
+    ``i * size**n + j`` of an extension is tuple j of models[i].  A symbol
+    of arity ar has an indicator, a '0'/'1' string whose char ``i * size**ar
+    + index(row)`` is '1' when models[i] holds row.  Indicators and their
+    gathers are built on first use and kept on the batch, dropped with it."""
 
     def __init__(self, models):
         self.models = tuple(models)
         self.size = self.models[0].size
         self.blocks = len(self.models)
+        self._indicators = {}  # (symbol, arity) -> indicator
+        self._gathers = {}  # (n, args) -> itemgetter over one model's run
+
+    def atom(self, phi, n):
+        """Bitset of the atom phi in context n: bit ``i * size**n + j`` is
+        the indicator's char ``i * size**ar + index(row)``, with row the
+        entries of tuple j at phi.args.  One itemgetter of these indices
+        within a model's run of size**ar chars gathers every run."""
+        size, ar = self.size, len(phi.args)
+        span = size ** ar
+        ind = self._indicators.get((phi.sym, ar))
+        if ind is None:
+            chars = ["0"] * (self.blocks * span)
+            for i, m in enumerate(self.models):
+                for row in m.tables.get(phi.sym, ()):
+                    chars[i * span + tuple_index(size, row)] = "1"
+            ind = self._indicators[phi.sym, ar] = "".join(chars)
+        if not size ** n or "1" not in ind:
+            return 0
+        get = self._gathers.get((n, phi.args))
+        if get is None:
+            get = self._gathers[n, phi.args] = itemgetter(*[
+                tuple_index(size, [a[v - 1] for v in phi.args])
+                for a in product(range(size), repeat=n)])
+        # char p of the join is bit p, and int() reads its first char last
+        runs = map(get, zip(*[iter(ind)] * span))
+        return int("".join(chain.from_iterable(runs))[::-1], 2)
 
 
 @cached
@@ -129,7 +160,8 @@ def tuple_at(size, n, j):
 def extension(m, phi, n, memo):
     """Bitset of the n-tuples of m satisfying phi: bit j holds for the j-th
     tuple of ``product(range(m.size), repeat=n)``.  m may be a
-    ``ModelBatch``; then bit ``i * m.size**n + j`` is tuple j of model i.
+    ``ModelBatch``; then bit ``i * m.size**n + j`` is tuple j of model i,
+    and an atom is gathered from the batch's indicator of its symbol.
     Computed bottom-up with sharing of subformula extensions through memo, a
     dict keyed by (formula, context).  A symbol without a table in m has an
     empty extension."""
@@ -140,10 +172,7 @@ def extension(m, phi, n, memo):
     size = m.size
     if isinstance(phi, Atom):
         if isinstance(m, ModelBatch):
-            span = size ** n
-            out = 0
-            for i, part in enumerate(m.models):
-                out |= extension(part, phi, n, {}) << i * span
+            out = m.atom(phi, n)
         else:
             masks = _coord_masks(size, n)
             full = (1 << size ** n) - 1

@@ -13,6 +13,7 @@ import re
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import lru_cache
+from heapq import nsmallest
 from itertools import combinations, product
 from operator import attrgetter
 
@@ -810,7 +811,7 @@ def _enum(sig, n, depth, cap):
 
     prev = set()  # pairs drawn entirely from here were combined already
     for level_no in range(1, depth + 1):
-        ordered = sorted(seen, key=_order)[:cap]
+        ordered = nsmallest(cap, seen, key=_order)
         bodies = _enum(sig, n + 1, depth - 1, cap)
         # formulas deeper than ``depth`` still take part in the next level's
         # ``ordered`` prefix, but after the last level they are never used

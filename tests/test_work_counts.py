@@ -20,9 +20,15 @@ per node of the search tree, while ``all_posets(6)`` and
 ``all_dist_lattices(8)`` key every grown poset they keep and sort their
 results by canonical form.
 
+``profile_calls`` counts the calls of ``semantics.extension``, nested ones
+included, while ``model_profiles`` collects the profiles of every arity of
+the pqr and peq approximations and of ``th_of(peq_pres())`` over its
+induced models.  An atom over a model batch is one call: it is read from
+the batch's indicator, not evaluated in each model.
+
 Print the counts of the checkout with
 
-    PYTHONPATH=src:tests python tests/test_work_counts.py [canonical]
+    PYTHONPATH=src:tests python tests/test_work_counts.py [canonical|profiles]
 """
 
 import json
@@ -38,6 +44,7 @@ from cohlogic import calculus, lattice, syntax
 
 EXPECTED = {"normalize_cache": 798, "interned": 3385, "calls": 2201}
 CANONICAL_EXPECTED = {"all_posets(6)": 34720, "all_dist_lattices(8)": 1812}
+PROFILE_EXPECTED = {"pqr": 9841, "peq": 7095, "th_of(peq_pres())": 16862}
 
 
 def work_counts():
@@ -88,6 +95,35 @@ def canonical_steps():
     return out
 
 
+def profile_calls():
+    from test_internal_logic import approx, peq_pres
+
+    from cohlogic import semantics
+    from cohlogic.internal_logic import induced_models, th_of
+    from cohlogic.typespace import compute_typespace
+
+    pres = peq_pres()
+    approxes = {
+        "pqr": approx("pqr"),
+        "peq": approx("peq"),
+        "th_of(peq_pres())": compute_typespace(th_of(pres), N=pres.cutoff,
+                                               models=induced_models(pres)),
+    }
+    extension, count, out = semantics.extension, [0], {}
+
+    def counted(*args):
+        count[0] += 1
+        return extension(*args)
+
+    semantics.extension = counted  # this runs only in its own interpreter
+    for name, a in approxes.items():
+        count[0] = 0
+        for n in range(a.N + 1):
+            semantics.model_profiles(a.models, a.formulas[n], n)
+        out[name] = count[0]
+    return out
+
+
 def _counts_in_fresh_interpreter(seed, *argv):
     here = Path(__file__).parent
     path = os.pathsep.join([str(here.parent / "src"), str(here)])
@@ -107,6 +143,11 @@ def test_canonical_step_counts(seed):
     assert _counts_in_fresh_interpreter(seed, "canonical") == CANONICAL_EXPECTED
 
 
+@pytest.mark.parametrize("seed", ["0", "1", "77"])
+def test_profile_extension_calls(seed):
+    assert _counts_in_fresh_interpreter(seed, "profiles") == PROFILE_EXPECTED
+
+
 def test_antichain_canonical_steps(monkeypatch):
     # every point of an antichain is a twin of every other, so the search
     # tries one point per position: one step per position and the leaf
@@ -116,5 +157,6 @@ def test_antichain_canonical_steps(monkeypatch):
 
 
 if __name__ == "__main__":
-    print(json.dumps(canonical_steps() if sys.argv[1:] == ["canonical"]
-                     else work_counts()))
+    which = sys.argv[1] if len(sys.argv) > 1 else None
+    run = {"canonical": canonical_steps, "profiles": profile_calls}.get(which, work_counts)
+    print(json.dumps(run()))
