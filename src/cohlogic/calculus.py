@@ -7,6 +7,11 @@ are compared up to `syntax.normalize`, which is semantics-preserving; the
 prover only ever builds sequents with normalized sides, through `meet`, `join`,
 `exists` and `reindex`, which the checker re-derives from raw substitutions.
 
+Each proof step is stated once: `d_to_conjunction` builds every
+``lhs |- conjunction``, Or-left and And-right share one premise loop, and
+one step rewrites an And-left by distributivity or Frobenius.  A step builds
+its rule node only once its premises are derived.
+
 Verdicts are three-valued: Proved carries a checked derivation, Refuted a
 finite model with a falsifying assignment, Unknown names the budget that
 ended the search: the call budget, or the depth bound when the search ran
@@ -347,23 +352,30 @@ def d_proj(n, lhs, part):
     return _d("conj_proj", n, lhs, part)
 
 
-def d_to_conjunction(n, lhs, target):
-    """lhs |- target where every conjunct of target is a conjunct of lhs."""
-    if target == lhs:
+def d_to_conjunction(n, lhs, target, free=None, d_b=None):
+    """lhs |- target, each conjunct of target being lhs (identity), a
+    conjunct of lhs in free (projection; by default all are free), the rhs b
+    of d_b: lhs |- b, or a conjunct of b (d_b cut with a projection).
+    Without d_b, target == lhs is one identity."""
+    if target == lhs and d_b is None:
         return d_identity(n, lhs)
     if target == TOP:
         return _d("top_intro", n, lhs, TOP)
-    if not isinstance(target, And):
-        if target not in conjuncts(lhs):
-            raise ValueError("target is not a conjunct of lhs")
-        return d_proj(n, lhs, target)
-    kids = []
-    for p in conjuncts(target):
+    free = conjuncts(lhs) if free is None else free
+
+    def part(p):
         if p == lhs:
-            kids.append(d_identity(n, lhs))
-        else:
-            kids.append(d_proj(n, lhs, p))
-    return _d("conj_rule", n, lhs, target, children=tuple(kids))
+            return d_identity(n, lhs)
+        if p in free:
+            return d_proj(n, lhs, p)
+        if d_b is None:
+            raise ValueError("target is not a conjunct of lhs")
+        b = d_b.concl.rhs
+        return d_b if p == b else d_cut(d_b, d_proj(n, b, p))
+
+    if not isinstance(target, And):
+        return part(target)
+    return _d("conj_rule", n, lhs, target, children=map(part, target.parts))
 
 
 def d_exists_intro(n, body, witness):
@@ -386,9 +398,7 @@ def _axiom_instances(t, n):
     instances with their builders, a map from each consequent to its
     instances, and a map from the least conjunct of each antecedent (None
     for TOP) to the positions of its instances, both in list order."""
-    cache = getattr(t, "_instance_cache", None)
-    if cache is None:
-        cache = t._instance_cache = {}
+    cache = t.__dict__.setdefault("_instance_cache", {})
     if n in cache:
         return cache[n]
     out = []
@@ -465,46 +475,34 @@ class _Prover:
                 return d
 
         if isinstance(lhs, Or):
-            kids = []
-            for p in lhs.parts:
-                d = self.derive(n, p, rhs, depth - 1)
-                if d is None:
-                    kids = None
-                    break
-                kids.append(d)
-            if kids is not None:
-                return _d("disj_rule", n, lhs, rhs, children=tuple(kids))
-            return None
+            return self._every_premise(
+                "disj_rule", n, lhs, rhs, ((p, rhs) for p in lhs.parts), depth)
 
         if isinstance(lhs, Exists):
             up = reindex(rhs, tuple(range(1, n + 1)), n + 1)
             d = self.derive(n + 1, lhs.body, up, depth - 1)
-            if d is not None:
-                return _d("exists_up", n, lhs, rhs, children=(d,))
-            return None
+            return None if d is None else _d("exists_up", n, lhs, rhs, children=(d,))
 
         if isinstance(rhs, And):
-            kids = []
-            for p in rhs.parts:
-                d = self.derive(n, lhs, p, depth - 1)
-                if d is None:
-                    kids = None
-                    break
-                kids.append(d)
-            if kids is not None:
-                return _d("conj_rule", n, lhs, rhs, children=tuple(kids))
-            return None
+            return self._every_premise(
+                "conj_rule", n, lhs, rhs, ((lhs, p) for p in rhs.parts), depth)
 
         if isinstance(lhs, And):
+            # distributivity over a disjunct, Frobenius over an existential
             for p in lhs.parts:
+                if not isinstance(p, (Or, Exists)):
+                    continue
+                phi = meet(*[q for q in lhs.parts if q != p])
                 if isinstance(p, Or):
-                    d = self._by_distributivity(n, lhs, rhs, p, depth)
-                    if d is not None:
-                        return d
-                if isinstance(p, Exists):
-                    d = self._by_frobenius(n, lhs, rhs, p, depth)
-                    if d is not None:
-                        return d
+                    rule, params = "distributivity", (phi, p.parts)
+                    new = join(*[meet(phi, q) for q in p.parts])
+                else:
+                    rule, params = "frobenius", (phi, p.body)
+                    up = reindex(phi, tuple(range(1, n + 1)), n + 1)
+                    new = exists(meet(up, p.body))
+                d = self.derive(n, new, rhs, depth - 1)
+                if d is not None:
+                    return d_cut(_d(rule, n, lhs, new, params), d)
 
         d = self._by_axiom_forward(n, lhs, rhs, depth)
         if d is not None:
@@ -514,8 +512,7 @@ class _Prover:
             for p in rhs.parts:
                 d = self.derive(n, lhs, p, depth - 1)
                 if d is not None:
-                    inj = _d("disj_inj", n, p, rhs)
-                    return d_cut(d, inj)
+                    return d_cut(d, _d("disj_inj", n, p, rhs))
 
         if isinstance(rhs, Exists):
             for w in range(1, n + 1):
@@ -535,6 +532,16 @@ class _Prover:
                     return d_cut(d_proj(n, lhs, p), d)
         return None
 
+    def _every_premise(self, rule, n, lhs, rhs, premises, depth):
+        """The rule's node over derivations of all premises, or None."""
+        kids = []
+        for p_lhs, p_rhs in premises:
+            d = self.derive(n, p_lhs, p_rhs, depth - 1)
+            if d is None:
+                return None
+            kids.append(d)
+        return _d(rule, n, lhs, rhs, children=kids)
+
     def _by_eq_collapse(self, n, lhs, rhs, eq, depth):
         i, j = eq.i, eq.j
         c = tuple(i if v == j else v for v in range(1, n + 1))
@@ -545,50 +552,13 @@ class _Prover:
         d_c = self.derive(n, lhs_c, rhs_c, depth - 1)
         if d_c is None:
             return None
-        # lhs |- lhs_c by rewriting j to i (the equality is a conjunct of lhs)
-        p_l = make_pattern(lhs, j, n)
-        d1 = _d("eq_subst", n, lhs, lhs_c, params=(j, i, p_l))
-        d2 = d_cut(d1, d_c)
-        # carry the equality along so the goal can be rewritten back
+        # lhs |- rhs_c, through lhs_c by rewriting j to i (the equality is a
+        # conjunct of lhs); carry the equality along and rewrite the goal back
+        d_to_c = _d("eq_subst", n, lhs, lhs_c, params=(j, i, make_pattern(lhs, j, n)))
         with_eq = meet(rhs_c, eq)
-        if with_eq == rhs_c:
-            d3 = d2
-        elif with_eq == eq:
-            d3 = d_proj(n, lhs, eq) if lhs != eq else d_identity(n, eq)
-        else:
-            kids = []
-            for p in conjuncts(with_eq):
-                if p == eq:
-                    kids.append(d_proj(n, lhs, eq) if lhs != eq else d_identity(n, eq))
-                elif p == rhs_c:
-                    kids.append(d2)
-                else:
-                    kids.append(d_cut(d2, d_proj(n, rhs_c, p)))
-            d3 = _d("conj_rule", n, lhs, with_eq, children=tuple(kids))
-        p_r = make_pattern(rhs, j, n)
-        d4 = _d("eq_subst", n, with_eq, rhs, params=(i, j, p_r))
-        return d_cut(d3, d4)
-
-    def _by_distributivity(self, n, lhs, rhs, orpart, depth):
-        phi = meet(*[p for p in lhs.parts if p != orpart])
-        dist_rhs = join(*[meet(phi, p) for p in orpart.parts])
-        dist = _d(
-            "distributivity", n, lhs, dist_rhs, params=(phi, orpart.parts)
-        )
-        d = self.derive(n, dist_rhs, rhs, depth - 1)
-        if d is None:
-            return None
-        return d_cut(dist, d)
-
-    def _by_frobenius(self, n, lhs, rhs, expart, depth):
-        phi = meet(*[p for p in lhs.parts if p != expart])
-        psi = expart.body
-        frob_rhs = exists(meet(reindex(phi, tuple(range(1, n + 1)), n + 1), psi))
-        frob = _d("frobenius", n, lhs, frob_rhs, params=(phi, psi))
-        d = self.derive(n, frob_rhs, rhs, depth - 1)
-        if d is None:
-            return None
-        return d_cut(frob, d)
+        d_with = d_to_conjunction(n, lhs, with_eq, (eq,), d_cut(d_to_c, d_c))
+        back = _d("eq_subst", n, with_eq, rhs, params=(i, j, make_pattern(rhs, j, n)))
+        return d_cut(d_with, back)
 
     def _by_axiom_forward(self, n, lhs, rhs, depth):
         if depth <= 1 and (n, rhs) not in self.memo:
@@ -606,23 +576,8 @@ class _Prover:
             if d_rest is None:
                 continue
             d_axi = _d_axiom_instance(self.t, n, ai, f, al, ar)
-            d_to_al = d_to_conjunction(n, lhs, al)
-            d_ar = d_cut(d_to_al, d_axi)  # lhs |- ar
-            kids = []
-            for p in conjuncts(newlhs):
-                if p in lparts or p == lhs:
-                    kids.append(
-                        d_identity(n, lhs) if p == lhs else d_proj(n, lhs, p)
-                    )
-                elif p == ar:
-                    kids.append(d_ar)
-                else:
-                    kids.append(d_cut(d_ar, d_proj(n, ar, p)))
-            if not isinstance(newlhs, And):
-                d_new = d_ar if newlhs == ar else kids[0]
-            else:
-                d_new = _d("conj_rule", n, lhs, newlhs, children=tuple(kids))
-            return d_cut(d_new, d_rest)
+            d_ar = d_cut(d_to_conjunction(n, lhs, al), d_axi)  # lhs |- ar
+            return d_cut(d_to_conjunction(n, lhs, newlhs, lparts, d_ar), d_rest)
         return None
 
     def _by_axiom_backward(self, n, lhs, rhs, depth):
@@ -630,8 +585,7 @@ class _Prover:
         for alp, al, ar, ai, f in by_rhs.get(rhs, ()):
             d = self.derive(n, lhs, al, depth - 1)
             if d is not None:
-                d_axi = _d_axiom_instance(self.t, n, ai, f, al, ar)
-                return d_cut(d, d_axi)
+                return d_cut(d, _d_axiom_instance(self.t, n, ai, f, al, ar))
         return None
 
 

@@ -276,13 +276,14 @@ def _cmd_duality(args):
 
 def _parse_span(text):
     # "b<-d->c": a span d -> b, d -> c of finite sets given by their sizes
-    parts = text.replace(" ", "").split("<-")
-    if len(parts) == 2 and "->" in parts[1]:
-        mid, right = parts[1].split("->")
-        try:
-            return int(mid), int(parts[0]), int(right)
-        except ValueError:
-            pass
+    try:
+        left, legs = text.replace(" ", "").split("<-")
+        mid, right = legs.split("->")
+        sizes = int(mid), int(left), int(right)
+        if min(sizes) >= 0:
+            return sizes
+    except ValueError:
+        pass
     raise CliError(f"cannot parse span {text!r}; expected like '1<-0->1'")
 
 
@@ -304,6 +305,9 @@ def _cmd_check_bc(args):
     text = _read(args.theory)
     t = syntax.parse_theory(text)
     dn, bn, cn = _parse_span(args.pushout)
+    if max(dn, bn, cn) > args.cutoff:
+        raise CliError(f"span {args.pushout!r} has a set of {max(dn, bn, cn)} "
+                       f"elements, beyond cutoff {args.cutoff}")
     h = _parse_map(args.left, dn, bn)
     f = _parse_map(args.right, dn, cn)
     an, u, v = internal_logic.pushout_of_span(h, f, dn, bn, cn)

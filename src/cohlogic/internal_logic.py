@@ -519,6 +519,15 @@ def th_of_1cell(beta):
 # round trips
 
 
+def _binder_depth(phi):
+    """The greatest number of existentials nested in phi."""
+    if isinstance(phi, Exists):
+        return 1 + _binder_depth(phi.body)
+    if isinstance(phi, (And, Or)):
+        return max(map(_binder_depth, phi.parts))
+    return 0
+
+
 def roundtrip_theory(theory, pres, cap=10, budgets=None):
     """Rebuild a theory from pres, a presentation exported from an
     approximation of S(theory), and check the interpretation
@@ -542,6 +551,9 @@ def roundtrip_theory(theory, pres, cap=10, budgets=None):
     tgt_b = replace(budgets, model_pool=tuple(approx.models))
     for n in range(pres.cutoff + 1):
         formulas = enum_formulas(gen_th.signature, n, approx.d, min(cap, 200))
+        # leave out the formulas whose existentials pass the arity cutoff
+        formulas = [phi for phi in formulas
+                    if n + _binder_depth(phi) <= pres.cutoff]
         values = {phi: denote(pres, phi, n) for phi in formulas}
         for phi in formulas:
             translated = apply_interpretation(gamma, phi, n)

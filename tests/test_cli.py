@@ -374,6 +374,26 @@ def test_check_bc_bad_span(capsys, pqr_file):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--pushout=-1<-0->1"],
+     "error: cannot parse span '-1<-0->1'; expected like '1<-0->1'\n"),
+    (["--pushout", "1<-0->1->2"],
+     "error: cannot parse span '1<-0->1->2'; expected like '1<-0->1'\n"),
+    (["--pushout", "2<-2->1", "--left", "1,2", "--right", "1,1", "--cutoff", "1"],
+     "error: span '2<-2->1' has a set of 2 elements, beyond cutoff 1\n"),
+    (["--pushout", "1<-3->1", "--left", "1,1,1", "--right", "1,1,1"],
+     "error: span '1<-3->1' has a set of 3 elements, beyond cutoff 2\n"),
+    (["--pushout", "1<-0->1", "--cutoff", "1"],
+     "error: pushout has 2 elements, beyond cutoff 1\n"),
+], ids=["negative", "three-legs", "leg-beyond-cutoff", "source-beyond-cutoff",
+        "pushout-beyond-cutoff"])
+def test_check_bc_span_out_of_range(capsys, pqr_file, argv, message):
+    # a negative size, or a set of the span beyond the cutoff, is an input
+    # error reported before the type space is computed
+    code, out, err = run(capsys, "check-bc", "--theory", pqr_file, *argv)
+    assert (code, out, err) == (3, "", message)
+
+
 def test_check_frobenius(capsys, tmp_path):
     from cohlogic.lattice import discrete_poset, poset_to_json
 
@@ -431,6 +451,22 @@ def test_thf_roundtrip(capsys, empty_file):
     assert code == 0
     v = rep["verdicts"][0]
     assert v["refuted"] == 0 and not v["failures"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("roundtrip", "--theory", "{peq}", "--mode", "theory"),
+    ("thf", "roundtrip", "{peq}"),
+])
+def test_theory_roundtrip_leaves_out_existentials_beyond_cutoff(capsys, peq_file,
+                                                               argv):
+    # at cutoff 1 the depth-2 formulas of context 1 include existentials
+    # over context 2, which the presentation cannot denote; the round trip
+    # compares the other formulas
+    argv = [a.format(peq=peq_file) for a in argv]
+    code, out, err = run(capsys, *argv, "--cutoff", "1", "--cap", "12",
+                         "--bound", "2")
+    assert (code, err) == (0, "")
+    assert "Holds: proved 444, refuted 0, unknown 0" in out
 
 
 def test_roundtrip_with_generators(capsys, pqr_file, tmp_path):

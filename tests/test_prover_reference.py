@@ -304,6 +304,33 @@ def test_search_matches_reference(name):
         assert memo_hits > 0
 
 
+def rules_of(d, out):
+    """Count the rules of a derivation in JSON form into out."""
+    out[d["rule"]] = out.get(d["rule"], 0) + 1
+    for c in d["children"]:
+        rules_of(c, out)
+    return out
+
+
+def test_corpus_covers_every_builder():
+    """The corpus's derivations use every rule built by the prover's shared
+    steps: the premise loop (conj_rule, disj_rule), the conjunction builder
+    (conj_rule, reached from the equality collapse, whose eq_subst rules
+    are counted, and from the forward axiom step) and the And-left rewrite
+    (distributivity, frobenius).  So the comparison with the reference
+    keeps covering each of them."""
+    rules = {}
+    for name in ("pqr", "peq", "th_pqr", "th_peq"):
+        t = theory(name)[0]
+        for s, budgets in corpus(name):
+            d = search(_Prover(t, budgets), s)[0]
+            if d not in (None, "calls"):
+                rules_of(d, rules)
+    for rule in ("conj_rule", "eq_subst", "distributivity", "frobenius",
+                 "disj_rule"):
+        assert rules.get(rule, 0) > 0, (rule, rules)
+
+
 @pytest.mark.parametrize("text, budgets, outcome", [
     ("[x] (exists y. E(x, y)) & (exists y. x = y) "
      "|- (exists y. E(x, x)) & (exists y. E(x, y))", Budgets(depth=6), None),

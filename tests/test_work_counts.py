@@ -15,6 +15,10 @@ still handed to ``normalize``: the sequents, the two sides of each axiom
 and the raw substitutions of the derivation checker.  The search and the
 axiom instances substitute with ``syntax.reindex``.
 
+``derivation_nodes`` counts the ``calculus.Derivation`` nodes built while
+the same corpus is decided: a proof step builds its rule node only once its
+premises are derived, so failed steps build none.
+
 ``canonical_steps`` counts the calls of ``lattice._canonical_step``, one
 per node of the search tree, while ``all_posets(6)`` and
 ``all_dist_lattices(8)`` key every grown poset they keep and sort their
@@ -28,7 +32,7 @@ the batch's indicator, not evaluated in each model.
 
 Print the counts of the checkout with
 
-    PYTHONPATH=src:tests python tests/test_work_counts.py [canonical|profiles]
+    PYTHONPATH=src:tests python tests/test_work_counts.py [derivations|canonical|profiles]
 """
 
 import json
@@ -43,6 +47,7 @@ import pytest
 from cohlogic import calculus, lattice, syntax
 
 EXPECTED = {"normalize_cache": 798, "interned": 3385, "calls": 2201}
+DERIVATIONS_EXPECTED = 1893
 CANONICAL_EXPECTED = {"all_posets(6)": 34720, "all_dist_lattices(8)": 1812}
 PROFILE_EXPECTED = {"pqr": 9841, "peq": 7095, "th_of(peq_pres())": 16862}
 
@@ -70,6 +75,18 @@ def work_counts():
         "interned": sum(len(table) for table in syntax._NODES.values()),
         "calls": sum(p.calls for p in provers),
     }
+
+
+def derivation_nodes():
+    init, count = calculus.Derivation.__init__, [0]
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    calculus.Derivation.__init__ = counted  # this runs only in its own interpreter
+    work_counts()
+    return count[0]
 
 
 def _count_steps(patch):
@@ -139,6 +156,11 @@ def test_prover_work_counts(seed):
 
 
 @pytest.mark.parametrize("seed", ["0", "1", "77"])
+def test_derivation_node_counts(seed):
+    assert _counts_in_fresh_interpreter(seed, "derivations") == DERIVATIONS_EXPECTED
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "77"])
 def test_canonical_step_counts(seed):
     assert _counts_in_fresh_interpreter(seed, "canonical") == CANONICAL_EXPECTED
 
@@ -158,5 +180,6 @@ def test_antichain_canonical_steps(monkeypatch):
 
 if __name__ == "__main__":
     which = sys.argv[1] if len(sys.argv) > 1 else None
-    run = {"canonical": canonical_steps, "profiles": profile_calls}.get(which, work_counts)
+    run = {"derivations": derivation_nodes, "canonical": canonical_steps,
+           "profiles": profile_calls}.get(which, work_counts)
     print(json.dumps(run()))
