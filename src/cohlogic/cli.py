@@ -210,7 +210,8 @@ def _cmd_eval(args):
         raise CliError("assignment out of carrier range")
     value = semantics.eval_formula(m, phi, a)
     rep = _report(
-        "eval", {"theory": text, "model": mtext, "formula": args.formula},
+        "eval", {"theory": text, "model": mtext, "formula": args.formula,
+                 "vars": args.vars, "args": args.args},
         {}, [{"verdict": "Holds" if value else "Fails", "value": value}],
     )
     return rep, [str(value).lower()]
@@ -414,6 +415,14 @@ def _generators(args, t):
     return gens
 
 
+def _inputs(args, text):
+    # the theory, and the generators file when one replaces --gen-depth
+    inputs = {"theory": text}
+    if args.generators:
+        inputs["generators"] = _read(args.generators)
+    return inputs
+
+
 def _export(args, t):
     gens = _generators(args, t)
     a = typespace.compute_typespace(t, N=args.cutoff, B=args.bound,
@@ -452,7 +461,7 @@ def _cmd_thf(args):
             Path(args.out).write_text(json.dumps(obj, indent=2, sort_keys=True))
         sizes = {n: pres.lattices[n].n for n in range(args.cutoff + 1)}
         rep = _report(
-            "thf build", {"theory": text}, bounds,
+            "thf build", _inputs(args, text), bounds,
             [{"verdict": "Holds", "lattice_sizes": sizes,
               "axioms": len(th.axioms)}],
             None if args.out else {"presentation": obj},
@@ -500,7 +509,7 @@ def _cmd_roundtrip(args):
             lines.append(f"arity {n}: {realized} realized types, "
                          f"{filters} prime filters")
         lines.append(f"functor round trip {verdict}")
-    rep = _report("roundtrip", {"theory": text}, bounds, verdicts)
+    rep = _report("roundtrip", _inputs(args, text), bounds, verdicts)
     return rep, lines
 
 

@@ -525,3 +525,32 @@ def test_json_reports_deterministic(capsys, pqr_file):
     rep2.pop("wall_time_s")
     assert rep1 == rep2
     assert len(rep1["inputs"]["theory"]) == 64
+
+
+@pytest.mark.parametrize("argv, variants", [
+    (("roundtrip", "--theory", "{pqr}", "--mode", "theory", "--cap", "2",
+      "--generators", "{input}"),
+     [{"1": ["R(x1)"]}, {"1": ["P(x1)"]}]),
+    (("thf", "build", "{pqr}", "--generators", "{input}"),
+     [{"1": ["R(x1)"]}, {"1": ["P(x1)"]}]),
+    (("eval", "{pqr}", "{model}", "P(x) & Q(y)", "--vars", "x,y", "--args", "{input}"),
+     ["0,1", "1,0"]),
+    (("eval", "{pqr}", "{model}", "P(x) & Q(y)", "--vars", "{input}", "--args", "0,1"),
+     ["x,y", "y,x"]),
+], ids=["roundtrip-generators", "thf-build-generators", "eval-args", "eval-vars"])
+def test_report_hashes_every_deciding_input(capsys, pqr_file, tmp_path, argv, variants):
+    # two runs that differ in one input only report different inputs
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(
+        {"carrier": 2, "relations": {"P": [[0]], "Q": [[1]], "R": []}}))
+    inputs = []
+    for i, value in enumerate(variants):
+        if isinstance(value, dict):
+            f = tmp_path / f"gens{i}.json"
+            f.write_text(json.dumps(value))
+            value = str(f)
+        names = dict(pqr=pqr_file, model=model, input=value)
+        code, rep = run_json(capsys, *[a.format(**names) for a in argv])
+        assert code in (0, 1), rep
+        inputs.append(rep["inputs"])
+    assert inputs[0] != inputs[1]
