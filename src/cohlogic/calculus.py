@@ -109,10 +109,13 @@ class Unknown:
 
 @dataclass
 class Tally:
-    """Verdict counts over a batch of checks.  ``failures`` collects the
-    witnesses of failed checks for callers that keep them all, and
-    ``first_failure`` is the witness of the first verdict added that was
-    not Proved.  ``verdict`` decides Fails, Unknown or Holds."""
+    """Verdict counts over a batch of checks.  A check expects Proved, or
+    with ``expected`` false a verdict other than Proved: a settled verdict
+    counts as proved when it agrees with the expectation and as refuted
+    when it does not.  ``failures`` lists the witnesses of refuted checks
+    and the failures a caller records itself, and ``first_failure`` is the
+    witness of the first check not counted as proved.  ``verdict`` decides
+    Fails, Unknown or Holds."""
 
     proved: int = 0
     refuted: int = 0
@@ -120,14 +123,15 @@ class Tally:
     failures: list = field(default_factory=list)
     first_failure: object = None
 
-    def add(self, verdict, witness):
-        if isinstance(verdict, Proved):
+    def add(self, verdict, witness, expected=True):
+        if isinstance(verdict, Unknown):
+            self.unknown += 1
+        elif isinstance(verdict, Proved) == expected:
             self.proved += 1
             return
-        if isinstance(verdict, Refuted):
-            self.refuted += 1
         else:
-            self.unknown += 1
+            self.refuted += 1
+            self.failures.append(witness)
         if self.first_failure is None:
             self.first_failure = witness
 

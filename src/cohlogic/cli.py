@@ -6,7 +6,8 @@ check-bc, check-frobenius, interpret, thf, roundtrip.
 Exit codes: 0 = holds/proved, 1 = fails/refuted, 2 = unknown (budget ran
 out), 3 = input error.  ``--json`` emits a machine-readable run report;
 identical invocations produce identical reports apart from the wall-time
-field.
+field.  A report hashes every input text that decides it and lists the
+bound flags its subcommand takes.
 """
 
 import argparse
@@ -30,6 +31,21 @@ SCHEMA_VERSIONS = {
 # exit code per verdict; a run exits with the code of its worst verdict
 EXIT = {"Holds": 0, "Fails": 1, "Unknown": 2}
 EXIT_INPUT = 3
+
+# the integer bound flags by destination: default and help text
+BOUNDS = {
+    "depth": (8, "proof search depth (default 8)"),
+    "model_size": (3, "countermodel size bound (default 3)"),
+    "bound": (3, "model size bound (default 3)"),
+    "formula_depth": (2, "formula depth bound (default 2)"),
+    "cutoff": (2, "arity cutoff (default 2)"),
+    "gen_depth": (1, "generator formula depth for exports (default 1)"),
+    "max_size": (200, "largest exported lattice allowed (default 200)"),
+    "cap": (6, "formulas per arity in round-trip comparisons"),
+}
+PROOF = ("depth", "model_size")
+SPACE = ("bound", "formula_depth", "cutoff")
+EXPORT = (*SPACE, "gen_depth", "max_size")
 
 
 class CliError(Exception):
@@ -78,35 +94,46 @@ def _jsonable(x):
     return x
 
 
-def _report(command, inputs, bounds, verdicts, extra=None):
+def _report(args, fields):
+    """The run report of a subcommand that returned fields, its verdicts
+    and any further report keys."""
+    command = f"{args.command} {args.action}" if "action" in args else args.command
     rep = {
         "schema": SCHEMA_VERSIONS["run-report"],
         "command": command,
-        "inputs": {k: _sha256(v) for k, v in inputs.items()},
-        "bounds": bounds,
-        "verdicts": _jsonable(verdicts),
+        "inputs": {k: _sha256(v) for k, v in args.inputs.items()},
+        "bounds": {b: getattr(args, b) for b in args.bounds},
     }
-    if extra:
-        rep.update(_jsonable(extra))
+    rep.update(_jsonable(fields))
     return rep
 
 
-def _emit(args, rep, lines):
-    if args.json:
-        print(json.dumps(rep, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+def _input(args, key, text):
+    """text, recorded as the report's input key, which the report hashes."""
+    args.inputs[key] = text
+    return text
 
 
-def _read(path):
+def _read(args, key, path=None):
+    """The text of the file at path, by default the value of the argument
+    key, recorded as the report's input key."""
+    path = getattr(args, key) if path is None else path
     p = Path(path)
     if not p.is_file():
         raise CliError(f"no such file: {path}")
     try:
-        return p.read_text()
+        return _input(args, key, p.read_text())
     except UnicodeDecodeError as e:
         raise CliError(f"{path} is not {e.encoding} text: {e.reason}") from None
+
+
+def _theory(args, key="theory", path=None):
+    return syntax.parse_theory(_read(args, key, path))
+
+
+def _load(args, key, what, path=None):
+    """The JSON object in the file of input key (see ``_read``)."""
+    return _object(json.loads(_read(args, key, path)), what)
 
 
 def _object(value, what):
@@ -143,26 +170,19 @@ def _verdict_name(v):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its report fields and its text lines
 
 
 def _cmd_parse(args):
-    text = _read(args.theory)
-    t = syntax.parse_theory(text)
-    rep = _report(
-        "parse", {"theory": text},
-        {}, [{"verdict": "Holds"}],
-        {"name": t.name,
-         "relations": [list(r) for r in t.signature.relations],
-         "axioms": len(t.axioms)},
-    )
-    return rep, [syntax.print_theory(t)]
+    t = _theory(args)
+    return {"verdicts": [{"verdict": "Holds"}], "name": t.name,
+            "relations": [list(r) for r in t.signature.relations],
+            "axioms": len(t.axioms)}, [syntax.print_theory(t)]
 
 
-def _cmd_prove(args, want="prove"):
-    text = _read(args.theory)
-    t = syntax.parse_theory(text)
-    s = syntax.parse_sequent(args.sequent, t.signature)
+def _cmd_prove(args):
+    t = _theory(args)
+    s = syntax.parse_sequent(_input(args, "sequent", args.sequent), t.signature)
     v = calculus.entails(t, s, _budgets(args))
     verdict = {"verdict": _verdict_name(v), "sequent": s}
     lines = [f"{_verdict_name(v)}: {syntax.print_sequent(s)}"]
@@ -178,30 +198,20 @@ def _cmd_prove(args, want="prove"):
     if isinstance(v, calculus.Unknown):
         verdict["reason"] = v.reason
         lines.append(f"reason: {v.reason}")
-    rep = _report(
-        want, {"theory": text, "sequent": args.sequent},
-        {"depth": args.depth, "model_size": args.model_size},
-        [verdict],
-    )
-    return rep, lines
-
-
-def _cmd_refute(args):
-    return _cmd_prove(args, want="refute")
+    return {"verdicts": [verdict]}, lines
 
 
 def _cmd_eval(args):
-    text = _read(args.theory)
-    t = syntax.parse_theory(text)
-    mtext = _read(args.model)
-    m = semantics.model_from_json(_object(json.loads(mtext), "a model"))
+    t = _theory(args)
+    m = semantics.model_from_json(_load(args, "model", "a model"))
     for sym, ar in t.signature.relations:
         if any(len(row) != ar for row in m.tables.get(sym, ())):
             raise CliError(f"a row of {sym} does not have its arity {ar}")
-    names = [v for v in args.vars.split(",") if v] if args.vars else []
-    phi = syntax.parse_formula(args.formula, names, t.signature)
+    names = [v for v in _input(args, "vars", args.vars).split(",") if v]
+    phi = syntax.parse_formula(_input(args, "formula", args.formula), names,
+                               t.signature)
     try:
-        a = tuple(int(v) for v in args.args.split(",") if v)
+        a = tuple(int(v) for v in _input(args, "args", args.args).split(",") if v)
     except ValueError:
         raise CliError("--args must be comma-separated integers") from None
     if len(a) != len(names):
@@ -209,70 +219,50 @@ def _cmd_eval(args):
     if any(not 0 <= v < m.size for v in a):
         raise CliError("assignment out of carrier range")
     value = semantics.eval_formula(m, phi, a)
-    rep = _report(
-        "eval", {"theory": text, "model": mtext, "formula": args.formula,
-                 "vars": args.vars, "args": args.args},
-        {}, [{"verdict": "Holds" if value else "Fails", "value": value}],
-    )
-    return rep, [str(value).lower()]
+    return ({"verdicts": [{"verdict": "Holds" if value else "Fails", "value": value}]},
+            [str(value).lower()])
 
 
 def _cmd_models(args):
-    text = _read(args.theory)
-    t = syntax.parse_theory(text)
-    ms = semantics.enumerate_models(t, args.bound)
+    ms = semantics.enumerate_models(_theory(args), args.bound)
     shown = ms if args.limit is None else ms[: args.limit]
-    rep = _report(
-        "models", {"theory": text}, {"bound": args.bound},
-        [{"verdict": "Holds", "count": len(ms)}],
-        {"models": shown},
-    )
     lines = [f"{len(ms)} models up to size {args.bound} (up to isomorphism)"]
     for m in shown:
         lines.append(json.dumps(semantics.model_to_json(m)))
-    return rep, lines
+    return {"verdicts": [{"verdict": "Holds", "count": len(ms)}],
+            "models": shown}, lines
+
+
+def _typespace(args, t):
+    return typespace.compute_typespace(t, N=args.cutoff, B=args.bound,
+                                       d=args.formula_depth)
 
 
 def _cmd_typespace(args):
-    text = _read(args.theory)
-    t = syntax.parse_theory(text)
-    a = typespace.compute_typespace(t, N=args.cutoff, B=args.bound,
-                                    d=args.formula_depth)
+    a = _typespace(args, _theory(args))
     points = {n: len(a.points[n]) for n in range(args.cutoff + 1)}
-    rep = _report(
-        "typespace", {"theory": text},
-        {"bound": args.bound, "formula_depth": args.formula_depth,
-         "cutoff": args.cutoff},
-        [{"verdict": "Holds", "points": points}],
-        {"stable": a.stable, "stable_arities": list(a.stable_arities)},
-    )
     lines = [f"arity {n}: {points[n]} points"
              f" ({'stable' if a.stable_arities[n] else 'not stable'})"
              for n in range(args.cutoff + 1)]
     lines.append(f"stable at every arity: {a.stable}")
-    return rep, lines
+    return {"verdicts": [{"verdict": "Holds", "points": points}],
+            "stable": a.stable, "stable_arities": list(a.stable_arities)}, lines
 
 
 def _cmd_duality(args):
     if (args.lattice is None) == (args.poset is None):
         raise CliError("give exactly one of --lattice or --poset")
-    if args.lattice:
-        text = _read(args.lattice)
-        l = lattice.lattice_from_json(_object(json.loads(text), "a lattice"))
-        ok = lattice.duality_roundtrip_lattice(l)
-        kind, size = "lattice", l.n
+    if args.lattice is not None:
+        kind, from_json, roundtrip = ("lattice", lattice.lattice_from_json,
+                                      lattice.duality_roundtrip_lattice)
     else:
-        text = _read(args.poset)
-        p = lattice.poset_from_json(_object(json.loads(text), "a poset"))
-        ok = lattice.duality_roundtrip_poset(p)
-        kind, size = "poset", p.n
-    rep = _report(
-        "duality", {kind: text}, {},
-        [{"verdict": "Holds" if ok else "Fails", "kind": kind, "size": size}],
-    )
-    return rep, [
-        f"{kind} round trip: {'isomorphism' if ok else 'FAILED'}"
-    ]
+        kind, from_json, roundtrip = ("poset", lattice.poset_from_json,
+                                      lattice.duality_roundtrip_poset)
+    x = from_json(_load(args, kind, f"a {kind}"))
+    ok = roundtrip(x)
+    return ({"verdicts": [{"verdict": "Holds" if ok else "Fails", "kind": kind,
+                           "size": x.n}]},
+            [f"{kind} round trip: {'isomorphism' if ok else 'FAILED'}"])
 
 
 def _parse_span(text):
@@ -303,8 +293,7 @@ def _parse_map(text, dn, size):
 
 
 def _cmd_check_bc(args):
-    text = _read(args.theory)
-    t = syntax.parse_theory(text)
+    t = _theory(args)
     dn, bn, cn = _parse_span(args.pushout)
     if max(dn, bn, cn) > args.cutoff:
         raise CliError(f"span {args.pushout!r} has a set of {max(dn, bn, cn)} "
@@ -314,22 +303,8 @@ def _cmd_check_bc(args):
     an, u, v = internal_logic.pushout_of_span(h, f, dn, bn, cn)
     if an > args.cutoff:
         raise CliError(f"pushout has {an} elements, beyond cutoff {args.cutoff}")
-    a = typespace.compute_typespace(t, N=args.cutoff, B=args.bound,
-                                    d=args.formula_depth)
+    a = _typespace(args, t)
     out = typespace.check_functor_bc(a, h, f, dn, bn, cn, an, u, v)
-    verdict = "Holds" if out["bc"] else "Fails"
-    rep = _report(
-        "check-bc", {"theory": text},
-        {"bound": args.bound, "formula_depth": args.formula_depth,
-         "cutoff": args.cutoff},
-        [{"verdict": verdict, "bc": out["bc"],
-          "bc_witness": out["bc_witness"],
-          "universal_map_surjective": out["universal_map_surjective"],
-          "missed_pair": out["missed_pair"]}],
-        {"pushout": {"span": [dn, bn, cn], "apex": an,
-                     "left": list(u), "right": list(v)},
-         "stable_arities": list(a.stable_arities)},
-    )
     lines = [
         f"beck-chevalley: {out['bc']}",
         f"universal_map_surjective: "
@@ -337,12 +312,14 @@ def _cmd_check_bc(args):
     ]
     if out["missed_pair"] is not None:
         lines.append(f"point pair missed by the universal map: {out['missed_pair']}")
-    return rep, lines
+    return {"verdicts": [dict(out, verdict="Holds" if out["bc"] else "Fails")],
+            "pushout": {"span": [dn, bn, cn], "apex": an,
+                        "left": list(u), "right": list(v)},
+            "stable_arities": list(a.stable_arities)}, lines
 
 
 def _cmd_check_frobenius(args):
-    text = _read(args.map)
-    obj = _object(json.loads(text), "a map")
+    obj = _load(args, "map", "a map")
     src = lattice.poset_from_json(_object(obj.get("source"), "the source"))
     tgt = lattice.poset_from_json(_object(obj.get("target"), "the target"))
     values = obj.get("values")
@@ -353,25 +330,16 @@ def _cmd_check_frobenius(args):
     h = lattice.left_adjoint(f)
     frob, witness = lattice.check_frobenius(h, f)
     open_ = lattice.is_open_map(g)
-    verdict = "Holds" if frob else "Fails"
-    rep = _report(
-        "check-frobenius", {"map": text}, {},
-        [{"verdict": verdict, "frobenius": frob, "witness": witness,
-          "open_map": open_, "agreement": frob == open_}],
-    )
-    return rep, [
-        f"frobenius: {frob}",
-        f"open map: {open_}",
-    ]
+    return ({"verdicts": [{"verdict": "Holds" if frob else "Fails",
+                           "frobenius": frob, "witness": witness,
+                           "open_map": open_, "agreement": frob == open_}]},
+            [f"frobenius: {frob}", f"open map: {open_}"])
 
 
 def _cmd_interpret(args):
-    src_text = _read(args.source)
-    tgt_text = _read(args.target)
-    map_text = _read(args.map)
-    src = syntax.parse_theory(src_text)
-    tgt = syntax.parse_theory(tgt_text)
-    obj = _object(json.loads(map_text), "an interpretation")
+    src = _theory(args, "source")
+    tgt = _theory(args, "target")
+    obj = _load(args, "map", "an interpretation")
     k = obj.pop("k", 1)
     if type(k) is not int:
         raise CliError("k must be an integer")
@@ -388,39 +356,26 @@ def _cmd_interpret(args):
     g = typespace.Interpretation(src, tgt, k, mapping)
     out = typespace.check_interpretation(g, _budgets(args))
     verdict, line = _tally(out)
-    rep = _report(
-        "interpret",
-        {"source": src_text, "target": tgt_text, "map": map_text},
-        {"depth": args.depth, "model_size": args.model_size},
-        [dict(verdict, first_failure=out.first_failure)],
-        {"strong": g.strong},
-    )
-    return rep, [line]
+    return {"verdicts": [dict(verdict, first_failure=out.first_failure)],
+            "strong": g.strong}, [line]
 
 
 def _generators(args, t):
     if not args.generators:
         return None
-    obj = _object(json.loads(_read(args.generators)), "the generators")
     gens = {}
-    for n_text, formulas in obj.items():
+    for n_text, formulas in _load(args, "generators", "the generators").items():
         if not n_text.isdecimal():
             raise CliError(f"generator key {n_text!r} is not an arity")
         n = int(n_text)
+        if n > args.cutoff:
+            raise CliError(f"generator arity {n} is beyond cutoff {args.cutoff}")
         names = [f"x{i}" for i in range(1, n + 1)]
         if not isinstance(formulas, list):
             raise CliError(f"the generators of arity {n} must be a JSON list")
         gens[n] = [syntax.parse_formula(
             _formula_text(f, "a generator"), names, t.signature) for f in formulas]
     return gens
-
-
-def _inputs(args, text):
-    # the theory, and the generators file when one replaces --gen-depth
-    inputs = {"theory": text}
-    if args.generators:
-        inputs["generators"] = _read(args.generators)
-    return inputs
 
 
 def _export(args, t):
@@ -435,59 +390,34 @@ def _export(args, t):
 
 def _cmd_thf(args):
     if args.action == "validate":
-        text = _read(args.input)
-        pres = internal_logic.presentation_from_json(
-            _object(json.loads(text), "a presentation"))
-        out = internal_logic.validate_presentation(pres)
-        verdict = "Holds" if out["ok"] else "Fails"
-        rep = _report(
-            "thf validate", {"presentation": text}, {},
-            [{"verdict": verdict, "failures": out["failures"][:10]}],
-        )
-        return rep, [
-            f"presentation valid: {out['ok']}"
-        ]
+        args.bounds = ()  # a presentation is checked as it stands
+        out = internal_logic.validate_presentation(
+            internal_logic.presentation_from_json(
+                _load(args, "presentation", "a presentation", args.input)))
+        return ({"verdicts": [{"verdict": out.verdict,
+                               "failures": out.failures[:10]}]},
+                [f"presentation valid: {out.ok}"])
 
-    text = _read(args.input)
-    t = syntax.parse_theory(text)
-    bounds = {"bound": args.bound, "formula_depth": args.formula_depth,
-              "cutoff": args.cutoff, "gen_depth": args.gen_depth,
-              "max_size": args.max_size}
-    if args.action == "build":
-        pres = _export(args, t)
-        th = internal_logic.th_of(pres)
-        obj = internal_logic.presentation_to_json(pres)
-        if args.out:
-            Path(args.out).write_text(json.dumps(obj, indent=2, sort_keys=True))
-        sizes = {n: pres.lattices[n].n for n in range(args.cutoff + 1)}
-        rep = _report(
-            "thf build", _inputs(args, text), bounds,
-            [{"verdict": "Holds", "lattice_sizes": sizes,
-              "axioms": len(th.axioms)}],
-            None if args.out else {"presentation": obj},
-        )
-        lines = [f"arity {n}: lattice of {sizes[n]} opens" for n in sizes]
-        lines.append(f"theory of the presentation: {len(th.axioms)} axioms")
-        if args.out:
-            lines.append(f"wrote {args.out}")
-        return rep, lines
-
-    # action == "roundtrip": theory -> presentation -> theory comparison
-    out = internal_logic.roundtrip_theory(t, _export(args, t), cap=args.cap)
-    verdict, line = _tally(out)
-    rep = _report(
-        "thf roundtrip", {"theory": text}, dict(bounds, cap=args.cap),
-        [dict(verdict, failures=out.failures[:10])],
-    )
-    return rep, [line]
+    t = _theory(args, path=args.input)
+    pres = _export(args, t)
+    th = internal_logic.th_of(pres)
+    obj = internal_logic.presentation_to_json(pres)
+    if args.out:
+        Path(args.out).write_text(json.dumps(obj, indent=2, sort_keys=True))
+    sizes = {n: pres.lattices[n].n for n in range(args.cutoff + 1)}
+    fields = {"verdicts": [{"verdict": "Holds", "lattice_sizes": sizes,
+                            "axioms": len(th.axioms)}]}
+    lines = [f"arity {n}: lattice of {sizes[n]} opens" for n in sizes]
+    lines.append(f"theory of the presentation: {len(th.axioms)} axioms")
+    if args.out:
+        lines.append(f"wrote {args.out}")
+    else:
+        fields["presentation"] = obj
+    return fields, lines
 
 
 def _cmd_roundtrip(args):
-    text = _read(args.theory)
-    t = syntax.parse_theory(text)
-    bounds = {"bound": args.bound, "formula_depth": args.formula_depth,
-              "cutoff": args.cutoff, "gen_depth": args.gen_depth,
-              "max_size": args.max_size, "cap": args.cap}
+    t = _theory(args)
     verdicts = []
     lines = []
     pres = _export(args, t)
@@ -509,8 +439,7 @@ def _cmd_roundtrip(args):
             lines.append(f"arity {n}: {realized} realized types, "
                          f"{filters} prime filters")
         lines.append(f"functor round trip {verdict}")
-    rep = _report("roundtrip", _inputs(args, text), bounds, verdicts)
-    return rep, lines
+    return {"verdicts": verdicts}, lines
 
 
 # ---------------------------------------------------------------------------
@@ -523,31 +452,18 @@ def _nat(text):
     return int(text)
 
 
-def _add_bounds(p, depth=False, model_size=False, bound=False,
-                formula_depth=False, cutoff=False, export=False):
-    if depth:
-        p.add_argument("--depth", type=_nat, default=8,
-                       help="proof search depth (default 8)")
-    if model_size:
-        p.add_argument("--model-size", type=_nat, default=3,
-                       help="countermodel size bound (default 3)")
-    if bound:
-        p.add_argument("--bound", type=_nat, default=3,
-                       help="model size bound (default 3)")
-    if formula_depth:
-        p.add_argument("--formula-depth", type=_nat, default=2,
-                       help="formula depth bound (default 2)")
-    if cutoff:
-        p.add_argument("--cutoff", type=_nat, default=2,
-                       help="arity cutoff (default 2)")
-    if export:
-        p.add_argument("--gen-depth", type=_nat, default=1,
-                       help="generator formula depth for exports (default 1)")
-        p.add_argument("--max-size", type=_nat, default=200,
-                       help="largest exported lattice allowed (default 200)")
+def _add_bounds(p, *names):
+    """The bound flags of names on parser p, which its report lists; the
+    generators file comes with the generator depth it overrides."""
+    for name in names:
+        default, text = BOUNDS[name]
+        p.add_argument("--" + name.replace("_", "-"), type=_nat,
+                       default=default, help=text)
+    if "gen_depth" in names:
         p.add_argument("--generators",
                        help="JSON file of generator formulas per arity, "
                        "e.g. {\"1\": [\"R(x1)\"]}; overrides --gen-depth")
+    p.set_defaults(bounds=names)
 
 
 def build_parser():
@@ -564,14 +480,15 @@ def build_parser():
 
     p = sub.add_parser("parse", help="parse and pretty-print a theory file")
     p.add_argument("theory")
+    _add_bounds(p)
     p.set_defaults(run=_cmd_parse)
 
-    for name, fn in (("prove", _cmd_prove), ("refute", _cmd_refute)):
+    for name in ("prove", "refute"):
         p = sub.add_parser(name, help=f"{name} a sequent like '[x] P(x) |- R(x)'")
         p.add_argument("theory")
         p.add_argument("sequent")
-        _add_bounds(p, depth=True, model_size=True)
-        p.set_defaults(run=fn)
+        _add_bounds(p, *PROOF)
+        p.set_defaults(run=_cmd_prove)
 
     p = sub.add_parser("eval", help="evaluate a formula in a finite model")
     p.add_argument("theory")
@@ -579,19 +496,20 @@ def build_parser():
     p.add_argument("formula")
     p.add_argument("--vars", default="", help="context variables, e.g. 'x,y'")
     p.add_argument("--args", default="", help="assignment, e.g. '0,1'")
+    _add_bounds(p)
     p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser("models", help="enumerate models up to isomorphism")
     p.add_argument("theory")
     p.add_argument("--limit", type=_nat, default=None,
                    help="print at most this many models")
-    _add_bounds(p, bound=True)
+    _add_bounds(p, "bound")
     p.set_defaults(run=_cmd_models)
 
     p = sub.add_parser("typespace",
                        help="type-space approximation with stability flags")
     p.add_argument("theory")
-    _add_bounds(p, bound=True, formula_depth=True, cutoff=True)
+    _add_bounds(p, *SPACE)
     p.set_defaults(run=_cmd_typespace)
 
     p = sub.add_parser("duality", help="finite Stone duality round trip")
@@ -599,6 +517,7 @@ def build_parser():
     p.add_argument("--poset", help="poset JSON file")
     p.add_argument("--roundtrip", action="store_true",
                    help="accepted for compatibility; always performed")
+    _add_bounds(p)
     p.set_defaults(run=_cmd_duality)
 
     p = sub.add_parser("check-bc",
@@ -609,13 +528,14 @@ def build_parser():
                    help="span sizes like '1<-0->1'")
     p.add_argument("--left", help="left leg as 1-based values, e.g. '1,2'")
     p.add_argument("--right", help="right leg as 1-based values")
-    _add_bounds(p, bound=True, formula_depth=True, cutoff=True)
+    _add_bounds(p, *SPACE)
     p.set_defaults(run=_cmd_check_bc)
 
     p = sub.add_parser("check-frobenius",
                        help="Frobenius for the preimage hom of a monotone map")
     p.add_argument("--map", required=True,
                    help="JSON file {source, target, values}")
+    _add_bounds(p)
     p.set_defaults(run=_cmd_check_frobenius)
 
     p = sub.add_parser("interpret", help="check an interpretation of theories")
@@ -624,26 +544,22 @@ def build_parser():
     p.add_argument("--map", required=True,
                    help="JSON file {k, '=': formula, R: formula, ...} with "
                    "formulas over variables x1..xn")
-    _add_bounds(p, depth=True, model_size=True)
+    _add_bounds(p, *PROOF)
     p.set_defaults(run=_cmd_interpret)
 
     p = sub.add_parser("thf", help="theory-of-the-type-space-functor pipeline")
-    p.add_argument("action", choices=["build", "validate", "roundtrip"])
-    p.add_argument("input", help="theory file (build/roundtrip) or "
-                   "presentation JSON (validate)")
+    p.add_argument("action", choices=["build", "validate"])
+    p.add_argument("input", help="theory file (build) or presentation JSON "
+                   "(validate)")
     p.add_argument("--out", help="write the built presentation JSON here")
-    p.add_argument("--cap", type=_nat, default=6,
-                   help="formulas per arity in round-trip comparisons")
-    _add_bounds(p, bound=True, formula_depth=True, cutoff=True, export=True)
+    _add_bounds(p, *EXPORT)
     p.set_defaults(run=_cmd_thf)
 
     p = sub.add_parser("roundtrip", help="theory and functor round trips")
     p.add_argument("--theory", required=True)
     p.add_argument("--mode", choices=["theory", "functor", "both"],
                    default="both")
-    p.add_argument("--cap", type=_nat, default=6,
-                   help="formulas per arity in round-trip comparisons")
-    _add_bounds(p, bound=True, formula_depth=True, cutoff=True, export=True)
+    _add_bounds(p, "cap", *EXPORT)
     p.set_defaults(run=_cmd_roundtrip)
 
     return parser
@@ -653,8 +569,9 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        args.inputs = {}
         t0 = time.monotonic()
-        rep, lines = args.run(args)
+        fields, lines = args.run(args)
     except (CliError, syntax.SyntaxError_, json.JSONDecodeError, OSError,
             lattice.LatticeError, semantics.SemanticsError,
             typespace.TypeSpaceError, internal_logic.InternalLogicError) as e:
@@ -663,8 +580,13 @@ def main(argv=None):
     except semantics.ResourceGuard as e:
         print(f"unknown: {e}", file=sys.stderr)
         return EXIT["Unknown"]
+    rep = _report(args, fields)
     rep["wall_time_s"] = round(time.monotonic() - t0, 3)
-    _emit(args, rep, lines)
+    if args.json:
+        print(json.dumps(rep, indent=2, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
     verdicts = {v["verdict"] for v in rep["verdicts"]}
     return next(EXIT[v] for v in ("Fails", "Unknown", "Holds") if v in verdicts)
 

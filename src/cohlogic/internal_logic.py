@@ -115,8 +115,10 @@ def trivial_presentation(cutoff=2):
 
 def validate_presentation(pres):
     """Check identity, functoriality, openness (adjoint + Frobenius) and the
-    Beck-Chevalley identity on every pushout square within the cutoff."""
-    failures = []
+    Beck-Chevalley identity on every pushout square within the cutoff.  The
+    failures of the ``calculus.Tally`` returned name each broken law."""
+    report = calculus.Tally()
+    failures = report.failures
     N = pres.cutoff
     for n in range(N + 1):
         ident = pres.homs.get((n, n, identity_index_map(n)))
@@ -163,7 +165,7 @@ def validate_presentation(pres):
                                     )
                                 )
                                 break
-    return {"ok": not failures, "failures": failures}
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -580,13 +582,7 @@ def roundtrip_theory(theory, pres, cap=10, budgets=None):
                     v = calculus.entails(th, s, b)
                     if isinstance(v, calculus.Unknown):
                         v = calculus.entails(th, s, b.scaled(2))
-                    if isinstance(v, calculus.Unknown):
-                        report.unknown += 1
-                    elif isinstance(v, calculus.Proved) == expected:
-                        report.proved += 1
-                    else:
-                        report.refuted += 1
-                        report.failures.append(("oracle", th.name, n, phi, psi, v))
+                    report.add(v, ("oracle", th.name, n, phi, psi, v), expected)
     return report
 
 

@@ -92,7 +92,7 @@ NEGATIVE_FLAGS = [
     ("roundtrip", "--theory", "{peq}", "--cap", "-1"),
     ("roundtrip", "--theory", "{peq}", "--gen-depth", "-1"),
     ("roundtrip", "--theory", "{peq}", "--max-size", "-1"),
-    ("thf", "roundtrip", "{pqr}", "--cap", "-1"),
+    ("thf", "build", "{pqr}", "--max-size", "-1"),
 ]
 
 
@@ -445,9 +445,9 @@ def test_thf_build_validate(capsys, empty_file, tmp_path):
     assert code == 0 and rep["verdicts"][0]["verdict"] == "Holds"
 
 
-def test_thf_roundtrip(capsys, empty_file):
-    code, rep = run_json(capsys, "thf", "roundtrip", empty_file, "--bound", "2",
-                         "--cap", "4")
+def test_theory_roundtrip_empty(capsys, empty_file):
+    code, rep = run_json(capsys, "roundtrip", "--theory", empty_file,
+                         "--mode", "theory", "--bound", "2", "--cap", "4")
     assert code == 0
     v = rep["verdicts"][0]
     assert v["refuted"] == 0 and not v["failures"]
@@ -455,7 +455,6 @@ def test_thf_roundtrip(capsys, empty_file):
 
 @pytest.mark.parametrize("argv", [
     ("roundtrip", "--theory", "{peq}", "--mode", "theory"),
-    ("thf", "roundtrip", "{peq}"),
 ])
 def test_theory_roundtrip_leaves_out_existentials_beyond_cutoff(capsys, peq_file,
                                                                argv):
@@ -479,6 +478,20 @@ def test_roundtrip_with_generators(capsys, pqr_file, tmp_path):
     v = rep["verdicts"][0]
     assert v["direction"] == "theory"
     assert v["refuted"] == 0 and not v["failures"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("roundtrip", "--theory", "{peq}", "--mode", "theory"),
+    ("thf", "build", "{peq}"),
+], ids=["roundtrip", "thf-build"])
+def test_generator_arity_beyond_cutoff_is_input_error(capsys, peq_file, tmp_path,
+                                                      argv):
+    # a generator of arity 3 at cutoff 2 was left out without a word
+    gf = tmp_path / "gens.json"
+    gf.write_text(json.dumps({"1": ["E(x1,x1)"], "3": ["true"]}))
+    argv = [a.format(peq=peq_file) for a in argv]
+    code, out, err = run(capsys, *argv, "--generators", str(gf))
+    assert (code, out, err) == (3, "", "error: generator arity 3 is beyond cutoff 2\n")
 
 
 def test_roundtrip_export_budget_is_unknown(capsys, pqr_file):
@@ -510,7 +523,7 @@ def test_roundtrip_builds_one_type_space(capsys, monkeypatch, empty_file):
     monkeypatch.setattr(internal_logic, "compute_typespace", counted_compute)
     monkeypatch.setattr(typespace, "_stability", counted_stability)
     for argv in (("roundtrip", "--theory", empty_file, "--mode", "both"),
-                 ("thf", "roundtrip", empty_file)):
+                 ("thf", "build", empty_file)):
         builds.clear()
         stability.clear()
         code, _, _ = run(capsys, *argv, "--bound", "2")

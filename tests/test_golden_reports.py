@@ -1,6 +1,6 @@
 """Golden ``--json`` run reports for the CLI scenarios of ``reproduce.sh``
-plus ``typespace``, ``models``, ``interpret``, ``thf roundtrip``, ``eval``
-and ``parse``.
+plus ``typespace``, ``models``, ``interpret``, the theory round trip,
+``eval`` and ``parse``.
 
 Each scenario runs in-process through ``cli.main(["--json", ...])``; its
 exit code and report, with the ``wall_time_s`` key dropped, must equal the
@@ -60,8 +60,8 @@ SCENARIOS = {
                           "--map", "{d}/gmap.json"],
     "interpret_broken": ["interpret", "{d}/empty.thy", "{d}/s.thy",
                          "--map", "{d}/bad.json"],
-    "thf_roundtrip_empty": ["thf", "roundtrip", "{d}/empty.thy", "--bound", "2",
-                            "--cap", "4"],
+    "roundtrip_theory_empty": ["roundtrip", "--theory", "{d}/empty.thy",
+                               "--mode", "theory", "--bound", "2", "--cap", "4"],
     "eval_pqr": ["eval", "{d}/pqr.thy", "{d}/m.json", "P(x) & Q(y)",
                  "--vars", "x,y", "--args", "0,1"],
     "parse_pqr": ["parse", "{d}/pqr.thy"],

@@ -97,7 +97,7 @@ def test_pushout_of_span():
 
 def test_trivial_presentation_valid():
     rep = validate_presentation(trivial_presentation(2))
-    assert rep["ok"], rep["failures"][:3]
+    assert rep.ok, rep.failures[:3]
 
 
 def test_symbol_names_roundtrip():
@@ -174,7 +174,7 @@ def test_substitution_lemma():
 def test_exported_presentations_valid():
     for F in (peq_pres(), pqr_pres(), empty_pres()):
         rep = validate_presentation(F)
-        assert rep["ok"], rep["failures"][:3]
+        assert rep.ok, rep.failures[:3]
 
 
 def test_peq_export_sizes():
@@ -206,7 +206,7 @@ def test_mutated_presentation_invalid():
     homs[(1, 2, (1,))] = homs[(1, 2, (2,))]
     bad = FunctorPresentation(F.cutoff, F.lattices, homs, name="bad")
     rep = validate_presentation(bad)
-    assert not rep["ok"]
+    assert not rep.ok
 
 
 def test_th_of_trivial():
