@@ -17,6 +17,14 @@ class LatticeError(Exception):
     pass
 
 
+class ResourceGuard(Exception):
+    """Raised when an exhaustive search would blow past the configured size."""
+
+
+UP_SET_BITS = 16  # largest poset whose subsets up_sets scans: 2^16 subsets
+MAX_UP_SETS = 256  # largest lattice of up-sets k_o builds
+
+
 # ---------------------------------------------------------------------------
 # posets
 
@@ -58,7 +66,11 @@ class FinPoset:
     def up_sets(self):
         """All up-sets in a fixed deterministic order (by size then
         contents), found by a scan of all subsets: a subset is an up-set
-        when it is its own up-closure, the union of its points' up-sets."""
+        when it is its own up-closure, the union of its points' up-sets.
+        Raises ResourceGuard on more than UP_SET_BITS points."""
+        if self.n > UP_SET_BITS:
+            raise ResourceGuard(f"{self.n} points need a scan of 2^{self.n} "
+                                f"subsets (> 2^{UP_SET_BITS})")
         closure, out = [0], [frozenset()]
         for bits in range(1, 1 << self.n):
             closure.append(closure[bits & bits - 1]
@@ -414,9 +426,13 @@ def spec(l):
 
 
 def k_o(x):
-    """Lattice of up-sets (= compact opens) of a poset, with the up-set list."""
+    """Lattice of up-sets (= compact opens) of a poset, with the up-set list.
+    Raises ResourceGuard on more than MAX_UP_SETS up-sets."""
     ups = x.up_sets()
     n = len(ups)
+    if n > MAX_UP_SETS:
+        raise ResourceGuard(f"the lattice of up-sets has {n} elements "
+                            f"(> {MAX_UP_SETS})")
     leq = [[ups[i] <= ups[j] for j in range(n)] for i in range(n)]
     return FinDistLattice(n, leq), ups
 

@@ -19,7 +19,7 @@ from itertools import chain, product
 from operator import itemgetter
 from types import SimpleNamespace
 
-from .lattice import bit_positions
+from .lattice import ResourceGuard, bit_positions
 from .syntax import (
     And,
     Atom,
@@ -35,10 +35,6 @@ from .syntax import (
 
 class SemanticsError(Exception):
     pass
-
-
-class ResourceGuard(Exception):
-    """Raised when an exhaustive search would blow past the configured size."""
 
 
 class FiniteModel:

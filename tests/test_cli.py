@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -355,6 +356,33 @@ def test_duality(capsys, tmp_path):
     assert code == 3
     code, _, _ = run(capsys, "duality", "--lattice", str(lf), "--poset", str(pf))
     assert code == 3
+
+
+@pytest.mark.parametrize("poset, message", [
+    ("antichain10", "the lattice of up-sets has 1024 elements (> 256)"),
+    ("chain30", "30 points need a scan of 2^30 subsets (> 2^16)"),
+], ids=["antichain10", "chain30"])
+@pytest.mark.parametrize("command", ["duality", "check-frobenius"])
+def test_up_set_lattice_bounds_are_unknown(capsys, tmp_path, command, poset, message):
+    # the up-sets of n points number up to 2^n, and the lattice of them is
+    # checked in cubic time: a 10-point antichain took 77 s
+    from cohlogic.lattice import discrete_poset, poset_from_pairs, poset_to_json
+
+    x = discrete_poset(10) if poset == "antichain10" else \
+        poset_from_pairs(30, [(i, i + 1) for i in range(29)])
+    f = tmp_path / "input.json"
+    if command == "duality":
+        f.write_text(json.dumps(poset_to_json(x)))
+        argv = ["duality", "--poset", str(f)]
+    else:
+        f.write_text(json.dumps({"source": poset_to_json(x),
+                                 "target": poset_to_json(discrete_poset(1)),
+                                 "values": [0] * x.n}))
+        argv = ["check-frobenius", "--map", str(f)]
+    started = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - started < 1.0
+    assert (code, out, err) == (2, "", f"unknown: {message}\n")
 
 
 def test_check_bc(capsys, pqr_file):
