@@ -358,8 +358,6 @@ def _classes(t, size):
         if mask in seen:
             continue
         m = FiniteModel(size, _tables(blocks, mask, ones))
-        if not is_model(m, t):
-            continue
         masks = _orbit(mask, moves)
         seen |= masks
         code = min(tuple([ones(x >> off & full) for off, full in spans])

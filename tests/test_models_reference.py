@@ -203,6 +203,35 @@ def test_enumerate_models_matches_reference(name):
             assert key == reference_model_canonical(m)
 
 
+EP = """theory ep
+sig { E/2, P/1 }
+axiom [x] P(x) |- exists y. E(x,y) & P(y)
+axiom [x,y] E(x,y) & P(x) |- x = y | P(y)
+axiom [x,y] E(x,y) & E(y,x) |- x = y
+"""
+
+
+@pytest.mark.parametrize("name, size", [
+    (name, size) for name in ("pqr", "peq", "ep") for size in range(4)
+] + [("mixed", size) for size in range(3)])
+def test_model_masks_are_the_models(name, size):
+    # _classes keeps every mask _model_masks yields without testing it, so
+    # they must be exactly the masks whose tables are models
+    t = parse_theory({"pqr": PQR, "peq": PEQ, "ep": EP, "mixed": MIXED}[name])
+    blocks, off = [], 0
+    for sym, ar in t.signature.relations:
+        rows = list(product(range(size), repeat=ar))
+        blocks.append((sym, off, rows))
+        off += len(rows)
+
+    def ones(v):
+        return tuple(lattice.bit_positions(v))
+
+    want = [mask for mask in range(1 << off) if is_model(
+        FiniteModel(size, semantics._tables(blocks, mask, ones)), t)]
+    assert list(semantics._model_masks(size, blocks, t.axioms)) == want
+
+
 def _digest(models):
     return hashlib.sha256(repr([
         (m.size, sorted((s, sorted(r)) for s, r in m.tables.items()))
