@@ -233,9 +233,10 @@ def _cmd_models(args):
             "models": shown}, lines
 
 
-def _typespace(args, t):
+def _typespace(args, t, check_stability=True):
     return typespace.compute_typespace(t, N=args.cutoff, B=args.bound,
-                                       d=args.formula_depth)
+                                       d=args.formula_depth,
+                                       check_stability=check_stability)
 
 
 def _cmd_typespace(args):
@@ -380,11 +381,9 @@ def _generators(args, t):
 
 def _export(args, t):
     gens = _generators(args, t)
-    a = typespace.compute_typespace(t, N=args.cutoff, B=args.bound,
-                                    d=args.formula_depth,
-                                    check_stability=False)
     return internal_logic.export_presentation(
-        a, gen_depth=args.gen_depth, max_size=args.max_size, generators=gens,
+        _typespace(args, t, check_stability=False), gen_depth=args.gen_depth,
+        max_size=args.max_size, generators=gens,
     )
 
 
