@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .semantics import enumerate_models, extension, tuple_at
+from .semantics import enumerate_models, tuple_at, violations
 from .syntax import (
     BOT,
     TOP,
@@ -397,14 +397,12 @@ def d_exists_intro(n, body, witness):
 # the prover
 
 
+@cached
 def _axiom_instances(t, n):
     """(instances, by_rhs, by_part) of t in context n: all normalized axiom
     instances with their builders, a map from each consequent to its
     instances, and a map from the least conjunct of each antecedent (None
     for TOP) to the positions of its instances, both in list order."""
-    cache = t.__dict__.setdefault("_instance_cache", {})
-    if n in cache:
-        return cache[n]
     out = []
     by_rhs, by_part = {}, {}
     for ai, ax in enumerate(t.axioms):
@@ -419,8 +417,7 @@ def _axiom_instances(t, n):
             least = (*conjuncts(al), None)[0]
             by_part.setdefault(least, []).append(len(out))
             out.append(inst)
-    cache[n] = out, by_rhs, by_part
-    return cache[n]
+    return out, by_rhs, by_part
 
 
 def _d_axiom_instance(t, n, ai, f, al, ar):
@@ -444,7 +441,15 @@ class _Prover:
         self.budgets = budgets
         self.memo = {}  # (n, rhs) -> {lhs: derivation}
         self.fail_depth = {}  # (n, lhs, rhs) -> depth of its last attempt
+        self.instances = {}  # n -> _axiom_instances(t, n), fetched once
         self.calls = 0
+
+    def _instances(self, n):
+        """_axiom_instances(self.t, n), looked up once per search: a hit in
+        its cache compares an equal theory made apart axiom by axiom."""
+        if n not in self.instances:
+            self.instances[n] = _axiom_instances(self.t, n)
+        return self.instances[n]
 
     def derive(self, n, lhs, rhs, depth):
         proved = self.memo.get((n, rhs))
@@ -567,7 +572,7 @@ class _Prover:
     def _by_axiom_forward(self, n, lhs, rhs, depth):
         if depth <= 1 and (n, rhs) not in self.memo:
             return None  # each premise would be a depth-0 call missing the memo
-        out, _, by_part = _axiom_instances(self.t, n)
+        out, _, by_part = self._instances(n)
         lparts = parts_of(lhs)
         for i in sorted(i for p in (*lparts, None) for i in by_part.get(p, ())):
             alp, al, ar, ai, f = out[i]
@@ -585,7 +590,7 @@ class _Prover:
         return None
 
     def _by_axiom_backward(self, n, lhs, rhs, depth):
-        _, by_rhs, _ = _axiom_instances(self.t, n)
+        _, by_rhs, _ = self._instances(n)
         for alp, al, ar, ai, f in by_rhs.get(rhs, ()):
             d = self.derive(n, lhs, al, depth - 1)
             if d is not None:
@@ -621,8 +626,7 @@ def find_countermodel(t, s, max_size=3, pool=None):
     if pool is None:
         pool = enumerate_models(t, max_size)
     for m in pool:
-        bad = (extension(m, s.lhs, s.ctx, m._ext_cache)
-               & ~extension(m, s.rhs, s.ctx, m._ext_cache))
+        bad = violations(m, s)
         if bad:
             # the lowest set bit is the lexicographically least tuple
             return m, tuple_at(m.size, s.ctx, (bad & -bad).bit_length() - 1)

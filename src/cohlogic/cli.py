@@ -40,7 +40,8 @@ BOUNDS = {
     "formula_depth": (2, "formula depth bound (default 2)"),
     "cutoff": (2, "arity cutoff (default 2)"),
     "gen_depth": (1, "generator formula depth for exports (default 1)"),
-    "max_size": (200, "largest exported lattice allowed (default 200)"),
+    "max_size": (internal_logic.MAX_EXPORT, "largest exported lattice allowed "
+                 f"(default {internal_logic.MAX_EXPORT})"),
     "cap": (6, "formulas per arity in round-trip comparisons"),
 }
 PROOF = ("depth", "model_size")
@@ -387,16 +388,16 @@ def _export(args, t):
     )
 
 
-def _cmd_thf(args):
-    if args.action == "validate":
-        args.bounds = ()  # a presentation is checked as it stands
-        out = internal_logic.validate_presentation(
-            internal_logic.presentation_from_json(
-                _load(args, "presentation", "a presentation", args.input)))
-        return ({"verdicts": [{"verdict": out.verdict,
-                               "failures": out.failures[:10]}]},
-                [f"presentation valid: {out.ok}"])
+def _cmd_thf_validate(args):
+    out = internal_logic.validate_presentation(
+        internal_logic.presentation_from_json(
+            _load(args, "presentation", "a presentation", args.input)))
+    return ({"verdicts": [{"verdict": out.verdict,
+                           "failures": out.failures[:10]}]},
+            [f"presentation valid: {out.ok}"])
 
+
+def _cmd_thf_build(args):
     t = _theory(args, path=args.input)
     pres = _export(args, t)
     th = internal_logic.th_of(pres)
@@ -547,12 +548,18 @@ def build_parser():
     p.set_defaults(run=_cmd_interpret)
 
     p = sub.add_parser("thf", help="theory-of-the-type-space-functor pipeline")
-    p.add_argument("action", choices=["build", "validate"])
-    p.add_argument("input", help="theory file (build) or presentation JSON "
-                   "(validate)")
+    thf = p.add_subparsers(dest="action", required=True)
+    p = thf.add_parser("build", help="export a presentation of a theory's "
+                       "type-space functor")
+    p.add_argument("input", help="theory file")
     p.add_argument("--out", help="write the built presentation JSON here")
     _add_bounds(p, *EXPORT)
-    p.set_defaults(run=_cmd_thf)
+    p.set_defaults(run=_cmd_thf_build)
+
+    p = thf.add_parser("validate", help="check the laws of a presentation")
+    p.add_argument("input", help="presentation JSON file")
+    _add_bounds(p)  # a presentation is checked as it stands
+    p.set_defaults(run=_cmd_thf_validate)
 
     p = sub.add_parser("roundtrip", help="theory and functor round trips")
     p.add_argument("--theory", required=True)

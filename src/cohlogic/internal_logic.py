@@ -12,7 +12,7 @@ spectrum.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import product
 
 from . import calculus
@@ -43,6 +43,7 @@ from .syntax import (
     Theory,
     Top,
     all_maps,
+    cached,
     enum_formulas,
     exists,
     formula_depth,
@@ -52,6 +53,7 @@ from .syntax import (
 )
 from .typespace import (
     Interpretation,
+    _beta_preimage,
     apply_interpretation,
     compose_maps,
     compute_typespace,
@@ -71,12 +73,14 @@ class InternalLogicError(Exception):
 # presentations
 
 
-@dataclass
+@dataclass(eq=False)
 class FunctorPresentation:
     """Arity-indexed lattices with a substitution action.
 
     ``homs[(n, m, f)]`` is the substitution hom A_f: L_n -> L_m for the
-    index map f: n -> m; its left adjoint E_f plays the direct image."""
+    index map f: n -> m; its left adjoint E_f plays the direct image.  A
+    presentation is equal only to itself, and ``cached`` tables are keyed
+    by it."""
 
     cutoff: int
     lattices: dict
@@ -85,8 +89,6 @@ class FunctorPresentation:
     extents: dict | None = None  # n -> point set per element (exported only)
     approx: object = None  # originating approximation (exported only)
     name: str = "F"
-    _adjoints: dict = field(default_factory=dict, init=False, repr=False)
-    _induced: tuple = field(default=None, init=False, repr=False)
 
     def hom(self, f, n, m):
         key = (n, m, tuple(f))
@@ -94,12 +96,10 @@ class FunctorPresentation:
             raise InternalLogicError(f"no substitution hom for {key}")
         return self.homs[key]
 
+    @cached
     def adjoint(self, f, n, m):
         """Left adjoint of hom(f, n, m) as a value list L_m -> L_n."""
-        key = (n, m, tuple(f))
-        if key not in self._adjoints:
-            self._adjoints[key] = left_adjoint(self.hom(f, n, m))
-        return self._adjoints[key]
+        return left_adjoint(self.hom(f, n, m))
 
 
 def trivial_presentation(cutoff=2):
@@ -196,15 +196,7 @@ def signature_of(pres):
 
 def _collapse_map(i, j, n):
     """The index map n -> n-1 identifying x_j with x_i (i < j)."""
-    out = []
-    for l in range(1, n + 1):
-        if l < j:
-            out.append(l)
-        elif l == j:
-            out.append(i)
-        else:
-            out.append(l - 1)
-    return tuple(out)
+    return (*range(1, j), i, *range(j, n))
 
 
 def denote(pres, phi, n):
@@ -304,7 +296,10 @@ def th_of(pres):
 # export from a type-space approximation
 
 
-def export_presentation(approx, gen_depth=1, max_size=80, generators=None):
+MAX_EXPORT = 200  # largest exported lattice of one arity, by default
+
+
+def export_presentation(approx, gen_depth=1, max_size=MAX_EXPORT, generators=None):
     """Sublattices of opens generated by the shallow definable opens, closed
     under meets, joins, substitution preimages and direct images; each
     element keeps a defining formula and its extent as a set of points.
@@ -385,14 +380,13 @@ def export_presentation(approx, gen_depth=1, max_size=80, generators=None):
     )
 
 
+@cached
 def induced_models(pres):
     """One model of th_of(pres) per model behind the approximation: R_U
     holds of a tuple exactly when the tuple's type lies in the extent of U.
     Computed once per presentation."""
     if pres.approx is None:
         raise InternalLogicError("presentation has no model provenance")
-    if pres._induced is not None:
-        return pres._induced
     approx = pres.approx
     out = []
     for mi, m in enumerate(approx.models):
@@ -403,8 +397,7 @@ def induced_models(pres):
             for u, ext in enumerate(pres.extents[n]):
                 tables[rel_symbol(n, u)] = {a for a, p in rows if p in ext}
         out.append(FiniteModel(m.size, tables))
-    pres._induced = tuple(out)
-    return pres._induced
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +455,7 @@ def beta_from_partial_map(pnt, source_pres, target_pres):
         idx = {s: i for i, s in enumerate(target_pres.extents[n * k])}
         values = []
         for u_set in source_pres.extents[n]:
-            moved = frozenset(
-                p for p in pnt.domains[n] if pnt.maps[n][p] in u_set
-            )
+            moved = _beta_preimage(pnt, n, u_set)
             if moved not in idx:
                 raise InternalLogicError(
                     f"transported open at arity {n} is not representable"

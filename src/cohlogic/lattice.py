@@ -21,8 +21,7 @@ class ResourceGuard(Exception):
     """Raised when an exhaustive search would blow past the configured size."""
 
 
-UP_SET_BITS = 16  # largest poset whose subsets up_sets scans: 2^16 subsets
-MAX_UP_SETS = 256  # largest lattice of up-sets k_o builds
+MAX_UP_SETS = 256  # most up-sets up_sets lists, so the largest lattice k_o builds
 
 
 # ---------------------------------------------------------------------------
@@ -38,9 +37,11 @@ class FinPoset:
         self.leq = tuple(tuple(bool(v) for v in row) for row in leq)
         if len(self.leq) != n or any(len(r) != n for r in self.leq):
             raise LatticeError("leq matrix shape mismatch")
-        # up_bits[i]: bit j is set when i <= j
+        # up_bits[i] has bit j set when i <= j, and so has down_bits[j] bit i
         self.up_bits = ups = [sum(1 << j for j, v in enumerate(row) if v)
                               for row in self.leq]
+        self.down_bits = [sum(1 << i for i in range(n) if self.leq[i][j])
+                          for j in range(n)]
         for i, up in enumerate(ups):
             if not up >> i & 1:
                 raise LatticeError(f"not reflexive at {i}")
@@ -65,18 +66,22 @@ class FinPoset:
 
     def up_sets(self):
         """All up-sets in a fixed deterministic order (by size then
-        contents), found by a scan of all subsets: a subset is an up-set
-        when it is its own up-closure, the union of its points' up-sets.
-        Raises ResourceGuard on more than UP_SET_BITS points."""
-        if self.n > UP_SET_BITS:
-            raise ResourceGuard(f"{self.n} points need a scan of 2^{self.n} "
-                                f"subsets (> 2^{UP_SET_BITS})")
-        closure, out = [0], [frozenset()]
-        for bits in range(1, 1 << self.n):
-            closure.append(closure[bits & bits - 1]
-                           | self.up_bits[(bits & -bits).bit_length() - 1])
-            if closure[bits] == bits:
-                out.append(frozenset(bit_positions(bits)))
+        contents).  They are found by branching on the least undecided
+        point x: x is in, and so is every point above it, or x is out, and
+        so is every point below it.  Neither branch meets a point decided
+        the other way, so each ends in an up-set and the work follows their
+        number.  Raises ResourceGuard on more than MAX_UP_SETS up-sets."""
+        out, stack = [], [(0, (1 << self.n) - 1)]  # (points in, undecided)
+        while stack:
+            ins, rest = stack.pop()
+            if not rest:
+                if len(out) == MAX_UP_SETS:
+                    raise ResourceGuard(f"more than {MAX_UP_SETS} up-sets")
+                out.append(frozenset(bit_positions(ins)))
+                continue
+            x = (rest & -rest).bit_length() - 1
+            stack.append((ins, rest & ~self.down_bits[x]))
+            stack.append((ins | self.up_bits[x], rest & ~self.up_bits[x]))
         out.sort(key=lambda s: (len(s), sorted(s)))
         return out
 
@@ -86,10 +91,9 @@ class FinPoset:
         each of them.  A relabelling perm encodes the leq matrix with its
         rows and columns taken in the order of perm, flattened to bytes;
         bytes of 0 and 1 order like the tuple of bools."""
-        downs = [sum(1 << i for i in range(self.n) if self.leq[i][x])
-                 for x in range(self.n)]
         best = []
-        _canonical_step(self.up_bits, downs, (), (1 << self.n) - 1, (), best)
+        _canonical_step(self.up_bits, self.down_bits, (), (1 << self.n) - 1, (),
+                        best)
         perm = best[1]
         return (self.n, bytes([self.leq[a][b] for a in perm for b in perm]))
 
@@ -294,8 +298,7 @@ class FinDistLattice:
         self.leq = self.poset.leq
         # meet(a, b) is the element whose down-set is down(a) & down(b), and
         # join(a, b) the one whose up-set is up(a) & up(b), when there is one
-        ups = self.poset.up_bits
-        downs = [sum(1 << i for i in range(n) if self.leq[i][a]) for a in range(n)]
+        ups, downs = self.poset.up_bits, self.poset.down_bits
         by_up = {u: c for c, u in enumerate(ups)}
         by_down = {d: c for c, d in enumerate(downs)}
         self._meet = meet = [[None] * n for _ in range(n)]
@@ -308,11 +311,8 @@ class FinDistLattice:
                 join[a][b] = by_up.get(ups[a] & ups[b])
                 if join[a][b] is None:
                     raise LatticeError(f"no join for ({a},{b})")
-        self.bot = 0
-        self.top = 0
-        for a in range(n):
-            self.bot = meet[self.bot][a]
-            self.top = join[self.top][a]
+        # every pair has a meet and a join, so there are a bottom and a top
+        self.bot, self.top = by_up[(1 << n) - 1], by_down[(1 << n) - 1]
         for a in range(n):
             ma = meet[a]
             for b in range(n):
@@ -343,19 +343,11 @@ class FinDistLattice:
         return reduce(self.join, items, self.bot)
 
     def covers(self):
-        """All covering pairs (a, b) with a < b and nothing in between."""
-        out = []
-        for a in range(self.n):
-            for b in range(self.n):
-                if a == b or not self.leq[a][b]:
-                    continue
-                if any(
-                    c not in (a, b) and self.leq[a][c] and self.leq[c][b]
-                    for c in range(self.n)
-                ):
-                    continue
-                out.append((a, b))
-        return out
+        """All covering pairs (a, b) with a < b and nothing in between: the
+        points from a to b are a and b alone."""
+        ups, downs = self.poset.up_bits, self.poset.down_bits
+        return [(a, b) for a in range(self.n) for b in bit_positions(ups[a])
+                if a != b and ups[a] & downs[b] == 1 << a | 1 << b]
 
     def canonical(self):
         return self.poset.canonical()
@@ -391,18 +383,10 @@ def identity_hom(l):
 
 def join_irreducibles(l):
     """Elements other than bottom that are not a join of strictly smaller
-    ones."""
-    out = []
-    for j in range(l.n):
-        if j == l.bot:
-            continue
-        if all(
-            l.join(a, b) != j or a == j or b == j
-            for a in range(l.n)
-            for b in range(l.n)
-        ):
-            out.append(j)
-    return out
+    ones, that is not the join of all of them."""
+    downs = l.poset.down_bits
+    return [j for j in range(l.n) if j != l.bot
+            and l.join_all(bit_positions(downs[j] & ~(1 << j))) != j]
 
 
 def prime_filters(l):
@@ -430,9 +414,6 @@ def k_o(x):
     Raises ResourceGuard on more than MAX_UP_SETS up-sets."""
     ups = x.up_sets()
     n = len(ups)
-    if n > MAX_UP_SETS:
-        raise ResourceGuard(f"the lattice of up-sets has {n} elements "
-                            f"(> {MAX_UP_SETS})")
     leq = [[ups[i] <= ups[j] for j in range(n)] for i in range(n)]
     return FinDistLattice(n, leq), ups
 

@@ -38,7 +38,9 @@ class SemanticsError(Exception):
 
 
 class FiniteModel:
-    """Carrier 0..size-1 plus a set of tuples per relation symbol."""
+    """Carrier 0..size-1 plus a set of tuples per relation symbol.  The
+    extensions evaluated on a model are kept on it, in ``_ext_cache``, which
+    only this module reads: the memo dies with its model."""
 
     blocks = 1  # models in the batch: a lone model is the batch of one
 
@@ -219,12 +221,14 @@ def eval_formula(m, phi, a):
     return j is not None and extension(m, phi, len(a), m._ext_cache) >> j & 1 == 1
 
 
-def is_model(m, t):
+def violations(m, s):
+    """Bitset of the s.ctx-tuples of m where s.lhs holds and s.rhs fails."""
     memo = m._ext_cache
-    for ax in t.axioms:
-        if extension(m, ax.lhs, ax.ctx, memo) & ~extension(m, ax.rhs, ax.ctx, memo):
-            return False
-    return True
+    return extension(m, s.lhs, s.ctx, memo) & ~extension(m, s.rhs, s.ctx, memo)
+
+
+def is_model(m, t):
+    return not any(violations(m, ax) for ax in t.axioms)
 
 
 GUARD_BITS = 22  # largest table space enumerate_models scans: 2^22 valuations

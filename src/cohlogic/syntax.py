@@ -198,17 +198,24 @@ class Sequent:
     rhs: Formula
 
 
-@dataclass
+@dataclass(frozen=True)
 class Theory:
+    """Equality is structural; the hash is computed once, when the theory
+    is made, as the prover's ``cached`` tables are keyed by theory."""
     name: str
     signature: Signature
     axioms: tuple[Sequent, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.axioms = tuple(self.axioms)
+        _set(self, "axioms", tuple(self.axioms))
         for seq in self.axioms:
             check_formula(self.signature, seq.lhs, seq.ctx)
             check_formula(self.signature, seq.rhs, seq.ctx)
+        _set(self, "_hash", hash((self.name, self.signature, self.axioms)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def check_formula(sig, phi, ctx):
@@ -535,6 +542,9 @@ class _Tokens:
             raise SyntaxError_(f"nesting deeper than {MAX_NESTING} levels", line, col)
         self.nesting += 1
 
+    def leave(self):
+        self.nesting -= 1
+
 
 def parse_formula(text, ctx_names, sig):
     """Parse a single formula over the given context variable names."""
@@ -578,7 +588,7 @@ def _parse_atomic(toks, names, sig):
         toks.enter(line, col)
         phi = _parse_or(toks, names, sig)
         toks.expect(")")
-        toks.nesting -= 1
+        toks.leave()
         return phi
     if tok == "true":
         return TOP
@@ -594,7 +604,7 @@ def _parse_atomic(toks, names, sig):
         toks.expect(".")
         toks.enter(line, col)
         body = _parse_or(toks, names + [v], sig)
-        toks.nesting -= 1
+        toks.leave()
         return Exists(body)
     if tok is None or tok == "\n":
         raise SyntaxError_("unexpected end of formula", line, col)

@@ -11,13 +11,18 @@ substituted along every index map into a context one larger.  The file also
 pins what ``clear_caches`` promises: the same lists afterwards, and old
 nodes equal to their rebuilt twins.  ``reindex``, the substitution into
 normal forms, is pinned to ``normalize`` of the raw ``substitute`` it
-replaces in the prover and the functor layers.
+replaces in the prover and the functor layers.  Last, ``clear_caches``
+empties every ``cached`` table, the prover's axiom instances and a
+presentation's adjoints and induced models among them, and the same
+sequents are decided as before.
 """
 
 import pytest
 
-from cohlogic.internal_logic import th_of
+from cohlogic import calculus, syntax
+from cohlogic.internal_logic import export_presentation, induced_models, th_of
 from cohlogic.lattice import chain
+from cohlogic.semantics import eval_formula
 from cohlogic.syntax import (
     BOT,
     TOP,
@@ -27,6 +32,7 @@ from cohlogic.syntax import (
     Eq,
     Exists,
     Or,
+    Sequent,
     Top,
     all_maps,
     build_lattice_theory,
@@ -42,6 +48,7 @@ from cohlogic.syntax import (
     meet,
     normalize,
     parse_formula,
+    parse_sequent,
     parse_theory,
     reindex,
     substitute,
@@ -272,3 +279,44 @@ def test_clear_caches_empties_reindex():
     assert reindex.cache_info().currsize > 0
     clear_caches()
     assert reindex.cache_info().currsize == 0
+
+
+def test_clear_caches_empties_every_cached_table(monkeypatch):
+    """A prove on pqr and on th(S_peq), an export, the induced models, an
+    adjoint and an eval_formula fill every registered cache; after
+    clear_caches each is empty, and deciding the same sequents again gives
+    equal verdicts and derivations from the same summed ``_Prover.calls``."""
+    from test_internal_logic import approx, peq_pres
+
+    provers = []
+
+    class Counted(calculus._Prover):
+        def __init__(self, t, budgets):
+            super().__init__(t, budgets)
+            provers.append(self)
+
+    monkeypatch.setattr(calculus, "_Prover", Counted)
+    pqr, th = THEORIES["pqr"], th_of(peq_pres())
+    formulas = enum_formulas(th.signature, 1, 1, cap=12)
+    jobs = [(pqr, parse_sequent(text, pqr.signature)) for text in (
+        "[x] P(x) & Q(x) |- R(x)", "[x,y] P(x) & Q(y) |- R(x)")]
+    jobs += [(th, Sequent(1, phi, psi)) for phi in formulas for psi in formulas]
+    budgets = calculus.Budgets(size=300)
+
+    def decide():
+        provers.clear()
+        out = [calculus.prove(t, s, budgets) for t, s in jobs]
+        return out, sum(p.calls for p in provers)
+
+    first = decide()
+    assert any(first[0]) and not all(first[0]) and first[1] > len(jobs)
+    pres = export_presentation(approx("peq"), gen_depth=1)
+    models = induced_models(pres)
+    assert pres.adjoint((1,), 1, 2) == pres.adjoint((1,), 1, 2)
+    assert eval_formula(models[-1], formulas[-1], (0,)) in (True, False)
+    assert all(fn.cache_info().currsize > 0 for fn in syntax._CACHED)
+    clear_caches()
+    assert [fn.cache_info().currsize for fn in syntax._CACHED] == \
+        [0] * len(syntax._CACHED)
+    assert not any(syntax._NODES.values())
+    assert decide() == first

@@ -5,6 +5,7 @@ import pytest
 from test_iso_reference import reference_poset_canonical
 
 from cohlogic.lattice import (
+    MAX_UP_SETS,
     FinDistLattice,
     FinPoset,
     LatticeError,
@@ -23,6 +24,7 @@ from cohlogic.lattice import (
     duality_roundtrip_poset,
     identity_hom,
     is_open_map,
+    join_irreducibles,
     k_o,
     lattice_from_json,
     lattice_to_json,
@@ -30,6 +32,7 @@ from cohlogic.lattice import (
     monotone_maps,
     poset_from_pairs,
     prime_filters,
+    ResourceGuard,
     spec,
     universal_map_surjective,
 )
@@ -358,3 +361,47 @@ def test_finposet_checks_match_reference(n):
         except LatticeError as e:
             got = str(e)
         assert got == want, leq
+
+
+def reference_up_sets(p):
+    """The subsets that are their own up-closure, by a scan of all 2^n."""
+    out = []
+    for bits in range(1 << p.n):
+        s = frozenset(i for i in range(p.n) if bits >> i & 1)
+        if all(j in s for i in s for j in range(p.n) if p.leq[i][j]):
+            out.append(s)
+    out.sort(key=lambda s: (len(s), sorted(s)))
+    return out
+
+
+def test_up_sets_match_subset_scan():
+    posets = all_posets(6)
+    assert len(posets) == 406
+    for p in posets:
+        assert p.up_sets() == reference_up_sets(p)
+
+
+def test_up_sets_are_bounded_by_their_number():
+    assert len(discrete_poset(8).up_sets()) == MAX_UP_SETS == 256
+    with pytest.raises(ResourceGuard, match="more than 256 up-sets"):
+        discrete_poset(9).up_sets()
+    chain40 = poset_from_pairs(40, [(i, i + 1) for i in range(39)])
+    assert [len(u) for u in chain40.up_sets()] == list(range(41))
+
+
+def test_covers_bounds_and_join_irreducibles_match_definitions():
+    # covers, bottom, top and join-irreducibles as first written: pair and
+    # triple loops over the order, meet and join tables
+    for l in all_dist_lattices(8):
+        n = l.n
+        assert l.covers() == [
+            (a, b) for a in range(n) for b in range(n)
+            if a != b and l.leq[a][b] and not any(
+                c not in (a, b) and l.leq[a][c] and l.leq[c][b] for c in range(n))]
+        bot = top = 0
+        for a in range(n):
+            bot, top = l.meet(bot, a), l.join(top, a)
+        assert (l.bot, l.top) == (bot, top)
+        assert join_irreducibles(l) == [
+            j for j in range(n) if j != bot and all(
+                l.join(a, b) != j or j in (a, b) for a in range(n) for b in range(n))]
