@@ -441,15 +441,7 @@ class _Prover:
         self.budgets = budgets
         self.memo = {}  # (n, rhs) -> {lhs: derivation}
         self.fail_depth = {}  # (n, lhs, rhs) -> depth of its last attempt
-        self.instances = {}  # n -> _axiom_instances(t, n), fetched once
         self.calls = 0
-
-    def _instances(self, n):
-        """_axiom_instances(self.t, n), looked up once per search: a hit in
-        its cache compares an equal theory made apart axiom by axiom."""
-        if n not in self.instances:
-            self.instances[n] = _axiom_instances(self.t, n)
-        return self.instances[n]
 
     def derive(self, n, lhs, rhs, depth):
         proved = self.memo.get((n, rhs))
@@ -572,7 +564,7 @@ class _Prover:
     def _by_axiom_forward(self, n, lhs, rhs, depth):
         if depth <= 1 and (n, rhs) not in self.memo:
             return None  # each premise would be a depth-0 call missing the memo
-        out, _, by_part = self._instances(n)
+        out, _, by_part = _axiom_instances(self.t, n)
         lparts = parts_of(lhs)
         for i in sorted(i for p in (*lparts, None) for i in by_part.get(p, ())):
             alp, al, ar, ai, f = out[i]
@@ -590,7 +582,7 @@ class _Prover:
         return None
 
     def _by_axiom_backward(self, n, lhs, rhs, depth):
-        _, by_rhs, _ = self._instances(n)
+        _, by_rhs, _ = _axiom_instances(self.t, n)
         for alp, al, ar, ai, f in by_rhs.get(rhs, ()):
             d = self.derive(n, lhs, al, depth - 1)
             if d is not None:

@@ -43,7 +43,7 @@ from .syntax import (
     Theory,
     Top,
     all_maps,
-    cached,
+    cached_per_owner,
     enum_formulas,
     exists,
     formula_depth,
@@ -79,8 +79,8 @@ class FunctorPresentation:
 
     ``homs[(n, m, f)]`` is the substitution hom A_f: L_n -> L_m for the
     index map f: n -> m; its left adjoint E_f plays the direct image.  A
-    presentation is equal only to itself, and ``cached`` tables are keyed
-    by it."""
+    presentation is equal only to itself; its adjoints and induced models
+    are ``cached_per_owner`` tables, freed with it."""
 
     cutoff: int
     lattices: dict
@@ -96,20 +96,23 @@ class FunctorPresentation:
             raise InternalLogicError(f"no substitution hom for {key}")
         return self.homs[key]
 
-    @cached
     def adjoint(self, f, n, m):
         """Left adjoint of hom(f, n, m) as a value list L_m -> L_n."""
-        return left_adjoint(self.hom(f, n, m))
+        return _adjoint(self, tuple(f), n, m)
+
+
+@cached_per_owner
+def _adjoint(pres, f, n, m):
+    return left_adjoint(pres.hom(f, n, m))
 
 
 def trivial_presentation(cutoff=2):
     """Every lattice the 2-chain, every substitution hom the identity."""
     lattices = {n: chain(2) for n in range(cutoff + 1)}
     homs = {}
-    for n in range(cutoff + 1):
-        for m in range(cutoff + 1):
-            for f in all_maps(n, m):
-                homs[(n, m, f)] = identity_hom(lattices[n])
+    for n, m in product(range(cutoff + 1), repeat=2):
+        for f in all_maps(n, m):
+            homs[(n, m, f)] = identity_hom(lattices[n])
     return FunctorPresentation(cutoff, lattices, homs, name="trivial")
 
 
@@ -124,16 +127,12 @@ def validate_presentation(pres):
         ident = pres.homs.get((n, n, identity_index_map(n)))
         if ident != identity_hom(pres.lattices[n]):
             failures.append(("identity", n))
-    for n in range(N + 1):
-        for m in range(N + 1):
-            for l in range(N + 1):
-                for f in all_maps(n, m):
-                    for g in all_maps(m, l):
-                        comp = compose_maps(g, f)
-                        if pres.hom(comp, n, l) != pres.hom(g, m, l).compose(
-                            pres.hom(f, n, m)
-                        ):
-                            failures.append(("functoriality", n, m, l, f, g))
+    for n, m, l in product(range(N + 1), repeat=3):
+        for f in all_maps(n, m):
+            for g in all_maps(m, l):
+                comp = pres.hom(g, m, l).compose(pres.hom(f, n, m))
+                if pres.hom(compose_maps(g, f), n, l) != comp:
+                    failures.append(("functoriality", n, m, l, f, g))
     for (n, m, f) in sorted(pres.homs):
         try:
             adj = pres.adjoint(f, n, m)
@@ -143,28 +142,21 @@ def validate_presentation(pres):
         ok, witness = check_frobenius(adj, pres.hom(f, n, m))
         if not ok:
             failures.append(("frobenius", n, m, f, witness))
-    for dn in range(N + 1):
-        for bn in range(N + 1):
-            for cn in range(N + 1):
-                for h in all_maps(dn, bn):
-                    for f in all_maps(dn, cn):
-                        an, u, v = pushout_of_span(h, f, dn, bn, cn)
-                        if an > N:
-                            continue
-                        a_u = pres.hom(u, bn, an)
-                        e_v = pres.adjoint(v, cn, an)
-                        e_h = pres.adjoint(h, dn, bn)
-                        a_f = pres.hom(f, dn, cn)
-                        for x in range(pres.lattices[bn].n):
-                            if e_v[a_u(x)] != a_f(e_h[x]):
-                                failures.append(
-                                    (
-                                        "beck_chevalley",
-                                        (dn, bn, cn, an, h, f, u, v),
-                                        x,
-                                    )
-                                )
-                                break
+    for dn, bn, cn in product(range(N + 1), repeat=3):
+        for h in all_maps(dn, bn):
+            for f in all_maps(dn, cn):
+                an, u, v = pushout_of_span(h, f, dn, bn, cn)
+                if an > N:
+                    continue
+                a_u = pres.hom(u, bn, an)
+                e_v = pres.adjoint(v, cn, an)
+                e_h = pres.adjoint(h, dn, bn)
+                a_f = pres.hom(f, dn, cn)
+                for x in range(pres.lattices[bn].n):
+                    if e_v[a_u(x)] != a_f(e_h[x]):
+                        square = (dn, bn, cn, an, h, f, u, v)
+                        failures.append(("beck_chevalley", square, x))
+                        break
     return report
 
 
@@ -187,10 +179,8 @@ def symbol_info(sym):
 
 
 def signature_of(pres):
-    rels = []
-    for n in range(pres.cutoff + 1):
-        for u in range(pres.lattices[n].n):
-            rels.append((rel_symbol(n, u), n))
+    rels = [(rel_symbol(n, u), n) for n in range(pres.cutoff + 1)
+            for u in range(pres.lattices[n].n)]
     return Signature(f"sig_{pres.name}", tuple(rels))
 
 
@@ -282,13 +272,8 @@ def th_of(pres):
                 e = denote(pres, Eq(i, j), n)
                 axioms.append(Sequent(n, Eq(i, j), atom(n, e)))
                 axioms.append(Sequent(n, atom(n, e), Eq(i, j)))
-    out, seen = [], set()
-    for s in axioms:
-        if s.lhs == s.rhs or s.rhs == TOP or s.lhs == BOT:
-            continue
-        if s not in seen:
-            seen.add(s)
-            out.append(s)
+    out = dict.fromkeys(s for s in axioms  # in first-seen order
+                        if not (s.lhs == s.rhs or s.rhs == TOP or s.lhs == BOT))
     return Theory(f"th_{pres.name}", sig, tuple(out))
 
 
@@ -380,7 +365,7 @@ def export_presentation(approx, gen_depth=1, max_size=MAX_EXPORT, generators=Non
     )
 
 
-@cached
+@cached_per_owner
 def induced_models(pres):
     """One model of th_of(pres) per model behind the approximation: R_U
     holds of a tuple exactly when the tuple's type lies in the extent of U.

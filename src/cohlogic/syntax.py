@@ -12,10 +12,12 @@ import math
 import re
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from heapq import nsmallest
 from itertools import combinations, product
 from operator import attrgetter
+from types import SimpleNamespace
+from weakref import WeakKeyDictionary
 
 
 class SyntaxError_(Exception):
@@ -245,7 +247,7 @@ def check_formula(sig, phi, ctx):
 # substitution and normalization
 
 
-_CACHED = []  # the functions made with ``cached``, emptied by clear_caches
+_CACHED = []  # the ``cached`` and ``cached_per_owner`` functions
 
 
 def cached(fn):
@@ -253,6 +255,26 @@ def cached(fn):
     fn = lru_cache(maxsize=None)(fn)
     _CACHED.append(fn)
     return fn
+
+
+def cached_per_owner(fn):
+    """``cached`` for fn(owner, *args), with one table per owner that is
+    freed with the owner, so a transient owner is not kept alive until a
+    clear.  No value may refer to its owner, or the owner is never freed."""
+    tables = WeakKeyDictionary()
+
+    @wraps(fn)
+    def lookup(owner, *args):
+        table = tables.setdefault(owner, {})
+        if args not in table:
+            table[args] = fn(owner, *args)
+        return table[args]
+
+    lookup.cache_clear = tables.clear
+    lookup.cache_info = lambda: SimpleNamespace(
+        currsize=sum(map(len, tables.values())))
+    _CACHED.append(lookup)
+    return lookup
 
 
 def substitute(phi, f, m):
@@ -310,7 +332,7 @@ _LAWS = {And: (TOP, BOT), Or: (BOT, TOP)}  # (unit, zero) of each junction
 
 
 def clear_caches():
-    """Empty the intern table and every ``cached`` function's cache.  Nodes
+    """Empty the intern table and every table in ``_CACHED``.  Nodes
     made before stay valid, and equal to those made after."""
     for table in _NODES.values():
         table.clear()
@@ -512,6 +534,7 @@ class _Tokens:
             self.toks.append(("\n", lineno, len(line) + 1))
         self.pos = 0
         self.nesting = 0
+        self.skip_newlines()
 
     def peek(self):
         return self.toks[self.pos][0] if self.pos < len(self.toks) else None
@@ -537,6 +560,13 @@ class _Tokens:
         while self.peek() == "\n":
             self.next()
 
+    def finish(self, what):
+        """Raise unless only newlines are left; what names a leftover."""
+        self.skip_newlines()
+        if self.peek() is not None:
+            line, col = self.loc()
+            raise SyntaxError_(f"{what} {self.peek()!r}", line, col)
+
     def enter(self, line, col):
         if self.nesting == MAX_NESTING:
             raise SyntaxError_(f"nesting deeper than {MAX_NESTING} levels", line, col)
@@ -549,12 +579,8 @@ class _Tokens:
 def parse_formula(text, ctx_names, sig):
     """Parse a single formula over the given context variable names."""
     toks = _Tokens(text)
-    toks.skip_newlines()
     phi = _parse_or(toks, list(ctx_names), sig)
-    toks.skip_newlines()
-    if toks.peek() is not None:
-        line, col = toks.loc()
-        raise SyntaxError_(f"trailing input {toks.peek()!r}", line, col)
+    toks.finish("trailing input")
     return phi
 
 
@@ -670,12 +696,8 @@ def _parse_sequent(toks, sig):
 def parse_sequent(text, sig):
     """Parse a standalone sequent of the form ``[x,y] lhs |- rhs``."""
     toks = _Tokens(text)
-    toks.skip_newlines()
     s = _parse_sequent(toks, sig)
-    toks.skip_newlines()
-    if toks.peek() is not None:
-        line, col = toks.loc()
-        raise SyntaxError_(f"trailing input {toks.peek()!r}", line, col)
+    toks.finish("trailing input")
     return s
 
 
@@ -685,7 +707,6 @@ _KEYWORDS = frozenset({"true", "false", "exists", "theory", "sig", "axiom"})
 def parse_theory(text):
     """Parse theory source text; see the grammar in the README."""
     toks = _Tokens(text)
-    toks.skip_newlines()
     toks.expect("theory")
     line, col = toks.loc()
     name = toks.next()
@@ -726,10 +747,7 @@ def parse_theory(text):
         toks.next()
         axioms.append(_parse_sequent(toks, sig))
         toks.skip_newlines()
-    toks.skip_newlines()
-    if toks.peek() is not None:
-        line, col = toks.loc()
-        raise SyntaxError_(f"unexpected token {toks.peek()!r}", line, col)
+    toks.finish("unexpected token")
     return Theory(name, sig, tuple(axioms))
 
 

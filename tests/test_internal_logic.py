@@ -1,9 +1,11 @@
 import functools
+import gc
 import itertools
+import weakref
 
 import pytest
 
-from cohlogic import calculus
+from cohlogic import calculus, internal_logic
 from cohlogic.internal_logic import (
     BetaFamily,
     FunctorPresentation,
@@ -180,6 +182,27 @@ def test_exported_presentations_valid():
 def test_peq_export_sizes():
     F = peq_pres()
     assert [F.lattices[n].n for n in range(3)] == [4, 4, 22]
+
+
+def test_hom_and_adjoint_take_any_sequence_as_index_map():
+    F = peq_pres()
+    for f in ((1,), (2,)):
+        assert F.hom(list(f), 1, 2) is F.hom(f, 1, 2)
+        assert F.adjoint(list(f), 1, 2) == F.adjoint(f, 1, 2)
+
+
+def test_presentation_memos_are_freed_with_it():
+    tables = (induced_models, internal_logic._adjoint)
+    before = [fn.cache_info().currsize for fn in tables]
+    F = export_presentation(approx("peq"), gen_depth=1)
+    induced_models(F)
+    F.adjoint((1,), 1, 2)
+    assert [fn.cache_info().currsize for fn in tables] == [n + 1 for n in before]
+    freed = weakref.ref(F)
+    del F
+    gc.collect()
+    assert freed() is None
+    assert [fn.cache_info().currsize for fn in tables] == before
 
 
 def test_export_size_guard():

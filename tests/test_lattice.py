@@ -363,24 +363,6 @@ def test_finposet_checks_match_reference(n):
         assert got == want, leq
 
 
-def reference_up_sets(p):
-    """The subsets that are their own up-closure, by a scan of all 2^n."""
-    out = []
-    for bits in range(1 << p.n):
-        s = frozenset(i for i in range(p.n) if bits >> i & 1)
-        if all(j in s for i in s for j in range(p.n) if p.leq[i][j]):
-            out.append(s)
-    out.sort(key=lambda s: (len(s), sorted(s)))
-    return out
-
-
-def test_up_sets_match_subset_scan():
-    posets = all_posets(6)
-    assert len(posets) == 406
-    for p in posets:
-        assert p.up_sets() == reference_up_sets(p)
-
-
 def test_up_sets_are_bounded_by_their_number():
     assert len(discrete_poset(8).up_sets()) == MAX_UP_SETS == 256
     with pytest.raises(ResourceGuard, match="more than 256 up-sets"):
