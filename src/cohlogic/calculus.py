@@ -18,19 +18,24 @@ ended the search: the call budget, or the depth bound when the search ran
 out of steps without a derivation.
 
 The prover's memo maps ``(n, rhs)`` to the derivations found for each lhs,
-and one table maps each goal ``(n, lhs, rhs)`` to the depth it was last
-attempted at (0 when never).  A goal missing from the memo is not attempted
-again at that depth or less, whether the attempt failed or is still running
-further up the search: a nested call on a goal is always shallower.  Most
-calls are at depth 0, and return before the goal is hashed.  The axiom
-instances of a theory in context n are cached with two indexes: by
+with the set of its ``(n, lhs)`` sources beside it, and one table maps each
+goal ``(n, lhs, rhs)`` to the depth it was last attempted at (0 when
+never).  A goal missing from the memo is not attempted again at that depth
+or less, whether the attempt failed or is still running further up the
+search: a nested call on a goal is always shallower.  A depth-0 call can
+only return a memo entry, and at depth 1 every premise is one, so the memo
+cannot grow during the step.  At depth 1 a step therefore runs only if the
+side its premises share with the goal is in the memo: ``(n, rhs)`` for
+Or-left, distributivity, Frobenius, the forward step and the And-left
+projections, ``(n, lhs)`` among the sources for And-right, Or-right,
+Exists-right and the backward step, and ``(n + 1, body)`` for Exists-left.
+A skipped step builds none of its premise goals.  The axiom instances of a
+theory in context n are kept per theory object with two indexes: by
 consequent, which gives the backward step its instances, and by the least
 conjunct of the antecedent (in ``formula_key`` order), which gives the
 forward step every instance whose antecedent may lie in the current lhs, in
-list order.  Below depth 2 the forward step is skipped unless the memo
-holds some derivation of ``rhs``: each of its premises would be a depth-0
-call, which can only return a memo entry.  None of these changes the
-search: derivations, verdicts and call counts are those of the linear scan
+list order.  None of these changes the search: derivations, verdicts and
+call counts are those of the linear scan with every step tried
 (``tests/test_prover_reference.py``).
 """
 
@@ -50,6 +55,7 @@ from .syntax import (
     Top,
     all_maps,
     cached,
+    cached_per_owner,
     check_formula,
     conj,
     disj,
@@ -397,7 +403,7 @@ def d_exists_intro(n, body, witness):
 # the prover
 
 
-@cached
+@cached_per_owner
 def _axiom_instances(t, n):
     """(instances, by_rhs, by_part) of t in context n: all normalized axiom
     instances with their builders, a map from each consequent to its
@@ -440,6 +446,7 @@ class _Prover:
         self.t = t
         self.budgets = budgets
         self.memo = {}  # (n, rhs) -> {lhs: derivation}
+        self.sources = set()  # the (n, lhs) of every memo entry
         self.fail_depth = {}  # (n, lhs, rhs) -> depth of its last attempt
         self.calls = 0
 
@@ -458,6 +465,7 @@ class _Prover:
         d = self._derive(n, lhs, rhs, depth)
         if d is not None:
             self.memo.setdefault((n, rhs), {})[lhs] = d
+            self.sources.add((n, lhs))
         return d
 
     def _derive(self, n, lhs, rhs, depth):
@@ -467,6 +475,9 @@ class _Prover:
             return _d("top_intro", n, lhs, TOP)
         if lhs == BOT:
             return _d("bot_elim", n, BOT, rhs)
+        # at depth 1 a step runs only if the side its premises share is known
+        rhs_hits = depth > 1 or (n, rhs) in self.memo
+        lhs_hits = depth > 1 or (n, lhs) in self.sources
 
         # collapse variables identified by an equality on the left
         eq = next((p for p in conjuncts(lhs) if isinstance(p, Eq)), None)
@@ -476,19 +487,25 @@ class _Prover:
                 return d
 
         if isinstance(lhs, Or):
+            if not rhs_hits:
+                return None
             return self._every_premise(
                 "disj_rule", n, lhs, rhs, ((p, rhs) for p in lhs.parts), depth)
 
         if isinstance(lhs, Exists):
+            if depth <= 1 and (n + 1, lhs.body) not in self.sources:
+                return None
             up = reindex(rhs, tuple(range(1, n + 1)), n + 1)
             d = self.derive(n + 1, lhs.body, up, depth - 1)
             return None if d is None else _d("exists_up", n, lhs, rhs, children=(d,))
 
         if isinstance(rhs, And):
+            if not lhs_hits:
+                return None
             return self._every_premise(
                 "conj_rule", n, lhs, rhs, ((lhs, p) for p in rhs.parts), depth)
 
-        if isinstance(lhs, And):
+        if isinstance(lhs, And) and rhs_hits:
             # distributivity over a disjunct, Frobenius over an existential
             for p in lhs.parts:
                 if not isinstance(p, (Or, Exists)):
@@ -505,28 +522,28 @@ class _Prover:
                 if d is not None:
                     return d_cut(_d(rule, n, lhs, new, params), d)
 
-        d = self._by_axiom_forward(n, lhs, rhs, depth)
+        d = self._by_axiom_forward(n, lhs, rhs, depth) if rhs_hits else None
         if d is not None:
             return d
 
-        if isinstance(rhs, Or):
+        if isinstance(rhs, Or) and lhs_hits:
             for p in rhs.parts:
                 d = self.derive(n, lhs, p, depth - 1)
                 if d is not None:
                     return d_cut(d, _d("disj_inj", n, p, rhs))
 
-        if isinstance(rhs, Exists):
+        if isinstance(rhs, Exists) and lhs_hits:
             for w in range(1, n + 1):
                 target = reindex(rhs.body, tuple(range(1, n + 1)) + (w,), n)
                 d = self.derive(n, lhs, target, depth - 1)
                 if d is not None:
                     return d_cut(d, d_exists_intro(n, rhs.body, w))
 
-        d = self._by_axiom_backward(n, lhs, rhs, depth)
+        d = self._by_axiom_backward(n, lhs, rhs, depth) if lhs_hits else None
         if d is not None:
             return d
 
-        if isinstance(lhs, And):
+        if isinstance(lhs, And) and rhs_hits:
             for p in lhs.parts:
                 d = self.derive(n, p, rhs, depth - 1)
                 if d is not None:
@@ -562,8 +579,6 @@ class _Prover:
         return d_cut(d_with, back)
 
     def _by_axiom_forward(self, n, lhs, rhs, depth):
-        if depth <= 1 and (n, rhs) not in self.memo:
-            return None  # each premise would be a depth-0 call missing the memo
         out, _, by_part = _axiom_instances(self.t, n)
         lparts = parts_of(lhs)
         for i in sorted(i for p in (*lparts, None) for i in by_part.get(p, ())):

@@ -17,7 +17,7 @@ from heapq import nsmallest
 from itertools import combinations, product
 from operator import attrgetter
 from types import SimpleNamespace
-from weakref import WeakKeyDictionary
+from weakref import finalize
 
 
 class SyntaxError_(Exception):
@@ -203,7 +203,7 @@ class Sequent:
 @dataclass(frozen=True)
 class Theory:
     """Equality is structural; the hash is computed once, when the theory
-    is made, as the prover's ``cached`` tables are keyed by theory."""
+    is made.  The prover's instance tables are kept per theory object."""
     name: str
     signature: Signature
     axioms: tuple[Sequent, ...]
@@ -258,14 +258,18 @@ def cached(fn):
 
 
 def cached_per_owner(fn):
-    """``cached`` for fn(owner, *args), with one table per owner that is
-    freed with the owner, so a transient owner is not kept alive until a
-    clear.  No value may refer to its owner, or the owner is never freed."""
-    tables = WeakKeyDictionary()
+    """``cached`` for fn(owner, *args), with one table per owner object,
+    keyed by identity and dropped when the owner is finalized: equal owners
+    share nothing, and no owner is kept alive until a clear.  No value may
+    refer to its owner, or the owner is never freed."""
+    tables = {}  # id(owner) -> {args: value}
 
     @wraps(fn)
     def lookup(owner, *args):
-        table = tables.setdefault(owner, {})
+        table = tables.get(id(owner))
+        if table is None:
+            table = tables[id(owner)] = {}
+            finalize(owner, tables.pop, id(owner), None)
         if args not in table:
             table[args] = fn(owner, *args)
         return table[args]

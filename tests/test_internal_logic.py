@@ -39,6 +39,7 @@ from cohlogic.syntax import (
     Exists,
     Or,
     Sequent,
+    Theory,
     enum_formulas,
     normalize,
     parse_theory,
@@ -203,6 +204,40 @@ def test_presentation_memos_are_freed_with_it():
     gc.collect()
     assert freed() is None
     assert [fn.cache_info().currsize for fn in tables] == before
+
+
+def test_theory_instance_tables_are_freed_with_it():
+    """The prover's axiom instances are kept per theory object: an equal
+    theory built apart gets tables of its own, and each theory's tables go
+    when it does."""
+    table = calculus._axiom_instances
+    before = table.cache_info().currsize
+    t, twin = th_of(peq_pres()), th_of(peq_pres())
+    assert t == twin and t is not twin
+    for n in range(3):
+        assert table(t, n) == table(twin, n)
+        assert table(t, n) is not table(twin, n)
+    assert table.cache_info().currsize == before + 6
+    freed = weakref.ref(t)
+    del t, twin
+    gc.collect()
+    assert freed() is None
+    assert table.cache_info().currsize == before
+
+
+def test_theory_roundtrip_keeps_no_instance_tables():
+    """th(S(T)), which roundtrip_theory builds, takes its instance tables
+    with it when the call returns; so do T's, once the caller lets go of
+    T.  So the functor direction of ``roundtrip --mode both`` runs without
+    them."""
+    table = calculus._axiom_instances
+    before = table.cache_info().currsize
+    theory = Theory(PEQ.name, PEQ.signature, PEQ.axioms)
+    assert roundtrip_theory(theory, peq_pres(), cap=6).ok
+    assert table.cache_info().currsize > before
+    del theory
+    gc.collect()
+    assert table.cache_info().currsize == before
 
 
 def test_export_size_guard():

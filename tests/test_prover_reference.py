@@ -1,11 +1,13 @@
 """Differential tests: the proof search against its linear-scan reference.
 
-``ReferenceProver`` keeps three methods of ``calculus._Prover`` as they were
-before the instance indexes: ``derive`` with a flat memo keyed by
-``(n, lhs, rhs)``, and the forward and backward axiom steps, each a scan of
-the whole instance list of ``reference_axiom_instances``.  Every other
-method is the prover's own.  For every sequent of the corpus the verdict of
-``entails``, the derivation, the countermodel and its assignment, the way a
+``ReferenceProver`` keeps four methods of ``calculus._Prover`` as they were
+before the instance indexes and the depth-1 guards: ``derive`` with a flat
+memo keyed by ``(n, lhs, rhs)``, ``_derive``, which tries every step in the
+prover's order with its own premise loop and asks each premise through
+``premise``, and the forward and backward axiom steps, each a scan of the
+whole instance list of ``reference_axiom_instances``.  The equality
+collapse is the prover's own.  For every sequent of the corpus the verdict
+of ``entails``, the derivation, the countermodel and its assignment, the way a
 search ends (a derivation, none within the depth bound, or the call budget
 spent) and ``_Prover.calls`` must be the same.
 
@@ -18,6 +20,7 @@ milliseconds per call on the ``th_of`` theories, so their searches run on a
 reduced call budget; most of them end on it.
 """
 
+import collections
 import functools
 import random
 
@@ -38,6 +41,8 @@ from cohlogic.calculus import (
     d_proj,
     d_to_conjunction,
     _d,
+    conjuncts,
+    d_exists_intro,
     derivation_to_json,
     entails,
     find_countermodel,
@@ -45,16 +50,24 @@ from cohlogic.calculus import (
 )
 from cohlogic.semantics import enumerate_models
 from cohlogic.syntax import (
+    BOT,
     TOP,
     And,
+    Eq,
+    Exists,
+    Or,
     Sequent,
     all_maps,
     conj,
     enum_formulas,
+    exists,
     formula_key,
+    join,
+    meet,
     normalize,
     normalize_sequent,
     parse_sequent,
+    reindex,
     substitute,
 )
 
@@ -108,6 +121,82 @@ class ReferenceProver(_Prover):
                 self.fail_depth[key] = depth
         return d
 
+    def _derive(self, n, lhs, rhs, depth):
+        """The prover's steps in its order, with no skipped step: each
+        premise is asked through ``premise``, named by its step."""
+        if lhs == rhs:
+            return d_identity(n, lhs)
+        if rhs == TOP:
+            return _d("top_intro", n, lhs, TOP)
+        if lhs == BOT:
+            return _d("bot_elim", n, BOT, rhs)
+        eq = next((p for p in conjuncts(lhs) if isinstance(p, Eq)), None)
+        if eq is not None:
+            d = self._by_eq_collapse(n, lhs, rhs, eq, depth)
+            if d is not None:
+                return d
+        if isinstance(lhs, Or):
+            return self._all_premises("or_left", "disj_rule", n, lhs, rhs,
+                                      [(p, rhs) for p in lhs.parts], depth)
+        if isinstance(lhs, Exists):
+            up = reindex(rhs, tuple(range(1, n + 1)), n + 1)
+            d = self.premise("exists_left", n + 1, lhs.body, up, depth)
+            return None if d is None else _d("exists_up", n, lhs, rhs, children=(d,))
+        if isinstance(rhs, And):
+            return self._all_premises("and_right", "conj_rule", n, lhs, rhs,
+                                      [(lhs, p) for p in rhs.parts], depth)
+        if isinstance(lhs, And):
+            for p in lhs.parts:
+                if not isinstance(p, (Or, Exists)):
+                    continue
+                phi = meet(*[q for q in lhs.parts if q != p])
+                if isinstance(p, Or):
+                    rule, params = "distributivity", (phi, p.parts)
+                    new = join(*[meet(phi, q) for q in p.parts])
+                else:
+                    rule, params = "frobenius", (phi, p.body)
+                    up = reindex(phi, tuple(range(1, n + 1)), n + 1)
+                    new = exists(meet(up, p.body))
+                d = self.premise(rule, n, new, rhs, depth)
+                if d is not None:
+                    return d_cut(_d(rule, n, lhs, new, params), d)
+        d = self._by_axiom_forward(n, lhs, rhs, depth)
+        if d is not None:
+            return d
+        if isinstance(rhs, Or):
+            for p in rhs.parts:
+                d = self.premise("or_right", n, lhs, p, depth)
+                if d is not None:
+                    return d_cut(d, _d("disj_inj", n, p, rhs))
+        if isinstance(rhs, Exists):
+            for w in range(1, n + 1):
+                target = reindex(rhs.body, tuple(range(1, n + 1)) + (w,), n)
+                d = self.premise("exists_right", n, lhs, target, depth)
+                if d is not None:
+                    return d_cut(d, d_exists_intro(n, rhs.body, w))
+        d = self._by_axiom_backward(n, lhs, rhs, depth)
+        if d is not None:
+            return d
+        if isinstance(lhs, And):
+            for p in lhs.parts:
+                d = self.premise("projection", n, p, rhs, depth)
+                if d is not None:
+                    return d_cut(d_proj(n, lhs, p), d)
+        return None
+
+    def premise(self, step, n, lhs, rhs, depth):
+        """A premise of a step of the goal at depth: a call one deeper."""
+        return self.derive(n, lhs, rhs, depth - 1)
+
+    def _all_premises(self, step, rule, n, lhs, rhs, premises, depth):
+        kids = []
+        for p_lhs, p_rhs in premises:
+            d = self.premise(step, n, p_lhs, p_rhs, depth)
+            if d is None:
+                return None
+            kids.append(d)
+        return _d(rule, n, lhs, rhs, children=kids)
+
     def _by_axiom_forward(self, n, lhs, rhs, depth):
         lparts = parts_of(lhs)
         for alp, al, ar, ai, f in reference_axiom_instances(self.t, n):
@@ -117,7 +206,7 @@ class ReferenceProver(_Prover):
             if arparts <= lparts:
                 continue  # nothing new
             newlhs = conj([lhs, ar])
-            d_rest = self.derive(n, newlhs, rhs, depth - 1)
+            d_rest = self.premise("forward", n, newlhs, rhs, depth)
             if d_rest is None:
                 continue
             d_axi = _d_axiom_instance(self.t, n, ai, f, al, ar)
@@ -144,7 +233,7 @@ class ReferenceProver(_Prover):
         for alp, al, ar, ai, f in reference_axiom_instances(self.t, n):
             if ar != rhs:
                 continue
-            d = self.derive(n, lhs, al, depth - 1)
+            d = self.premise("backward", n, lhs, al, depth)
             if d is not None:
                 d_axi = _d_axiom_instance(self.t, n, ai, f, al, ar)
                 return d_cut(d, d_axi)
@@ -152,26 +241,30 @@ class ReferenceProver(_Prover):
 
 
 class CountingReference(ReferenceProver):
-    """The reference, counting memo hits of depth-0 calls made by the
-    forward step: the only calls below depth 1 that can return a
-    derivation."""
+    """The reference, counting per step the premise calls at depth 0 that
+    hit the memo: the only calls below depth 1 that return a derivation."""
 
     def __init__(self, t, budgets):
         super().__init__(t, budgets)
-        self.forward = 0
-        self.depth0_memo_hits = 0
+        self.memo_hits = collections.Counter()
 
-    def derive(self, n, lhs, rhs, depth):
-        if self.forward and depth <= 0 and (n, lhs, rhs) in self.memo:
-            self.depth0_memo_hits += 1
-        return super().derive(n, lhs, rhs, depth)
+    def premise(self, step, n, lhs, rhs, depth):
+        if depth <= 1 and (n, lhs, rhs) in self.memo:
+            self.memo_hits[step] += 1
+        return super().premise(step, n, lhs, rhs, depth)
 
-    def _by_axiom_forward(self, n, lhs, rhs, depth):
-        self.forward += 1
-        try:
-            return super()._by_axiom_forward(n, lhs, rhs, depth)
-        finally:
-            self.forward -= 1
+
+class SkippingReference(ReferenceProver):
+    """The reference with one step skipped at depth 1, memo or not."""
+
+    def __init__(self, t, budgets, step):
+        super().__init__(t, budgets)
+        self.step = step
+
+    def premise(self, step, n, lhs, rhs, depth):
+        if step == self.step and depth <= 1:
+            return None
+        return super().premise(step, n, lhs, rhs, depth)
 
 
 def search(prover, s):
@@ -240,9 +333,11 @@ def draw(name, per_context, want_order=None):
     return out
 
 
-# Sequents on which the reference's forward step hits the memo at depth 0:
-# a premise proved earlier in the same search.  On the peq ones, skipping
-# the step at depth 1 without looking at the memo changes the call count.
+# Sequents added to the drawn corpus.  On the first pqr one and on the peq
+# ones the reference asks a premise at depth 0 that an earlier call of the
+# same search proved: by And-left projection, And-right and the forward
+# step.  On the peq ones, skipping the forward step at depth 1 without
+# looking at the memo changes the call count.
 MEMO_HITS = {
     "pqr": ("[x,y] P(x) & Q(y) |- R(x) | R(y)",
             "[x] P(x) & (P(x) | Q(x)) |- P(x) | (exists y. Q(y))",
@@ -250,6 +345,31 @@ MEMO_HITS = {
             "[x,y] P(y) & Q(x) & x = y |- P(x) & R(x)"),
     "peq": ("[x,y] E(x, x) & (exists z. E(z, x)) |- E(x, x) & E(x, y) & E(y, x)",
             "[x,y] E(x, y) | (exists z. E(z, x)) |- E(y, x) | E(y, y)"),
+}
+
+
+# One sequent per step that the prover skips at depth 1 when none of its
+# premises can hit the memo, on which the reference's step asks a premise at
+# depth 0 that an earlier call of the same search proved, and the hit
+# decides the search.  They stay out of ``corpus``, whose work counts
+# tests/test_work_counts.py pins.
+STEP_HITS = {
+    "or_left": ("peq", "[x,y] (E(x, x) | (exists z. E(y, x))) "
+                       "& (x = y | (exists z. E(x, x))) |- E(x, x) & E(x, y)"),
+    "exists_left": ("peq", "[x,y] (E(x, x) | E(y, x)) & (exists z. E(x, x)) "
+                           "|- exists z. E(z, y)"),
+    "and_right": ("peq", "[x,y] E(x, y) | (exists z. true) "
+                         "|- E(y, x) & (exists z. E(z, x))"),
+    "distributivity": ("pqr", "[x,y] P(x) & Q(x) & Q(y) & (P(y) | Q(x) | R(x)) "
+                              "& (P(y) | Q(y) | x = y) |- exists z. exists w. R(y)"),
+    "frobenius": ("pqr", "[x,y] (P(x) | (exists z. Q(x))) & (P(y) | Q(x) | R(y)) "
+                         "& (Q(x) | (exists z. y = z)) |- Q(x) | (exists z. x = z)"),
+    "forward": ("peq", MEMO_HITS["peq"][1]),
+    "or_right": ("pqr", "[x] P(x) & (exists y. Q(y)) |- P(x) & (P(x) | R(x))"),
+    "exists_right": ("peq", "[x] (exists y. exists z. E(x, z)) "
+                            "|- (exists y. E(x, x)) & (exists y. E(x, y))"),
+    "backward": ("peq", "[x,y] E(x, y) | x = y |- E(x, y) & E(y, y)"),
+    "projection": ("pqr", MEMO_HITS["pqr"][0]),
 }
 
 
@@ -274,8 +394,8 @@ def test_search_matches_reference(name):
     """Same search outcome, calls and entails verdict on every sequent.
     The corpus holds proofs, searches that end within the depth bound and,
     on the th_of theories, searches that spend the call budget.  On pqr and
-    peq the reference's forward step hits the memo at depth 0, which a
-    depth-1 guard that skips the step without looking at the memo misses."""
+    peq some premises asked at depth 0 hit the memo, which a depth-1 guard
+    that skips a step without looking at the memo misses."""
     t, _, pool = theory(name)
     outcomes, memo_hits = set(), 0
     for s, budgets in corpus(name):
@@ -284,7 +404,7 @@ def test_search_matches_reference(name):
         want = search(reference, s)
         assert got == want, s
         outcomes.add(want[0] if want[0] in (None, "calls") else "proved")
-        memo_hits += reference.depth0_memo_hits
+        memo_hits += sum(reference.memo_hits.values())
         cm = find_countermodel(t, s, pool=pool)
         if cm is not None:
             expected = ("Refuted", cm[0].size, cm[0].tables, cm[1])
@@ -302,6 +422,22 @@ def test_search_matches_reference(name):
     else:
         assert outcomes == {"proved", None}
         assert memo_hits > 0
+
+
+@pytest.mark.parametrize("step", sorted(STEP_HITS))
+def test_skipped_steps_match_reference(step):
+    """Each step that the prover skips at depth 1 when its premises can only
+    miss the memo, on a sequent where the reference's step hits it: the
+    prover's search is the reference's, and skipping the step at depth 1
+    whatever the memo holds would change it."""
+    name, text = STEP_HITS[step]
+    t = theory(name)[0]
+    s = normalize_sequent(parse_sequent(text, t.signature))
+    reference = CountingReference(t, Budgets())
+    want = search(reference, s)
+    assert search(_Prover(t, Budgets()), s) == want
+    assert reference.memo_hits[step] > 0, reference.memo_hits
+    assert search(SkippingReference(t, Budgets(), step), s) != want
 
 
 def rules_of(d, out):

@@ -19,6 +19,18 @@ axiom instances substitute with ``syntax.reindex``.
 the same corpus is decided: a proof step builds its rule node only once its
 premises are derived, so failed steps build none.
 
+``derive_calls`` counts the invocations of ``_Prover.derive`` over the
+same corpus, the counted calls and those that return at once alike.  At
+depth 1 a step whose premises can only miss the memo is skipped, so its
+depth-0 calls are not made.
+
+``roundtrip_eq_calls`` counts the calls of ``_Formula.__eq__`` made by
+``roundtrip_theory(PEQ, peq_pres(), cap=6)``: first in a fresh
+interpreter, again in the same one, and a third time while an equal
+theory built apart, whose instance tables the prover has filled, is kept
+alive.  The instance tables are kept per theory object, so no call
+compares a theory with another one axiom by axiom.
+
 ``canonical_steps`` counts the calls of ``lattice._canonical_step``, one
 per node of the search tree, while ``all_posets(6)`` and
 ``all_dist_lattices(8)`` key every grown poset they keep and sort their
@@ -32,7 +44,7 @@ the batch's indicator, not evaluated in each model.
 
 Print the counts of the checkout with
 
-    PYTHONPATH=src:tests python tests/test_work_counts.py [derivations|canonical|profiles]
+    PYTHONPATH=src:tests python tests/test_work_counts.py [derivations|derives|roundtrip|canonical|profiles]
 """
 
 import json
@@ -46,8 +58,9 @@ import pytest
 
 from cohlogic import calculus, lattice, syntax
 
-EXPECTED = {"normalize_cache": 798, "interned": 3385, "calls": 2201}
+EXPECTED = {"normalize_cache": 798, "interned": 2224, "calls": 2201}
 DERIVATIONS_EXPECTED = 1893
+DERIVES_EXPECTED = 3595
 CANONICAL_EXPECTED = {"all_posets(6)": 34720, "all_dist_lattices(8)": 1812}
 PROFILE_EXPECTED = {"pqr": 9841, "peq": 7095, "th_of(peq_pres())": 16862}
 
@@ -78,33 +91,57 @@ def work_counts():
 
 
 def derivation_nodes():
-    init, count = calculus.Derivation.__init__, [0]
-
-    def counted(self, *args, **kwargs):
-        count[0] += 1
-        init(self, *args, **kwargs)
-
-    calculus.Derivation.__init__ = counted  # this runs only in its own interpreter
+    # this runs only in its own interpreter
+    count = _count_calls(calculus.Derivation, "__init__")
     work_counts()
     return count[0]
 
 
-def _count_steps(patch):
-    """Route ``lattice._canonical_step``, whose recursion goes through the
-    module name, through a counter that ``patch(lattice, name, value)``
-    installs; returns the count as a one-item list."""
-    step, count = lattice._canonical_step, [0]
+def derive_calls():
+    # this runs only in its own interpreter
+    count = _count_calls(calculus._Prover, "derive")
+    work_counts()
+    return count[0]
 
-    def counted(*args):
+
+def roundtrip_eq_calls():
+    from test_internal_logic import PEQ, peq_pres
+
+    from cohlogic.internal_logic import roundtrip_theory, th_of
+
+    pres = peq_pres()
+    # this runs only in its own interpreter
+    count = _count_calls(syntax._Formula, "__eq__")
+
+    def calls():
+        count[0] = 0
+        roundtrip_theory(PEQ, pres, cap=6)
+        return count[0]
+
+    first, second = calls(), calls()
+    twin = th_of(pres)
+    for n in range(pres.cutoff + 1):
+        calculus._axiom_instances(twin, n)
+    return {"first": first, "second": second, "with_twin": calls()}
+
+
+def _count_calls(owner, name, patch=setattr):
+    """Route ``owner.name`` through a counter that ``patch(owner, name,
+    value)`` installs; returns the count as a one-item list.  Recursion
+    through the name, as in ``lattice._canonical_step``, is counted too."""
+    fn, count = getattr(owner, name), [0]
+
+    def counted(*args, **kwargs):
         count[0] += 1
-        return step(*args)
+        return fn(*args, **kwargs)
 
-    patch(lattice, "_canonical_step", counted)
+    patch(owner, name, counted)
     return count
 
 
 def canonical_steps():
-    count, out = _count_steps(setattr), {}  # this runs only in its own interpreter
+    # this runs only in its own interpreter
+    count, out = _count_calls(lattice, "_canonical_step"), {}
     for generate, n in ((lattice.all_posets, 6), (lattice.all_dist_lattices, 8)):
         count[0] = 0
         generate(n)
@@ -126,13 +163,8 @@ def profile_calls():
         "th_of(peq_pres())": compute_typespace(th_of(pres), N=pres.cutoff,
                                                models=induced_models(pres)),
     }
-    extension, count, out = semantics.extension, [0], {}
-
-    def counted(*args):
-        count[0] += 1
-        return extension(*args)
-
-    semantics.extension = counted  # this runs only in its own interpreter
+    # this runs only in its own interpreter
+    count, out = _count_calls(semantics, "extension"), {}
     for name, a in approxes.items():
         count[0] = 0
         for n in range(a.N + 1):
@@ -161,6 +193,18 @@ def test_derivation_node_counts(seed):
 
 
 @pytest.mark.parametrize("seed", ["0", "1", "77"])
+def test_derive_invocation_counts(seed):
+    assert _counts_in_fresh_interpreter(seed, "derives") == DERIVES_EXPECTED
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "77"])
+def test_repeated_roundtrip_compares_no_theories(seed):
+    counts = _counts_in_fresh_interpreter(seed, "roundtrip")
+    assert counts["second"] <= counts["first"], counts
+    assert counts["with_twin"] <= counts["first"], counts
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "77"])
 def test_canonical_step_counts(seed):
     assert _counts_in_fresh_interpreter(seed, "canonical") == CANONICAL_EXPECTED
 
@@ -173,13 +217,14 @@ def test_profile_extension_calls(seed):
 def test_antichain_canonical_steps(monkeypatch):
     # every point of an antichain is a twin of every other, so the search
     # tries one point per position: one step per position and the leaf
-    count = _count_steps(monkeypatch.setattr)
+    count = _count_calls(lattice, "_canonical_step", monkeypatch.setattr)
     lattice.discrete_poset(8).canonical()
     assert count[0] <= 9
 
 
 if __name__ == "__main__":
     which = sys.argv[1] if len(sys.argv) > 1 else None
-    run = {"derivations": derivation_nodes, "canonical": canonical_steps,
+    run = {"derivations": derivation_nodes, "derives": derive_calls,
+           "roundtrip": roundtrip_eq_calls, "canonical": canonical_steps,
            "profiles": profile_calls}.get(which, work_counts)
     print(json.dumps(run()))
