@@ -12,7 +12,7 @@ spectrum.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 from . import calculus
@@ -506,7 +506,7 @@ def _binder_depth(phi):
     return 0
 
 
-def roundtrip_theory(theory, pres, cap=10, budgets=None):
+def roundtrip_theory(theory, pres, cap=10):
     """Rebuild a theory from pres, a presentation exported from an
     approximation of S(theory), and check the interpretation
     R_[phi] |-> phi back into the original theory.  The arity cutoff, the
@@ -516,7 +516,6 @@ def roundtrip_theory(theory, pres, cap=10, budgets=None):
     value, and (b) on capped formula pairs, provability in the rebuilt
     theory, provability of the translation, and the lattice order agree.
     Unknown verdicts are retried at doubled budget before being counted."""
-    budgets = budgets or calculus.Budgets()
     gen_th = th_of(pres)
     mapping = {"=": Eq(1, 2)}
     for n in range(pres.cutoff + 1):
@@ -525,10 +524,10 @@ def roundtrip_theory(theory, pres, cap=10, budgets=None):
     gamma = Interpretation(gen_th, theory, 1, mapping)
     report = calculus.Tally()
     approx = pres.approx
-    gen_b = replace(budgets, model_pool=induced_models(pres))
-    tgt_b = replace(budgets, model_pool=tuple(approx.models))
+    gen_b = calculus.Budgets(model_pool=induced_models(pres))
+    tgt_b = calculus.Budgets(model_pool=tuple(approx.models))
     for n in range(pres.cutoff + 1):
-        formulas = enum_formulas(gen_th.signature, n, approx.d, min(cap, 200))
+        formulas = enum_formulas(gen_th.signature, n, approx.d, cap)
         # leave out the formulas whose existentials pass the arity cutoff
         formulas = [phi for phi in formulas
                     if n + _binder_depth(phi) <= pres.cutoff]
@@ -562,7 +561,7 @@ def roundtrip_theory(theory, pres, cap=10, budgets=None):
     return report
 
 
-def roundtrip_functor(pres, models=None, d=2, cap=600):
+def roundtrip_functor(pres, models=None):
     """Check that the type points of th_of(pres) are exactly the prime
     filters of the presented lattices, naturally in the arity.
 
@@ -573,7 +572,7 @@ def roundtrip_functor(pres, models=None, d=2, cap=600):
         models = induced_models(pres)
     else:
         models = tuple(m for m in models if is_model(m, gen_th))
-    approx = compute_typespace(gen_th, N=pres.cutoff, d=d, cap=cap, models=models)
+    approx = compute_typespace(gen_th, N=pres.cutoff, models=models)
     report = {"ok": True, "failures": [], "unrealized": [], "points": {}}
     filters_by_point = {}
     for n in range(pres.cutoff + 1):

@@ -406,19 +406,19 @@ def enumerate_models(t, max_size):
 
 def ctp(m, a, t, d, cap=2000):
     """Truth profile of the tuple a in m over the canonical depth-d formula
-    enumeration: the frozenset of indices of satisfied formulas."""
+    enumeration, as ``profile`` gives it."""
     return profile(m, a, enum_formulas(t.signature, len(a), d, cap))
 
 
 def profile(m, a, formulas):
-    """Indices of the formulas that hold of the tuple a in m."""
+    """The profile of the tuple a in m over formulas as ``profile_bits``
+    lays it out: bit i says that formula i holds; 0 if a is out of range."""
     j = tuple_index(m.size, a)
     if j is None:
-        return frozenset()
+        return 0
     n, memo = len(a), m._ext_cache
-    return frozenset(
-        i for i, phi in enumerate(formulas) if extension(m, phi, n, memo) >> j & 1
-    )
+    return sum(1 << i for i, phi in enumerate(formulas)
+               if extension(m, phi, n, memo) >> j & 1)
 
 
 _CHUNK = 256  # tuples per transposed slice of profile_bits

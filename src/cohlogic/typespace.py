@@ -216,7 +216,7 @@ def check_interpretation(g, budgets=calculus.Budgets(), depth=2, ctxs=(0, 1, 2),
         w = calculus.entails(g.target, s, tgt_b)
         report.add(w, (tag, s.lhs, s.rhs, w))
     for n in ctxs:
-        formulas = enum_formulas(g.source.signature, n, depth, min(cap, 2000))
+        formulas = enum_formulas(g.source.signature, n, depth, cap)
         for phi in formulas:
             for psi in formulas:
                 v = calculus.entails(g.source, Sequent(n, phi, psi), src_b)
@@ -288,7 +288,7 @@ def morphism_condition_sequents(theta, depth=1, cap=10, ctxs=(1, 2)):
     seqs.append(("(4)", Sequent(ctx, meet(th_xy, eq_yy), th_xy2)))
     # (5) Gamma(phi)(xs) /\ /\ theta(xi,yi) |- Gamma'(phi)(ys)
     for n in ctxs:
-        formulas = enum_formulas(g.source.signature, n, depth, min(cap, 2000))
+        formulas = enum_formulas(g.source.signature, n, depth, cap)
         ctx = n * (k + k2)
         xpos = tuple(range(1, n * k + 1))
         ypos = tuple(range(n * k + 1, ctx + 1))
@@ -385,9 +385,8 @@ class TypeSpaceApprox:
     cap: int
     models: list
     formulas: dict  # n -> list of formulas
-    points: dict  # n -> list of profiles (frozensets of formula indices)
+    points: dict  # n -> list of profiles: ints, bit i says formulas[n][i] holds
     realizations: dict  # n -> list of (model index, tuple)
-    opens: dict  # n -> list of frozensets of point indices, per formula
     # n -> per model, the point index of each n-tuple in tuple_index order:
     # tuple_points[n][mi][j] is the point of tuple j of models[mi]
     tuple_points: dict
@@ -399,22 +398,22 @@ class TypeSpaceApprox:
 
     def poset(self, n):
         pts = self.points[n]
-        leq = [[pts[i] <= pts[j] for j in range(len(pts))] for i in range(len(pts))]
-        return lattice.FinPoset(len(pts), leq)
+        return lattice.FinPoset(len(pts), [[not p & ~q for q in pts] for p in pts])
 
     def open_of(self, phi, n):
-        """Point set of [phi]; stored formulas by profile lookup, others by
+        """Point set of [phi]; stored formulas read off the points, others by
         evaluating at the realizations."""
         phi = normalize(phi)
         try:
             i = self.formulas[n].index(phi)
         except ValueError:
-            out = []
-            for j, (mi, a) in enumerate(self.realizations[n]):
-                if eval_formula(self.models[mi], phi, a):
-                    out.append(j)
-            return frozenset(out)
-        return self.opens[n][i]
+            return frozenset(j for j, (mi, a) in enumerate(self.realizations[n])
+                             if eval_formula(self.models[mi], phi, a))
+        return self._open(i, n)
+
+    def _open(self, i, n):
+        """Point set of the stored formula formulas[n][i]."""
+        return frozenset(j for j, p in enumerate(self.points[n]) if p >> i & 1)
 
     def s_map(self, f, n, m):
         """Restriction map S_f: points of arity m -> points of arity n, for
@@ -429,26 +428,20 @@ class TypeSpaceApprox:
         return lattice.MonotoneMap(self.poset(m), self.poset(n), self.s_map(f, n, m))
 
 
-def _indices(bits):
-    """Profile as an int -> as the frozenset of its set bit positions."""
-    return frozenset(i for i, c in enumerate(format(bits, "b")[::-1]) if c == "1")
-
-
 def _collect(models, formulas, n):
-    """Points (profiles, sorted), the first realization (model index,
-    tuple) of each in model order, and the point index of every tuple of
-    every model."""
+    """Points (profiles, sorted by their lists of formula indices), the
+    first realization (model index, tuple) of each in model order, and the
+    point index of every tuple of every model."""
     profiles = model_profiles(models, formulas, n)
     seen = {}
     for mi, m in enumerate(models):
         tuples = product(range(m.size), repeat=n)
         for a, bits in zip(tuples, profiles[mi]):
             seen.setdefault(bits, (mi, a))
-    found = {_indices(bits): bits for bits in seen}
-    pts = sorted(found, key=sorted)
-    index = {found[p]: i for i, p in enumerate(pts)}
+    pts = sorted(seen, key=lattice.bit_positions)
+    index = {p: i for i, p in enumerate(pts)}
     table = [[index[bits] for bits in prof] for prof in profiles]
-    return pts, [seen[found[p]] for p in pts], table
+    return pts, [seen[p] for p in pts], table
 
 
 def compute_typespace(t, N=2, B=3, d=2, cap=600, check_stability=True,
@@ -469,18 +462,12 @@ def compute_typespace(t, N=2, B=3, d=2, cap=600, check_stability=True,
     formulas = {}
     points = {}
     realizations = {}
-    opens = {}
     tuple_points = {}
     for n in range(N + 1):
         formulas[n] = enum_formulas(t.signature, n, d, cap)
-        pts, realizations[n], tuple_points[n] = _collect(models, formulas[n], n)
-        points[n] = pts
-        opens[n] = [
-            frozenset(j for j, p in enumerate(pts) if i in p)
-            for i in range(len(formulas[n]))
-        ]
+        points[n], realizations[n], tuple_points[n] = _collect(models, formulas[n], n)
     approx = TypeSpaceApprox(t, N, B, d, cap, models, formulas, points,
-                             realizations, opens, tuple_points)
+                             realizations, tuple_points)
     if check_stability:
         approx.stable_arities = _stability(t, approx, every[len(models):])
         approx.stable = all(approx.stable_arities)
@@ -506,12 +493,13 @@ def _stability(t, approx, bigger):
                                                 approx.formulas[n], n)
                 for bits in prof}
                for c in range(0, len(bigger), _STABILITY_CHUNK))
-        if any(_indices(bits) not in known for found in new for bits in found):
+        if any(bits not in known for found in new for bits in found):
             out.append(False)
             continue
         deeper = enum_formulas(t.signature, n, approx.d + 1, approx.cap)
-        pts2 = _collect(approx.models, deeper, n)[0]
-        out.append(len(pts2) == len(approx.points[n]))
+        profiles = model_profiles(approx.models, deeper, n)
+        out.append(len({bits for prof in profiles for bits in prof})
+                   == len(approx.points[n]))
     return tuple(out)
 
 
@@ -622,7 +610,8 @@ def check_weak_bc(pnt, f, n, m, strict=False):
     down = ta.s_map(times_k(f, k), n * k, m * k)
     over = sa.s_map(f, n, m)
     img_all = _image(down, range(len(ta.points[m * k])))
-    for ui, u in enumerate(sa.opens[m]):
+    for ui in range(len(sa.formulas[m])):
+        u = sa._open(ui, m)
         lhs = _beta_preimage(pnt, n, _image(over, u))
         if not strict:
             lhs &= img_all

@@ -7,11 +7,15 @@ point in ``TypeSpaceApprox.tuple_points``; ``s_map`` and ``induced_models``
 read that table.  The reference is the path as first written: ``profile_bits`` on each
 model alone for the points, and ``semantics.profile`` of each tuple for the
 table, the restriction maps and the induced models.  Points, realizations,
-table, maps and models must be identical, in the same order.  The corpus
-covers the pqr and peq approximations, the approximation of
-``th_of(peq_pres())`` over its induced models, a pool of mixed sizes out of
-size order, and models without a table for one symbol.  Both halves of
-``_stability`` are checked against the same per-model reference.
+table, maps and models must be identical, in the same order.  The opens
+that ``open_of`` reads off the points for stored formulas must be those
+found by evaluating each formula at the realizations, its path for other
+formulas, and the specialization order must be the subset order of the
+profiles.  The corpus covers the pqr and peq approximations, the
+approximation of ``th_of(peq_pres())`` over its induced models, a pool of
+mixed sizes out of size order, and models without a table for one
+symbol.  Both halves of ``_stability`` are checked against the same
+per-model reference.
 """
 
 from functools import lru_cache
@@ -25,6 +29,7 @@ from cohlogic.semantics import (
     FiniteModel,
     ModelBatch,
     enumerate_models,
+    eval_formula,
     profile,
     profile_bits,
 )
@@ -46,8 +51,9 @@ PEQ = parse_theory(
 )
 
 
-def _indices(bits):
-    return frozenset(i for i in range(bits.bit_length()) if bits >> i & 1)
+def _positions(bits):
+    """The indices of the formulas a profile says hold, ascending."""
+    return [i for i in range(bits.bit_length()) if bits >> i & 1]
 
 
 def reference_collect_points(models, formulas, n):
@@ -57,9 +63,8 @@ def reference_collect_points(models, formulas, n):
         tuples = product(range(m.size), repeat=n)
         for a, bits in zip(tuples, profile_bits(m, formulas, n)):
             seen.setdefault(bits, (mi, a))
-    found = {_indices(bits): r for bits, r in seen.items()}
-    pts = sorted(found, key=sorted)
-    return pts, [found[p] for p in pts]
+    pts = sorted(seen, key=_positions)
+    return pts, [seen[p] for p in pts]
 
 
 def reference_tuple_points(a, n):
@@ -144,6 +149,22 @@ def test_collect_points_matches_reference(which):
         want = reference_collect_points(a.models, a.formulas[n], n)
         assert (a.points[n], a.realizations[n]) == want, n
         assert _collect(a.models, a.formulas[n], n)[:2] == want, n
+
+
+@pytest.mark.parametrize("which", CORPUS)
+def test_opens_and_order_read_off_the_points(which):
+    """A stored formula's open, read off the points, is the set of points
+    whose first realization satisfies it; the specialization order is the
+    subset order of the profiles' formula sets."""
+    a = corpus_approx(which)
+    for n in range(a.N + 1):
+        for phi in a.formulas[n]:
+            want = frozenset(j for j, (mi, t) in enumerate(a.realizations[n])
+                             if eval_formula(a.models[mi], phi, t))
+            assert a.open_of(phi, n) == want, (n, phi)
+        sets = [set(_positions(p)) for p in a.points[n]]
+        want = tuple(tuple(p <= q for q in sets) for p in sets)
+        assert a.poset(n).leq == want, n
 
 
 @pytest.mark.parametrize("which", CORPUS)

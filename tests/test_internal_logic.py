@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from cohlogic import calculus, internal_logic
+from cohlogic import calculus, internal_logic, typespace
 from cohlogic.internal_logic import (
     BetaFamily,
     FunctorPresentation,
@@ -45,7 +45,15 @@ from cohlogic.syntax import (
     parse_theory,
     substitute,
 )
-from cohlogic.typespace import all_maps, compute_typespace, s_of_interpretation
+from cohlogic.typespace import (
+    all_maps,
+    check_interpretation,
+    compute_typespace,
+    identity_2cell,
+    identity_interpretation,
+    morphism_condition_sequents,
+    s_of_interpretation,
+)
 
 PQR = parse_theory(
     "theory pqr\nsig { P/1, Q/1, R/1 }\naxiom [x,y] P(x) & Q(y) |- R(x) | R(y)\n"
@@ -399,6 +407,26 @@ def test_enumeration_at_the_kept_cap(which):
         for n in ctxs:
             kept = enum_formulas(sig, n, depth, cap)
             assert kept == enum_formulas(sig, n, depth, old)[:cap], (sig, n)
+
+
+def test_caps_reach_the_enumeration_unclamped(monkeypatch):
+    """roundtrip_theory, check_interpretation and morphism_condition_sequents
+    enumerate at the cap they are given, also above 200 and 2000."""
+    pres, seen = empty_pres(), []
+
+    def spy(sig, n, depth, cap):
+        seen.append((n, cap))
+        return ()
+
+    monkeypatch.setattr(internal_logic, "enum_formulas", spy)
+    monkeypatch.setattr(typespace, "enum_formulas", spy)
+    roundtrip_theory(EMPTY, pres, cap=201)
+    assert seen == [(n, 201) for n in range(pres.cutoff + 1)]
+    seen.clear()
+    g = identity_interpretation(EMPTY)
+    check_interpretation(g, cap=2001)
+    morphism_condition_sequents(identity_2cell(g), cap=2002)
+    assert seen == [(0, 2001), (1, 2001), (2, 2001), (1, 2002), (2, 2002)]
 
 
 def test_roundtrip_functor_trivial():

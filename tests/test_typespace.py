@@ -215,15 +215,15 @@ def test_typespace_empty_theory():
 def test_typespace_opens_boolean_structure():
     a = approx("pqr")
     n = 1
-    idx = {phi: i for i, phi in enumerate(a.formulas[n])}
     p, q = Atom("P", (1,)), Atom("Q", (1,))
     both = normalize(And((p, q)))
     either = normalize(Or((p, q)))
-    assert a.opens[n][idx[both]] == a.opens[n][idx[p]] & a.opens[n][idx[q]]
-    assert a.opens[n][idx[either]] == a.opens[n][idx[p]] | a.opens[n][idx[q]]
+    assert {p, q, both, either} <= set(a.formulas[n])
+    assert a.open_of(both, n) == a.open_of(p, n) & a.open_of(q, n)
+    assert a.open_of(either, n) == a.open_of(p, n) | a.open_of(q, n)
     from cohlogic.syntax import BOT
 
-    assert a.opens[n][idx[BOT]] == frozenset()
+    assert BOT in a.formulas[n] and a.open_of(BOT, n) == frozenset()
 
 
 def test_restriction_maps_functorial_and_open():

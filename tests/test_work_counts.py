@@ -42,9 +42,16 @@ the pqr and peq approximations and of ``th_of(peq_pres())`` over its
 induced models.  An atom over a model batch is one call: it is read from
 the batch's indicator, not evaluated in each model.
 
+``typespace_memory`` measures, with ``tracemalloc``, the memory that
+``compute_typespace(PQR)`` at the defaults still holds once
+``clear_caches()`` and a collection have run: the approximation itself.
+Its points are ints and its opens are read off them on demand, so it
+holds well under 1 MB (7.2 MB when every point was a frozenset of formula
+indices and every formula's open was stored).
+
 Print the counts of the checkout with
 
-    PYTHONPATH=src:tests python tests/test_work_counts.py [derivations|derives|roundtrip|canonical|profiles]
+    PYTHONPATH=src:tests python tests/test_work_counts.py [derivations|derives|roundtrip|canonical|profiles|memory]
 """
 
 import json
@@ -63,6 +70,7 @@ DERIVATIONS_EXPECTED = 1893
 DERIVES_EXPECTED = 3595
 CANONICAL_EXPECTED = {"all_posets(6)": 34720, "all_dist_lattices(8)": 1812}
 PROFILE_EXPECTED = {"pqr": 9841, "peq": 7095, "th_of(peq_pres())": 16862}
+HELD_BYTES_LIMIT = 1_000_000
 
 
 def work_counts():
@@ -173,6 +181,23 @@ def profile_calls():
     return out
 
 
+def typespace_memory():
+    import gc
+    import tracemalloc
+
+    from test_internal_logic import PQR
+
+    from cohlogic.typespace import compute_typespace
+
+    # this runs only in its own interpreter
+    tracemalloc.start()
+    approx = compute_typespace(PQR)
+    syntax.clear_caches()
+    gc.collect()
+    held = tracemalloc.get_traced_memory()[0]
+    return {"held": held, "points": [len(approx.points[n]) for n in range(3)]}
+
+
 def _counts_in_fresh_interpreter(seed, *argv):
     here = Path(__file__).parent
     path = os.pathsep.join([str(here.parent / "src"), str(here)])
@@ -214,6 +239,12 @@ def test_profile_extension_calls(seed):
     assert _counts_in_fresh_interpreter(seed, "profiles") == PROFILE_EXPECTED
 
 
+def test_typespace_holds_no_per_point_sets():
+    counts = _counts_in_fresh_interpreter("0", "memory")
+    assert counts["points"] == [13, 42, 194]
+    assert counts["held"] < HELD_BYTES_LIMIT, counts
+
+
 def test_antichain_canonical_steps(monkeypatch):
     # every point of an antichain is a twin of every other, so the search
     # tries one point per position: one step per position and the leaf
@@ -226,5 +257,6 @@ if __name__ == "__main__":
     which = sys.argv[1] if len(sys.argv) > 1 else None
     run = {"derivations": derivation_nodes, "derives": derive_calls,
            "roundtrip": roundtrip_eq_calls, "canonical": canonical_steps,
-           "profiles": profile_calls}.get(which, work_counts)
+           "profiles": profile_calls,
+           "memory": typespace_memory}.get(which, work_counts)
     print(json.dumps(run()))
