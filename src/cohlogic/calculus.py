@@ -41,16 +41,17 @@ call counts are those of the linear scan with every step tried
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
-from .semantics import enumerate_models, tuple_at, violations
+from .semantics import (GUARD_BITS, ResourceGuard, enumerate_models, tuple_at,
+                        violations)
 from .syntax import (
     BOT,
     TOP,
     And,
     Eq,
     Exists,
+    Frozen,
     Or,
+    Record,
     Sequent,
     Top,
     all_maps,
@@ -76,45 +77,52 @@ class BudgetExceeded(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Derivation:
-    rule: str
-    concl: Sequent
-    params: tuple = ()
-    children: tuple = ()
+class Derivation(Frozen):
+    _fields = ("rule", "concl", "params", "children")
+
+    def __init__(self, rule, concl, params=(), children=()):
+        self.__dict__.update(rule=rule, concl=concl, params=params,
+                             children=children)
 
 
-@dataclass(frozen=True)
-class Budgets:
-    depth: int = 8
-    size: int = 5000
-    model_size: int = 3
-    # optional pre-supplied list of models of the theory to use for
-    # refutation instead of exhaustive enumeration
-    model_pool: tuple | None = None
+class Budgets(Frozen):
+    _fields = ("depth", "size", "model_size", "model_pool")
+
+    def __init__(self, depth=8, size=5000, model_size=3, model_pool=None):
+        # model_pool: optional pre-supplied list of models of the theory to
+        # use for refutation instead of exhaustive enumeration
+        self.__dict__.update(depth=depth, size=size, model_size=model_size,
+                             model_pool=model_pool)
+
+    def replace(self, **changes):
+        return Budgets(**{**self.__dict__, **changes})
 
     def scaled(self, factor):
-        return replace(self, depth=self.depth * factor, size=self.size * factor)
+        return self.replace(depth=self.depth * factor, size=self.size * factor)
 
 
-@dataclass(frozen=True)
-class Proved:
-    derivation: Derivation
+class Proved(Frozen):
+    _fields = ("derivation",)
+
+    def __init__(self, derivation):
+        self.__dict__["derivation"] = derivation
 
 
-@dataclass(frozen=True)
-class Refuted:
-    model: object
-    assignment: tuple
+class Refuted(Frozen):
+    _fields = ("model", "assignment")
+
+    def __init__(self, model, assignment):
+        self.__dict__.update(model=model, assignment=assignment)
 
 
-@dataclass(frozen=True)
-class Unknown:
-    reason: str  # the budget that ended the search, with its value
+class Unknown(Frozen):
+    _fields = ("reason",)
+
+    def __init__(self, reason):  # the budget that ended the search, and its value
+        self.__dict__["reason"] = reason
 
 
-@dataclass
-class Tally:
+class Tally(Record):
     """Verdict counts over a batch of checks.  A check expects Proved, or
     with ``expected`` false a verdict other than Proved: a settled verdict
     counts as proved when it agrees with the expectation and as refuted
@@ -123,11 +131,12 @@ class Tally:
     witness of the first check not counted as proved.  ``verdict`` decides
     Fails, Unknown or Holds."""
 
-    proved: int = 0
-    refuted: int = 0
-    unknown: int = 0
-    failures: list = field(default_factory=list)
-    first_failure: object = None
+    _fields = ("proved", "refuted", "unknown", "failures", "first_failure")
+
+    def __init__(self):
+        self.proved = self.refuted = self.unknown = 0
+        self.failures = []
+        self.first_failure = None
 
     def add(self, verdict, witness, expected=True):
         if isinstance(verdict, Unknown):
@@ -629,10 +638,15 @@ def _search(t, s, budgets):
 
 def find_countermodel(t, s, max_size=3, pool=None):
     """A model of t (carrier <= max_size) and assignment satisfying lhs but
-    not rhs, or None.  An explicit pool of models of t may be supplied."""
+    not rhs, or None.  An explicit pool of models of t may be supplied.
+    Raises ResourceGuard, before it evaluates a model, if the model's
+    context tuples exceed 2^GUARD_BITS."""
     if pool is None:
         pool = enumerate_models(t, max_size)
     for m in pool:
+        if m.size ** s.ctx > 1 << GUARD_BITS:
+            raise ResourceGuard(f"size {m.size} has {m.size}^{s.ctx} tuples of "
+                                f"the context (> 2^{GUARD_BITS})")
         bad = violations(m, s)
         if bad:
             # the lowest set bit is the lexicographically least tuple
@@ -651,11 +665,12 @@ def entails(t, s, budgets=Budgets()):
     return Unknown(reason)
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
-    status: str  # "Equivalent" | "Inequivalent" | "Unknown"
-    forward: object
-    backward: object
+class EquivalenceVerdict(Frozen):
+    _fields = ("status", "forward", "backward")
+
+    def __init__(self, status, forward, backward):
+        # status is "Equivalent", "Inequivalent" or "Unknown"
+        self.__dict__.update(status=status, forward=forward, backward=backward)
 
     @property
     def equivalent(self):

@@ -12,7 +12,6 @@ spectrum.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import product
 
 from . import calculus
@@ -38,6 +37,7 @@ from .syntax import (
     Eq,
     Exists,
     Or,
+    Record,
     Sequent,
     Signature,
     Theory,
@@ -73,7 +73,6 @@ class InternalLogicError(Exception):
 # presentations
 
 
-@dataclass(eq=False)
 class FunctorPresentation:
     """Arity-indexed lattices with a substitution action.
 
@@ -82,13 +81,13 @@ class FunctorPresentation:
     presentation is equal only to itself; its adjoints and induced models
     are ``cached_per_owner`` tables, freed with it."""
 
-    cutoff: int
-    lattices: dict
-    homs: dict
-    formulas: dict | None = None  # n -> defining formula per element
-    extents: dict | None = None  # n -> point set per element (exported only)
-    approx: object = None  # originating approximation (exported only)
-    name: str = "F"
+    def __init__(self, cutoff, lattices, homs, formulas=None, extents=None,
+                 approx=None, name="F"):
+        self.cutoff, self.lattices, self.homs = cutoff, lattices, homs
+        self.formulas = formulas  # n -> defining formula per element
+        self.extents = extents  # n -> point set per element (exported only)
+        self.approx = approx  # originating approximation (exported only)
+        self.name = name
 
     def hom(self, f, n, m):
         key = (n, m, tuple(f))
@@ -389,21 +388,17 @@ def induced_models(pres):
 # 1-cells between presentations
 
 
-@dataclass
-class BetaFamily:
+class BetaFamily(Record):
     """A partial-map family between presentations: value lists
     ``homs[n]: L'_n -> L_{nk}`` preserving order, meets, joins and bottom
     (not necessarily top: the image of the top element is the domain)."""
 
-    source: FunctorPresentation  # the primed side
-    target: FunctorPresentation
-    k: int
-    homs: dict
+    _fields = ("source", "target", "k", "homs")
 
-    def __post_init__(self):
-        for n, values in self.homs.items():
-            ls = self.source.lattices[n]
-            lt = self.target.lattices[n * self.k]
+    def __init__(self, source, target, k, homs):  # source is the primed side
+        for n, values in homs.items():
+            ls = source.lattices[n]
+            lt = target.lattices[n * k]
             if len(values) != ls.n:
                 raise InternalLogicError(f"hom length mismatch at arity {n}")
             if values[ls.bot] != lt.bot:
@@ -418,6 +413,7 @@ class BetaFamily:
                         raise InternalLogicError(
                             f"join not preserved at arity {n}, pair ({a},{b})"
                         )
+        self.source, self.target, self.k, self.homs = source, target, k, homs
 
 
 def identity_beta(pres):

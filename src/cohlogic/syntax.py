@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from heapq import nsmallest
 from itertools import combinations, product
@@ -32,6 +31,47 @@ class SyntaxError_(Exception):
 
 
 # ---------------------------------------------------------------------------
+# records
+
+
+class Record:
+    """A value record: ``_fields`` names its fields, in order.  A record
+    equals only a record of its own type with equal fields, prints as
+    ``Name(field=value, ...)`` and is unhashable unless frozen."""
+
+    _fields = ()
+
+    def __init_subclass__(cls):  # one getter of the fields per class
+        if cls._fields:
+            cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Frozen(Record):
+    """A record whose fields are set once, in ``__init__``, through
+    ``__dict__`` past ``__setattr__``.  It hashes on its fields."""
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {value!r} to field {name!r} "
+                             f"of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} "
+                             f"of a frozen {type(self).__name__}")
+
+
+# ---------------------------------------------------------------------------
 # formula trees
 #
 # Keys sort formulas by kind (top, bottom, atom, equality, and, or, exists),
@@ -40,25 +80,28 @@ class SyntaxError_(Exception):
 # from its parts' stored values, and its key on first use.
 
 
-_set = object.__setattr__  # fills the stored fields of a frozen node
+_set = object.__setattr__  # fills a slot of a frozen formula
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class _Formula:
     """Equality is structural: two formulas are equal when they are of one
     kind with equal keys, as a key determines the formula, and their stored
     hashes settle most unequal pairs.  A leaf has size 1 and depth 0."""
-    key: tuple = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
-    size, depth = 1, 0
 
-    def __post_init__(self):  # a leaf's key is flat; it is hashed whole
-        key = self._key()
+    __slots__ = ("key", "_hash")
+    _fields = ()
+    size, depth = 1, 0
+    # the record methods, not the record bases: a longer MRO on every formula
+    # kind measurably slowed the prover's loop of hashes and isinstance tests
+    __setattr__, __delattr__, __repr__ = (
+        Frozen.__setattr__, Frozen.__delattr__, Record.__repr__)
+
+    def __init__(self):  # of top and bottom
+        self._leaf((_RANK[type(self)], "", ()))
+
+    def _leaf(self, key):  # a leaf's key is flat; it is hashed whole
         _set(self, "key", key)
         _set(self, "_hash", hash(key))
-
-    def _key(self):  # of top and bottom; atoms and equalities have their own
-        return (_RANK[type(self)], "", ())
 
     def __hash__(self):
         return self._hash
@@ -68,23 +111,26 @@ class _Formula:
                                  and self._hash == other._hash
                                  and self.key == other.key)
 
+    def __reduce__(self):  # pickled and copied through __init__
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
-@dataclass(frozen=True, slots=True, eq=False)
+
 class Atom(_Formula):
-    sym: str
-    args: tuple[int, ...]
+    __slots__ = _fields = ("sym", "args")
 
-    def _key(self):
-        return (2, self.sym, self.args)
+    def __init__(self, sym, args):
+        _set(self, "sym", sym)
+        _set(self, "args", args)
+        self._leaf((2, sym, args))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Eq(_Formula):
-    i: int
-    j: int
+    __slots__ = _fields = ("i", "j")
 
-    def _key(self):
-        return (3, "", (self.i, self.j))
+    def __init__(self, i, j):
+        _set(self, "i", i)
+        _set(self, "j", j)
+        self._leaf((3, "", (i, j)))
 
 
 class Top(_Formula):
@@ -95,16 +141,14 @@ class Bot(_Formula):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class _Node(_Formula):
     """A node stores its hash, size and depth when it is made, from its
     parts' stored values, and its key on first use: most interned nodes are
     never ordered or compared with an equal copy, and never build one."""
-    size: int = field(init=False, repr=False)
-    depth: int = field(init=False, repr=False)
 
-    def __post_init__(self):
-        kids = self._kids()
+    __slots__ = ("size", "depth")
+
+    def _measure(self, kids):
         size, depth = 1, 0
         for p in kids:
             size += p.size
@@ -122,12 +166,12 @@ class _Node(_Formula):
         return key
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class _Junction(_Node):
-    parts: tuple
+    __slots__ = _fields = ("parts",)
 
-    def _kids(self):
-        return self.parts
+    def __init__(self, parts):
+        _set(self, "parts", parts)
+        self._measure(parts)
 
     def _key(self):
         return (_RANK[type(self)], "", tuple([p.key for p in self.parts]))
@@ -141,12 +185,12 @@ class Or(_Junction):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Exists(_Node):
-    body: "Formula"
+    __slots__ = _fields = ("body",)
 
-    def _kids(self):
-        return (self.body,)
+    def __init__(self, body):
+        _set(self, "body", body)
+        self._measure((body,))
 
     def _key(self):
         return (6, "", self.body.key)
@@ -170,14 +214,12 @@ formula_depth = attrgetter("depth")
 # signatures, sequents, theories
 
 
-@dataclass(frozen=True)
-class Signature:
-    name: str
-    relations: tuple[tuple[str, int], ...]  # (symbol, arity), symbols unique
+class Signature(Frozen):
+    _fields = ("name", "relations")
 
-    def __post_init__(self):
+    def __init__(self, name, relations):  # (symbol, arity), symbols unique
         seen = set()
-        for sym, ar in self.relations:
+        for sym, ar in relations:
             if sym in seen:
                 raise SyntaxError_(f"duplicate relation symbol {sym!r}")
             if ar < 0:
@@ -185,6 +227,7 @@ class Signature:
             if sym == "=":
                 raise SyntaxError_("equality is built in and cannot be declared")
             seen.add(sym)
+        self.__dict__.update(name=name, relations=relations)
 
     def arity(self, sym):
         for s, ar in self.relations:
@@ -193,28 +236,35 @@ class Signature:
         raise SyntaxError_(f"unknown relation symbol {sym!r}")
 
 
-@dataclass(frozen=True)
-class Sequent:
-    ctx: int
-    lhs: Formula
-    rhs: Formula
+class Sequent(Frozen):
+    _fields = ("ctx", "lhs", "rhs")
+
+    def __init__(self, ctx, lhs, rhs):
+        self.__dict__.update(ctx=ctx, lhs=lhs, rhs=rhs)
+
+    # spelt out, as plain attribute reads beat the shared getter
+    def __hash__(self):
+        return hash((self.ctx, self.lhs, self.rhs))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ctx, self.lhs, self.rhs) == (other.ctx, other.lhs, other.rhs)
 
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(Frozen):
     """Equality is structural; the hash is computed once, when the theory
     is made.  The prover's instance tables are kept per theory object."""
-    name: str
-    signature: Signature
-    axioms: tuple[Sequent, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        _set(self, "axioms", tuple(self.axioms))
-        for seq in self.axioms:
-            check_formula(self.signature, seq.lhs, seq.ctx)
-            check_formula(self.signature, seq.rhs, seq.ctx)
-        _set(self, "_hash", hash((self.name, self.signature, self.axioms)))
+    _fields = ("name", "signature", "axioms")
+
+    def __init__(self, name, signature, axioms):
+        axioms = tuple(axioms)
+        for seq in axioms:
+            check_formula(signature, seq.lhs, seq.ctx)
+            check_formula(signature, seq.rhs, seq.ctx)
+        self.__dict__.update(name=name, signature=signature, axioms=axioms,
+                             _hash=hash((name, signature, axioms)))
 
     def __hash__(self):
         return self._hash

@@ -8,7 +8,6 @@ tuples of length n with 1-based values in 1..m, acting by restriction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import product
 
 from . import calculus, lattice
@@ -26,8 +25,8 @@ from .syntax import (
     Eq,
     Exists,
     Or,
+    Record,
     Sequent,
-    Theory,
     all_maps,
     check_formula,
     enum_formulas,
@@ -79,23 +78,21 @@ def preimage_formula(psi, f, m):
 # interpretations
 
 
-@dataclass
-class Interpretation:
-    source: Theory
-    target: Theory
-    k: int
-    mapping: dict  # relation symbol (and "=") -> target formula on k-blocks
+class Interpretation(Record):
+    _fields = ("source", "target", "k", "mapping")
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, source, target, k, mapping):
+        # mapping: relation symbol (and "=") -> target formula on k-blocks
+        if k < 1:
             raise TypeSpaceError("arity k must be at least 1")
-        if "=" not in self.mapping:
+        if "=" not in mapping:
             raise TypeSpaceError("interpretation must map equality")
-        check_formula(self.target.signature, self.mapping["="], 2 * self.k)
-        for sym, ar in self.source.signature.relations:
-            if sym not in self.mapping:
+        check_formula(target.signature, mapping["="], 2 * k)
+        for sym, ar in source.signature.relations:
+            if sym not in mapping:
                 raise TypeSpaceError(f"interpretation misses symbol {sym}")
-            check_formula(self.target.signature, self.mapping[sym], ar * self.k)
+            check_formula(target.signature, mapping[sym], ar * k)
+        self.source, self.target, self.k, self.mapping = source, target, k, mapping
 
     @property
     def strong(self):
@@ -208,9 +205,9 @@ def check_interpretation(g, budgets=calculus.Budgets(), depth=2, ctxs=(0, 1, 2),
     source-provable sequents phi |- psi over small formula pairs check that
     the target proves Gamma(phi /\\ x=x) |- Gamma(psi)."""
     report = calculus.Tally()
-    src_b = replace(budgets, model_pool=tuple(
+    src_b = budgets.replace(model_pool=tuple(
         enumerate_models(g.source, budgets.model_size)))
-    tgt_b = replace(budgets, model_pool=tuple(
+    tgt_b = budgets.replace(model_pool=tuple(
         enumerate_models(g.target, budgets.model_size)))
     for tag, s in requirement_sequents(g):
         w = calculus.entails(g.target, s, tgt_b)
@@ -234,22 +231,15 @@ def check_interpretation(g, budgets=calculus.Budgets(), depth=2, ctxs=(0, 1, 2),
 # 2-cells
 
 
-@dataclass
-class Morphism2Cell:
-    source: Interpretation
-    target: Interpretation
-    formula: object  # in context source.k + target.k over the shared target theory
+class Morphism2Cell(Record):
+    _fields = ("source", "target", "formula")
 
-    def __post_init__(self):
-        if self.source.source != self.target.source or (
-            self.source.target != self.target.target
-        ):
+    def __init__(self, source, target, formula):
+        # formula: in context source.k + target.k over the shared target theory
+        if source.source != target.source or source.target != target.target:
             raise TypeSpaceError("2-cell endpoints mismatch")
-        check_formula(
-            self.source.target.signature,
-            self.formula,
-            self.source.k + self.target.k,
-        )
+        check_formula(source.target.signature, formula, source.k + target.k)
+        self.source, self.target, self.formula = source, target, formula
 
 
 def identity_2cell(g):
@@ -308,7 +298,7 @@ def morphism_condition_sequents(theta, depth=1, cap=10, ctxs=(1, 2)):
 def check_morphism_of_interpretations(theta, budgets=calculus.Budgets(), depth=1,
                                       cap=10, ctxs=(1, 2)):
     t = theta.source.target
-    b = replace(budgets, model_pool=tuple(enumerate_models(t, budgets.model_size)))
+    b = budgets.replace(model_pool=tuple(enumerate_models(t, budgets.model_size)))
     report = calculus.Tally()
     for tag, s in morphism_condition_sequents(theta, depth, cap, ctxs):
         v = calculus.entails(t, s, b)
@@ -376,22 +366,23 @@ def equal_2cells(a, b, budgets=calculus.Budgets()):
 # type space approximations
 
 
-@dataclass
-class TypeSpaceApprox:
-    theory: Theory
-    N: int
-    B: int
-    d: int
-    cap: int
-    models: list
-    formulas: dict  # n -> list of formulas
-    points: dict  # n -> list of profiles: ints, bit i says formulas[n][i] holds
-    realizations: dict  # n -> list of (model index, tuple)
-    # n -> per model, the point index of each n-tuple in tuple_index order:
-    # tuple_points[n][mi][j] is the point of tuple j of models[mi]
-    tuple_points: dict
-    stable: bool = False
-    stable_arities: tuple = ()  # per-arity stability diagnostic, n = 0..N
+class TypeSpaceApprox(Record):
+    _fields = ("theory", "N", "B", "d", "cap", "models", "formulas", "points",
+               "realizations", "tuple_points", "stable", "stable_arities")
+
+    def __init__(self, theory, N, B, d, cap, models, formulas, points,
+                 realizations, tuple_points):
+        self.theory, self.N, self.B, self.d, self.cap = theory, N, B, d, cap
+        self.models = models
+        self.formulas = formulas  # n -> list of formulas
+        # n -> list of profiles: ints, bit i says formulas[n][i] holds
+        self.points = points
+        self.realizations = realizations  # n -> list of (model index, tuple)
+        # n -> per model, the point index of each n-tuple in tuple_index order:
+        # tuple_points[n][mi][j] is the point of tuple j of models[mi]
+        self.tuple_points = tuple_points
+        self.stable = False
+        self.stable_arities = ()  # per-arity stability diagnostic, n = 0..N
 
     def point_index(self, n):
         return {p: i for i, p in enumerate(self.points[n])}
@@ -507,14 +498,17 @@ def _stability(t, approx, bigger):
 # S on interpretations: partial map data
 
 
-@dataclass
-class PartialMapData:
-    interp: Interpretation
-    source_approx: TypeSpaceApprox  # approximation of S(source theory)
-    target_approx: TypeSpaceApprox  # approximation of S(target theory)
-    N: int
-    domains: dict  # n -> frozenset of target-approx point indices at arity nk
-    maps: dict  # n -> dict target point index -> source point index at arity n
+class PartialMapData(Record):
+    _fields = ("interp", "source_approx", "target_approx", "N", "domains", "maps")
+
+    def __init__(self, interp, source_approx, target_approx, N, domains, maps):
+        self.interp, self.N = interp, N
+        self.source_approx = source_approx  # approximation of S(source theory)
+        self.target_approx = target_approx  # approximation of S(target theory)
+        # n -> frozenset of target-approx point indices at arity nk
+        self.domains = domains
+        # n -> dict target point index -> source point index at arity n
+        self.maps = maps
 
     @property
     def k(self):

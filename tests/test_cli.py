@@ -157,6 +157,16 @@ def test_typespace_resource_guard_before_any_scan(capsys, monkeypatch, tmp_path)
     assert not scans
 
 
+def test_prove_wide_context_is_unknown(capsys, pqr_file):
+    # 2^40 tuples of the context at size 2: the countermodel scan stops
+    # before it builds a mask over them
+    names = ",".join(f"x{i}" for i in range(1, 41))
+    t0 = time.monotonic()
+    code, _, err = run(capsys, "prove", pqr_file, f"[{names}] P(x1) |- P(x1) | R(x2)")
+    assert code == 2 and time.monotonic() - t0 < 10
+    assert "2^40 tuples" in err and "Traceback" not in err
+
+
 def test_prove_deep_nesting_is_input_error(capsys, pqr_file):
     deep = "[x] " + "(" * 3000 + "P(x)" + ")" * 3000 + " |- R(x)"
     code, _, err = run(capsys, "prove", pqr_file, deep)

@@ -58,7 +58,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -79,7 +78,7 @@ def work_counts():
     jobs = []
     for name in ("pqr", "peq", "th_pqr", "th_peq"):
         t, _, pool = theory(name)
-        jobs += [(t, s, replace(b, model_pool=pool)) for s, b in corpus(name)]
+        jobs += [(t, s, b.replace(model_pool=pool)) for s, b in corpus(name)]
     provers = []
 
     class Counted(calculus._Prover):
