@@ -435,6 +435,17 @@ def _axiom_instances(t, n):
     return out, by_rhs, by_part
 
 
+@cached_per_owner
+def _forward_steps(t, n, lhs):
+    """The instances of t in context n that the forward step may fire on
+    lhs, in list order: antecedent inside lhs, consequent adding to it."""
+    out, _, by_part = _axiom_instances(t, n)
+    lparts = parts_of(lhs)
+    picked = sorted(i for p in (*lparts, None) for i in by_part.get(p, ()))
+    return tuple(out[i] for i in picked if out[i][0] <= lparts
+                 and not all(p in lparts for p in conjuncts(out[i][2])))
+
+
 def _d_axiom_instance(t, n, ai, f, al, ar):
     ax = t.axioms[ai]
     leaf = _d("axiom", ax.ctx, normalize(ax.lhs), normalize(ax.rhs), params=(ai,))
@@ -588,21 +599,15 @@ class _Prover:
         return d_cut(d_with, back)
 
     def _by_axiom_forward(self, n, lhs, rhs, depth):
-        out, _, by_part = _axiom_instances(self.t, n)
-        lparts = parts_of(lhs)
-        for i in sorted(i for p in (*lparts, None) for i in by_part.get(p, ())):
-            alp, al, ar, ai, f = out[i]
-            if not alp <= lparts:
-                continue
-            if all(p in lparts for p in conjuncts(ar)):
-                continue  # nothing new
+        for alp, al, ar, ai, f in _forward_steps(self.t, n, lhs):
             newlhs = _extended(lhs, ar)
             d_rest = self.derive(n, newlhs, rhs, depth - 1)
             if d_rest is None:
                 continue
             d_axi = _d_axiom_instance(self.t, n, ai, f, al, ar)
             d_ar = d_cut(d_to_conjunction(n, lhs, al), d_axi)  # lhs |- ar
-            return d_cut(d_to_conjunction(n, lhs, newlhs, lparts, d_ar), d_rest)
+            d_new = d_to_conjunction(n, lhs, newlhs, parts_of(lhs), d_ar)
+            return d_cut(d_new, d_rest)
         return None
 
     def _by_axiom_backward(self, n, lhs, rhs, depth):

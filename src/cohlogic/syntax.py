@@ -269,6 +269,9 @@ class Theory(Frozen):
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):  # pickled through __init__, which hashes anew
+        return type(self), self._values(self)
+
 
 def check_formula(sig, phi, ctx):
     """Raise SyntaxError_ unless phi is well-formed over sig in context ctx."""

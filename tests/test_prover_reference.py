@@ -18,11 +18,17 @@ pairs that it does not, and it runs the prover on every sequent, also where
 a countermodel decides ``entails``.  The reference spends a few
 milliseconds per call on the ``th_of`` theories, so their searches run on a
 reduced call budget; most of them end on it.
+
+The forward step's table of instances per antecedent,
+``calculus._forward_steps``, is compared with the reference step's filter
+on every antecedent that the step sees on the corpus.
 """
 
 import collections
 import functools
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -35,6 +41,7 @@ from cohlogic.calculus import (
     Unknown,
     _axiom_instances,
     _d_axiom_instance,
+    _forward_steps,
     _Prover,
     d_cut,
     d_identity,
@@ -57,6 +64,7 @@ from cohlogic.syntax import (
     Exists,
     Or,
     Sequent,
+    Theory,
     all_maps,
     conj,
     enum_formulas,
@@ -503,3 +511,44 @@ def test_axiom_instance_indexes(name):
             least_parts.setdefault(least, []).append(i)
         assert by_rhs == rhs_parts
         assert by_part == least_parts
+
+
+@pytest.mark.parametrize("name", ["pqr", "peq", "th_pqr", "th_peq"])
+def test_forward_steps_match_reference(name):
+    """For every antecedent that the forward step sees on the corpus, its
+    table holds the instances that the reference's scan fires on: those
+    whose antecedent lies inside it and whose consequent adds a conjunct,
+    in list order."""
+    t = theory(name)[0]
+    seen = set()
+
+    class Seeing(_Prover):
+        def _by_axiom_forward(self, n, lhs, rhs, depth):
+            seen.add((n, lhs))
+            return super()._by_axiom_forward(n, lhs, rhs, depth)
+
+    for s, budgets in corpus(name):
+        search(Seeing(t, budgets), s)
+    fired = 0
+    for n, lhs in seen:
+        lparts = parts_of(lhs)
+        want = tuple(inst for inst in reference_axiom_instances(t, n)
+                     if inst[0] <= lparts and not parts_of(inst[2]) <= lparts)
+        assert _forward_steps(t, n, lhs) == want, (n, lhs)
+        fired += bool(want)
+    assert fired > 0
+
+
+def test_forward_steps_are_freed_with_their_theory():
+    """The table is kept per theory object and holds no reference to it:
+    it goes when the theory does."""
+    before = _forward_steps.cache_info().currsize
+    t = Theory(PEQ.name, PEQ.signature, PEQ.axioms)
+    for s, budgets in corpus("peq")[:5]:
+        search(_Prover(t, budgets), s)
+    assert _forward_steps.cache_info().currsize > before
+    freed = weakref.ref(t)
+    del t
+    gc.collect()
+    assert freed() is None
+    assert _forward_steps.cache_info().currsize == before

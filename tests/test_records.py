@@ -138,6 +138,22 @@ def test_theory_keeps_its_stored_hash():
     assert "_hash" not in repr(t)
 
 
+def test_pickled_theory_hashes_as_its_twin_under_another_seed():
+    """A theory pickled in one interpreter and loaded in another, with other
+    string hashing, hashes as an equal theory built there."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    head = "import pickle, sys; from cohlogic.syntax import parse_theory; "
+    dump = head + "sys.stdout.buffer.write(pickle.dumps(parse_theory(sys.argv[1])))"
+    load = head + ("t, u = pickle.load(sys.stdin.buffer), parse_theory(sys.argv[1]); "
+                   "print(t == u, hash(t) == hash(u), t in {u})")
+    out = b""
+    for seed, code in (("1", dump), ("2", load)):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        out = subprocess.run([sys.executable, "-c", code, PQR], env=env, input=out,
+                             capture_output=True, timeout=60, check=True).stdout
+    assert out.split() == [b"True"] * 3
+
+
 def test_budgets_replace_and_scaled():
     b = calculus.Budgets(model_size=2)
     pooled = b.replace(model_pool=(1,))

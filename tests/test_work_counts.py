@@ -24,6 +24,11 @@ same corpus, the counted calls and those that return at once alike.  At
 depth 1 a step whose premises can only miss the memo is skipped, so its
 depth-0 calls are not made.
 
+``forward_steps`` counts the entries of ``calculus._forward_steps``, the
+forward step's table of the instances it may fire on each antecedent, left
+after the same corpus is decided: one per theory, context and antecedent
+that the step was asked about.
+
 ``roundtrip_eq_calls`` counts the calls of ``_Formula.__eq__`` made by
 ``roundtrip_theory(PEQ, peq_pres(), cap=6)``: first in a fresh
 interpreter, again in the same one, and a third time while an equal
@@ -51,7 +56,7 @@ indices and every formula's open was stored).
 
 Print the counts of the checkout with
 
-    PYTHONPATH=src:tests python tests/test_work_counts.py [derivations|derives|roundtrip|canonical|profiles|memory]
+    PYTHONPATH=src:tests python tests/test_work_counts.py [derivations|derives|forward|roundtrip|canonical|profiles|memory]
 """
 
 import json
@@ -67,6 +72,7 @@ from cohlogic import calculus, lattice, syntax
 EXPECTED = {"normalize_cache": 798, "interned": 2224, "calls": 2201}
 DERIVATIONS_EXPECTED = 1893
 DERIVES_EXPECTED = 3595
+FORWARD_STEPS_EXPECTED = 192
 CANONICAL_EXPECTED = {"all_posets(6)": 34720, "all_dist_lattices(8)": 1812}
 PROFILE_EXPECTED = {"pqr": 9841, "peq": 7095, "th_of(peq_pres())": 16862}
 HELD_BYTES_LIMIT = 1_000_000
@@ -109,6 +115,12 @@ def derive_calls():
     count = _count_calls(calculus._Prover, "derive")
     work_counts()
     return count[0]
+
+
+def forward_steps():
+    # this runs only in its own interpreter
+    work_counts()
+    return calculus._forward_steps.cache_info().currsize
 
 
 def roundtrip_eq_calls():
@@ -222,6 +234,11 @@ def test_derive_invocation_counts(seed):
 
 
 @pytest.mark.parametrize("seed", ["0", "1", "77"])
+def test_forward_step_table_size(seed):
+    assert _counts_in_fresh_interpreter(seed, "forward") == FORWARD_STEPS_EXPECTED
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "77"])
 def test_repeated_roundtrip_compares_no_theories(seed):
     counts = _counts_in_fresh_interpreter(seed, "roundtrip")
     assert counts["second"] <= counts["first"], counts
@@ -255,6 +272,7 @@ def test_antichain_canonical_steps(monkeypatch):
 if __name__ == "__main__":
     which = sys.argv[1] if len(sys.argv) > 1 else None
     run = {"derivations": derivation_nodes, "derives": derive_calls,
+           "forward": forward_steps,
            "roundtrip": roundtrip_eq_calls, "canonical": canonical_steps,
            "profiles": profile_calls,
            "memory": typespace_memory}.get(which, work_counts)
