@@ -633,6 +633,8 @@ def _search(t, s, budgets):
         d = prover.derive(s.ctx, s.lhs, s.rhs, budgets.depth)
     except BudgetExceeded:
         return None, f"call budget of {budgets.size} exhausted"
+    except RecursionError:  # a few Python frames per level of depth
+        return None, f"depth {budgets.depth} exceeds the recursion limit"
     if d is None:
         return None, f"no derivation within depth {budgets.depth}"
     reason = check_derivation_reason(t, d)

@@ -9,14 +9,14 @@ the digits of j.  ``FiniteModel.ext`` decodes them to sets of tuples.
 
 A ``ModelBatch`` lays K models of one size s end to end, so that one
 evaluation serves all of them: bit ``i * s**n + j`` of a batch extension is
-tuple j of model i.  A run of s bits never straddles two models, and a lone
-``FiniteModel`` is the batch of one."""
+tuple j of model i.  One model's mask times a spread, an int with bit
+``i * s**n`` set for some models i, is the mask copied into those models
+with no carry; a lone ``FiniteModel`` is the batch of one, with spread 1."""
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, product
-from operator import itemgetter
+from itertools import product
 from types import SimpleNamespace
 
 from .lattice import ResourceGuard, bit_positions
@@ -79,51 +79,38 @@ class FiniteModel:
 
 class ModelBatch:
     """Models of one size laid end to end for ``extension``: bit
-    ``i * size**n + j`` of an extension is tuple j of models[i].  A symbol
-    of arity ar has an indicator, a '0'/'1' string whose char ``i * size**ar
-    + index(row)`` is '1' when models[i] holds row.  Indicators and their
-    gathers are built on first use and kept on the batch, dropped with it."""
+    ``i * size**n + j`` of an extension is tuple j of models[i].  The rows
+    of each symbol, grouped by spread in context n, are built on first use
+    and kept on the batch, dropped with it."""
 
     def __init__(self, models):
         self.models = tuple(models)
         self.size = self.models[0].size
         self.blocks = len(self.models)
-        self._indicators = {}  # (symbol, arity) -> indicator
-        self._gathers = {}  # (n, args) -> itemgetter over one model's run
+        self._groups = {}  # (symbol, n) -> ((spread, rows), ...)
 
-    def atom(self, phi, n):
-        """Bitset of the atom phi in context n: bit ``i * size**n + j`` is
-        the indicator's char ``i * size**ar + index(row)``, with row the
-        entries of tuple j at phi.args.  One itemgetter of these indices
-        within a model's run of size**ar chars gathers every run."""
-        size, ar = self.size, len(phi.args)
-        span = size ** ar
-        ind = self._indicators.get((phi.sym, ar))
-        if ind is None:
-            chars = ["0"] * (self.blocks * span)
+    def groups(self, sym, n):
+        """sym's rows grouped by spread: bit ``i * size**n`` of a row's
+        spread is set when models[i] holds the row."""
+        out = self._groups.get((sym, n))
+        if out is None:
+            width, spreads, by_spread = self.size ** n, {}, {}
             for i, m in enumerate(self.models):
-                for row in m.tables.get(phi.sym, ()):
-                    chars[i * span + tuple_index(size, row)] = "1"
-            ind = self._indicators[phi.sym, ar] = "".join(chars)
-        if not size ** n or "1" not in ind:
-            return 0
-        get = self._gathers.get((n, phi.args))
-        if get is None:
-            get = self._gathers[n, phi.args] = itemgetter(*[
-                tuple_index(size, [a[v - 1] for v in phi.args])
-                for a in product(range(size), repeat=n)])
-        # char p of the join is bit p, and int() reads its first char last
-        runs = map(get, zip(*[iter(ind)] * span))
-        return int("".join(chain.from_iterable(runs))[::-1], 2)
+                for row in m.tables.get(sym, ()):
+                    spreads[row] = spreads.get(row, 0) | 1 << i * width
+            for row, spread in spreads.items():
+                by_spread.setdefault(spread, []).append(row)
+            out = self._groups[sym, n] = tuple(by_spread.items())
+        return out
 
 
 @cached
-def _coord_masks(size, n, blocks=1):
+def _coord_masks(size, n):
     """masks[k][v]: bitset of the n-tuples over range(size) whose entry k
-    (0-based) is v, repeated in each of blocks consecutive models."""
+    (0-based) is v."""
     if size == 0:
         return ((),) * n
-    total = blocks * size ** n
+    total = size ** n
     masks = []
     for k in range(n):
         width = size ** (n - 1 - k)  # weight of entry k in the tuple index
@@ -159,7 +146,7 @@ def extension(m, phi, n, memo):
     """Bitset of the n-tuples of m satisfying phi: bit j holds for the j-th
     tuple of ``product(range(m.size), repeat=n)``.  m may be a
     ``ModelBatch``; then bit ``i * m.size**n + j`` is tuple j of model i,
-    and an atom is gathered from the batch's indicator of its symbol.
+    and a one-model mask is copied into the models by a spread.
     Computed bottom-up with sharing of subformula extensions through memo, a
     dict keyed by (formula, context).  A symbol without a table in m has an
     empty extension."""
@@ -169,22 +156,27 @@ def extension(m, phi, n, memo):
         return out
     size = m.size
     if isinstance(phi, Atom):
-        if isinstance(m, ModelBatch):
-            out = m.atom(phi, n)
-        else:
-            masks = _coord_masks(size, n)
-            full = (1 << size ** n) - 1
-            out = 0
-            for row in m.tables.get(phi.sym, ()):
+        masks = _coord_masks(size, n)
+        full = (1 << size ** n) - 1
+        groups = m.groups(phi.sym, n) if isinstance(m, ModelBatch) else \
+            ((1, m.tables.get(phi.sym, ())),)
+        out = 0
+        for spread, rows in groups:
+            one = 0
+            for row in rows:
                 bits = full
                 for i, v in zip(phi.args, row):
                     bits &= masks[i - 1][v]
-                out |= bits
+                one |= bits
+            out |= one * spread
     elif isinstance(phi, Eq):
-        masks = _coord_masks(size, n, m.blocks)
+        masks = _coord_masks(size, n)
         out = 0
         for v in range(size):
             out |= masks[phi.i - 1][v] & masks[phi.j - 1][v]
+        if out:  # times the spread of every model
+            width = size ** n
+            out *= ((1 << m.blocks * width) - 1) // ((1 << width) - 1)
     elif isinstance(phi, And):
         out = (1 << m.blocks * size ** n) - 1
         for p in phi.parts:

@@ -1,15 +1,15 @@
-"""Differential test: atoms over a ``ModelBatch``, gathered from the
-batch's per-symbol indicators by one itemgetter over every model's run,
-against the definition they replace.
+"""Differential test: atoms and equalities over a ``ModelBatch``, each a
+one-model mask copied into the models that hold it by a multiply with a
+spread, against the definition they replace.
 
-The reference is the batch atom as first written: the OR over the models
-of each model's own atom extension, evaluated alone and shifted by
+The reference is the batch extension as first written: the OR over the
+models of each model's own extension, evaluated alone and shifted by
 ``i * size**n``.  The corpus is random tables at sizes 0-3 over a 0-ary, a
-unary and a binary symbol; every atom of each symbol in contexts 0-3,
-repeated arguments among them; batches of one model and of many; and
-symbols without a table, or without rows, in some or all of the models.
-Each batch answers all its atoms in turn, so its indicators and gathers
-are reused across atoms and contexts.
+unary and a binary symbol; every atom of each symbol and every equality
+``Eq(i, j)`` in contexts 0-3, repeated arguments among them; batches of one
+model and of many; and symbols without a table, or without rows, in some or
+all of the models.  Each batch answers all its atoms in turn, so its row
+groups are reused across atoms.
 
 A structural check pins the batch path: while ``profile_bits`` runs on a
 ``ModelBatch``, ``extension`` is never called on a lone model.
@@ -28,12 +28,12 @@ from cohlogic.semantics import (
     extension,
     profile_bits,
 )
-from cohlogic.syntax import Atom, all_maps, enum_formulas, parse_theory
+from cohlogic.syntax import Atom, Eq, all_maps, enum_formulas, parse_theory
 
 SIGNATURE = (("A", 0), ("P", 1), ("E", 2))
 
 
-def reference_batch_atom(models, phi, n):
+def reference_batch_extension(models, phi, n):
     span = models[0].size ** n
     out = 0
     for i, m in enumerate(models):
@@ -43,6 +43,10 @@ def reference_batch_atom(models, phi, n):
 
 def atoms(n):
     return [Atom(sym, args) for sym, ar in SIGNATURE for args in all_maps(ar, n)]
+
+
+def equalities(n):
+    return [Eq(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
 
 
 def random_model(rng, size, missing):
@@ -61,10 +65,9 @@ def random_model(rng, size, missing):
 def assert_atoms_match(models):
     batch = ModelBatch(models)
     for n in range(4):
-        for phi in atoms(n):
-            want = reference_batch_atom(models, phi, n)
+        for phi in atoms(n) + equalities(n):
+            want = reference_batch_extension(models, phi, n)
             assert extension(batch, phi, n, {}) == want, (phi, n)
-            assert batch.atom(phi, n) == want, (phi, n)
 
 
 @pytest.mark.parametrize("size", range(4))
@@ -88,9 +91,9 @@ def test_repeated_arguments_read_the_diagonal():
     m = FiniteModel(2, {"E": {(0, 0), (0, 1)}})
     batch = ModelBatch([m, FiniteModel(2, {"E": {(1, 1)}})])
     # E(x1, x1) in context 1: tuples (0,) and (1,) of each model
-    assert batch.atom(Atom("E", (1, 1)), 1) == 0b1001
+    assert extension(batch, Atom("E", (1, 1)), 1, {}) == 0b1001
     # E(x2, x2) in context 2 holds where x2 = 0 in model 0 and x2 = 1 in model 1
-    assert batch.atom(Atom("E", (2, 2)), 2) == 0b1010_0101
+    assert extension(batch, Atom("E", (2, 2)), 2, {}) == 0b1010_0101
 
 
 PQR = parse_theory(

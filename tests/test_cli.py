@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from cohlogic import cli
+from cohlogic import cli, syntax
 
 PQR = "theory pqr\nsig { P/1, Q/1, R/1 }\naxiom [x,y] P(x) & Q(y) |- R(x) | R(y)\n"
 PEQ = (
@@ -132,6 +136,41 @@ def test_prove_unknown_on_exhausted_budget(capsys, pqr_file):
     assert code == 2
     assert rep["verdicts"][0]["verdict"] == "Unknown"
     assert rep["verdicts"][0]["reason"] == "no derivation within depth 1"
+
+
+def test_prove_beyond_the_recursion_limit_is_unknown(capsys, tmp_path):
+    # th(S_peq): the search for this sequent recurses past the
+    # interpreter's limit at depth 400; depth 300 Holds
+    from cohlogic.internal_logic import export_presentation, th_of
+    from cohlogic.typespace import compute_typespace
+
+    s = compute_typespace(syntax.parse_theory(PEQ), check_stability=False)
+    p = tmp_path / "th_peq.thy"
+    p.write_text(syntax.print_theory(th_of(export_presentation(s, gen_depth=1))))
+    code, out, err = run(capsys, "--json", "prove", str(p), "--model-size", "0",
+                         "--depth", "400", "[x1] R2_1(x1,x1) |- R0_1")
+    assert code == 2 and "Traceback" not in err
+    v = json.loads(out)["verdicts"][0]
+    assert v["verdict"] == "Unknown" and "depth 400" in v["reason"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--json", "prove", "pqr.thy", "[x] P(x) & Q(x) |- R(x)"],
+    ["models", "peq.thy", "--bound", "3"],
+])
+def test_closed_stdout_keeps_the_verdict_code(tmp_path, argv):
+    (tmp_path / "pqr.thy").write_text(PQR)
+    (tmp_path / "peq.thy").write_text(PEQ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    # the read end is closed before the interpreter has even started
+    p = subprocess.Popen([sys.executable, "-m", "cohlogic.cli", *argv],
+                         cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE)
+    p.stdout.close()
+    err = p.stderr.read().decode()
+    assert p.wait(timeout=60) == 0, err
+    assert "Traceback" not in err and "BrokenPipe" not in err
 
 
 def test_models_resource_guard_is_unknown(capsys, tmp_path):

@@ -44,8 +44,13 @@ results by canonical form.
 ``profile_calls`` counts the calls of ``semantics.extension``, nested ones
 included, while ``model_profiles`` collects the profiles of every arity of
 the pqr and peq approximations and of ``th_of(peq_pres())`` over its
-induced models.  An atom over a model batch is one call: it is read from
-the batch's indicator, not evaluated in each model.
+induced models.  An atom over a model batch is one call: its one-model mask
+is copied into the models that hold it, not evaluated in each model.
+
+``test_coord_masks_key_on_size_and_arity`` runs ``model_profiles`` over
+batches of several lengths and checks that ``semantics._coord_masks``
+holds one entry per (size, n): a batch reads the masks of one model, so
+no batch length adds a set of its own.
 
 ``typespace_memory`` measures, with ``tracemalloc``, the memory that
 ``compute_typespace(PQR)`` at the defaults still holds once
@@ -259,6 +264,27 @@ def test_typespace_holds_no_per_point_sets():
     counts = _counts_in_fresh_interpreter("0", "memory")
     assert counts["points"] == [13, 42, 194]
     assert counts["held"] < HELD_BYTES_LIMIT, counts
+
+
+def test_coord_masks_key_on_size_and_arity():
+    from test_internal_logic import PEQ
+
+    from cohlogic import semantics
+
+    models = semantics.enumerate_models(PEQ, 3)
+    syntax.clear_caches()
+    for n in range(3):
+        formulas = syntax.enum_formulas(PEQ.signature, n, 2, 200)
+        for k in (1, 2, 5, len(models)):
+            semantics.model_profiles(models[:k], formulas, n)
+    masks = semantics._coord_masks
+    held, hits = masks.cache_info().currsize, masks.cache_info().hits
+    # ask for every (size, n) the profiles can have reached: each entry held
+    # must answer one of these calls
+    for size in range(4):
+        for n in range(5):
+            masks(size, n)
+    assert held and masks.cache_info().hits - hits == held
 
 
 def test_antichain_canonical_steps(monkeypatch):
