@@ -583,9 +583,9 @@ def main(argv=None):
             typespace.TypeSpaceError, internal_logic.InternalLogicError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except semantics.ResourceGuard as e:
+    except semantics.ResourceGuard as e:  # reported as its one verdict
         print(f"unknown: {e}", file=sys.stderr)
-        return EXIT["Unknown"]
+        fields, lines = {"verdicts": [{"verdict": "Unknown", "reason": str(e)}]}, []
     rep = _report(args, fields)
     rep["wall_time_s"] = round(time.monotonic() - t0, 3)
     out = [json.dumps(rep, indent=2, sort_keys=True)] if args.json else lines

@@ -861,7 +861,11 @@ _order = attrgetter("size", "key")
 
 
 @cached
-def _enum(sig, n, depth, cap):
+def _enum(sig, n, depth, cap, ceiling=(math.inf,)):
+    """The list of ``enum_formulas``, cut to the formulas whose (size, key)
+    is at most ceiling.  A new meet, join or existential is larger than
+    each of its parts, so no formula above ceiling helps to make one below
+    it, and the generation keeps none from the start."""
     level = {TOP, BOT}
     for sym, ar in sig.relations:
         for args in all_maps(ar, n):
@@ -872,9 +876,10 @@ def _enum(sig, n, depth, cap):
     seen = set()
 
     # best: the sorted keys of the cap smallest formulas of depth <= depth
-    # in seen; top: the largest of them once there are cap (cap is >= 1)
+    # in seen; top: the largest of them once there are cap (cap is >= 1),
+    # and ceiling before
     best = []
-    top = (math.inf,)
+    top = ceiling
 
     def add(q):
         """Keep q if new; False if its key is above top."""

@@ -27,6 +27,7 @@ from .syntax import (
     Or,
     Record,
     Sequent,
+    _enum,
     all_maps,
     check_formula,
     enum_formulas,
@@ -472,26 +473,71 @@ def _stability(t, approx, bigger):
     """Per-arity diagnostic: does the point set survive growing the model
     bound or the formula depth by one step each?
 
+    Both halves profile only the plain members of a formula list, those
+    that are no meet or join, on two facts:
+    1. Every list ``enum_formulas`` returns holds the parts of its meets
+       and joins: a part is smaller in (size, key) and no deeper, and the
+       generation joins only formulas it has found.  So two tuples agree on
+       a list exactly when they agree on its plain members.
+    2. The plain members of the depth-(d+1) list are its level-0 formulas,
+       the cap smallest of all, and the existentials of a prefix of the
+       depth-d list one context up, from which the generation draws its
+       bodies; their keys rise along that list.  So they are a prefix of
+       g: the level-0 list, then the existential of every body.
+
     bigger holds the models of size B+1.  The enumeration up to B+1 is
     approx.models followed by them, so only they can add a point; one
-    profile of theirs missing from approx.points settles the arity as
-    unstable.  Their profiles are evaluated ``_STABILITY_CHUNK`` models at a
-    time, up to the chunk that holds the first such profile."""
+    profile of theirs on the plain members of approx.formulas[n] that no
+    known point has there settles the arity as unstable.  Their profiles
+    are evaluated ``_STABILITY_CHUNK`` models at a time, up to the chunk
+    that holds the first such profile.
+
+    The deeper half profiles g over approx.models.  The count of distinct
+    profiles on g[:k] only grows with k; take the least k at which it
+    reaches the count on all of g.  If k is 0 or g[k-1] is in the deeper
+    list, the list's plain members include g[:k] and split the tuples as
+    g does.  That test runs the deeper generation only up to g[k-1]'s key
+    (``syntax._enum``'s ceiling), which keeps exactly the members of the
+    full list up to it.  Otherwise the cap cuts the deeper list before
+    g[k-1], and its plain members are profiled instead."""
+    sig, d, cap = t.signature, approx.d, approx.cap
     out = []
     for n in range(approx.N + 1):
-        known = set(approx.points[n])
+        kept = [i for i, p in enumerate(approx.formulas[n]) if _plain(p)]
+        known = {sum(1 << j for j, i in enumerate(kept) if bits >> i & 1)
+                 for bits in approx.points[n]}
+        formulas = [approx.formulas[n][i] for i in kept]
         new = ({bits for prof in model_profiles(bigger[c:c + _STABILITY_CHUNK],
-                                                approx.formulas[n], n)
+                                                formulas, n)
                 for bits in prof}
                for c in range(0, len(bigger), _STABILITY_CHUNK))
         if any(bits not in known for found in new for bits in found):
             out.append(False)
             continue
-        deeper = enum_formulas(t.signature, n, approx.d + 1, approx.cap)
-        profiles = model_profiles(approx.models, deeper, n)
-        out.append(len({bits for prof in profiles for bits in prof})
-                   == len(approx.points[n]))
+        g = enum_formulas(sig, n, 0, cap) + [
+            exists(body) for body in enum_formulas(sig, n + 1, d, cap)]
+        profiles = [bits for prof in model_profiles(approx.models, g, n)
+                    for bits in prof]
+        split = len(set(profiles))
+        lo, hi = 0, len(g)  # the least k whose prefix splits as all of g
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if len({bits & (1 << mid) - 1 for bits in profiles}) < split:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo and g[lo - 1] not in _enum(sig, n, d + 1, cap,
+                                         (g[lo - 1].size, g[lo - 1].key)):
+            deeper = [p for p in enum_formulas(sig, n, d + 1, cap) if _plain(p)]
+            split = len({bits for prof in model_profiles(approx.models, deeper, n)
+                         for bits in prof})
+        out.append(split == len(approx.points[n]))
     return tuple(out)
+
+
+def _plain(phi):
+    """Is phi no meet or join?"""
+    return not isinstance(phi, (And, Or))
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,25 @@ def test_models_resource_guard_is_unknown(capsys, tmp_path):
     assert "2^27" in err and "Traceback" not in err
 
 
+def test_guarded_exit_has_a_report(capsys, tmp_path):
+    # under --json a run stopped by a guard reports it as its one verdict,
+    # with the bounds and input hashes of any other run; stderr keeps its
+    # line, and the text mode prints nothing more
+    text = "theory three\nsig { E/2, F/2, G/2 }\n"
+    p = tmp_path / "three.thy"
+    p.write_text(text)
+    code = cli.main(["--json", "models", str(p), "--bound", "3"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err == "unknown: size 3 needs 2^27 valuations (> 2^22)\n"
+    rep = json.loads(out)
+    assert rep["verdicts"] == [{"verdict": "Unknown",
+                                "reason": "size 3 needs 2^27 valuations (> 2^22)"}]
+    assert rep["command"] == "models" and rep["bounds"] == {"bound": 3}
+    assert rep["inputs"] == {"theory": cli._sha256(text)}
+    assert run(capsys, "models", str(p), "--bound", "3")[:2] == (2, "")
+
+
 def test_typespace_resource_guard_before_any_scan(capsys, monkeypatch, tmp_path):
     # the stability pass needs size B+1 = 4, whose 2^32 valuations exceed
     # the guard; no table is scanned before that is found

@@ -59,9 +59,17 @@ Its points are ints and its opens are read off them on demand, so it
 holds well under 1 MB (7.2 MB when every point was a frozenset of formula
 indices and every formula's open was stored).
 
+``typespace_nodes`` counts, per node kind, the nodes in the intern table
+and the entries of ``syntax._enum``'s cache after a cold
+``compute_typespace(PEQ)`` at the defaults.  The stability pass profiles
+the existentials of the depth-2 lists one context up and builds the
+depth-3 lists only up to the key of the formula that decides each arity:
+it made 6,956 meets, 4,439 joins and 15 cache entries when it built them
+in full.
+
 Print the counts of the checkout with
 
-    PYTHONPATH=src:tests python tests/test_work_counts.py [derivations|derives|forward|roundtrip|canonical|profiles|memory]
+    PYTHONPATH=src:tests python tests/test_work_counts.py [derivations|derives|forward|roundtrip|canonical|profiles|memory|typespace]
 """
 
 import json
@@ -81,6 +89,7 @@ FORWARD_STEPS_EXPECTED = 192
 CANONICAL_EXPECTED = {"all_posets(6)": 34720, "all_dist_lattices(8)": 1812}
 PROFILE_EXPECTED = {"pqr": 9841, "peq": 7095, "th_of(peq_pres())": 16862}
 HELD_BYTES_LIMIT = 1_000_000
+TYPESPACE_NODES_EXPECTED = {"And": 1390, "Or": 326, "Exists": 1455, "enum": 17}
 
 
 def work_counts():
@@ -214,6 +223,18 @@ def typespace_memory():
     return {"held": held, "points": [len(approx.points[n]) for n in range(3)]}
 
 
+def typespace_nodes():
+    from test_internal_logic import PEQ
+
+    from cohlogic.typespace import compute_typespace
+
+    # this runs only in its own interpreter
+    compute_typespace(PEQ)
+    out = {cls.__name__: len(table) for cls, table in syntax._NODES.items()}
+    out["enum"] = syntax._enum.cache_info().currsize
+    return out
+
+
 def _counts_in_fresh_interpreter(seed, *argv):
     here = Path(__file__).parent
     path = os.pathsep.join([str(here.parent / "src"), str(here)])
@@ -266,6 +287,12 @@ def test_typespace_holds_no_per_point_sets():
     assert counts["held"] < HELD_BYTES_LIMIT, counts
 
 
+@pytest.mark.parametrize("seed", ["0", "1", "77"])
+def test_typespace_intern_and_enum_counts(seed):
+    assert (_counts_in_fresh_interpreter(seed, "typespace")
+            == TYPESPACE_NODES_EXPECTED)
+
+
 def test_coord_masks_key_on_size_and_arity():
     from test_internal_logic import PEQ
 
@@ -301,5 +328,6 @@ if __name__ == "__main__":
            "forward": forward_steps,
            "roundtrip": roundtrip_eq_calls, "canonical": canonical_steps,
            "profiles": profile_calls,
-           "memory": typespace_memory}.get(which, work_counts)
+           "memory": typespace_memory,
+           "typespace": typespace_nodes}.get(which, work_counts)
     print(json.dumps(run()))
