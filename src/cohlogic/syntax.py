@@ -861,11 +861,14 @@ _order = attrgetter("size", "key")
 
 
 @cached
-def _enum(sig, n, depth, cap, ceiling=(math.inf,)):
-    """The list of ``enum_formulas``, cut to the formulas whose (size, key)
-    is at most ceiling.  A new meet, join or existential is larger than
-    each of its parts, so no formula above ceiling helps to make one below
-    it, and the generation keeps none from the start."""
+def _enum(sig, n, depth, cap, ceiling=None):
+    """The list of ``enum_formulas``, cut to the formulas that come no
+    later than the formula ceiling in (size, key) order.  A new meet, join
+    or existential is larger than each of its parts, so no formula above
+    ceiling helps to make one below it, and the generation keeps none from
+    the start.  If ceiling is a candidate of the list (a level-0 formula or
+    the existential of a body) and the cut list lacks it, the cap cut the
+    list before ceiling, so the cut list is the whole list."""
     level = {TOP, BOT}
     for sym, ar in sig.relations:
         for args in all_maps(ar, n):
@@ -879,7 +882,7 @@ def _enum(sig, n, depth, cap, ceiling=(math.inf,)):
     # in seen; top: the largest of them once there are cap (cap is >= 1),
     # and ceiling before
     best = []
-    top = ceiling
+    top = (math.inf,) if ceiling is None else (ceiling.size, ceiling.key)
 
     def add(q):
         """Keep q if new; False if its key is above top."""

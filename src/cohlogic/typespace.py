@@ -494,12 +494,14 @@ def _stability(t, approx, bigger):
 
     The deeper half profiles g over approx.models.  The count of distinct
     profiles on g[:k] only grows with k; take the least k at which it
-    reaches the count on all of g.  If k is 0 or g[k-1] is in the deeper
-    list, the list's plain members include g[:k] and split the tuples as
-    g does.  That test runs the deeper generation only up to g[k-1]'s key
-    (``syntax._enum``'s ceiling), which keeps exactly the members of the
-    full list up to it.  Otherwise the cap cuts the deeper list before
-    g[k-1], and its plain members are profiled instead."""
+    reaches the count on all of g.  The deeper generation cut at g[k-1]
+    (``syntax._enum``'s ceiling) keeps exactly the members of the full
+    list up to g[k-1].  If g[k-1] is among them, so is all of g[:k], and
+    the members of g it keeps split the tuples as g does.  If it is not,
+    the cap cut the full list before g[k-1]; the cut list is then the full
+    list, and the members of g it keeps are its plain members.  Either way
+    the count on the members of g that the cut list keeps is the count on
+    the deeper list.  If k is 0, every prefix of g splits as g does."""
     sig, d, cap = t.signature, approx.d, approx.cap
     out = []
     for n in range(approx.N + 1):
@@ -526,11 +528,10 @@ def _stability(t, approx, bigger):
                 lo = mid + 1
             else:
                 hi = mid
-        if lo and g[lo - 1] not in _enum(sig, n, d + 1, cap,
-                                         (g[lo - 1].size, g[lo - 1].key)):
-            deeper = [p for p in enum_formulas(sig, n, d + 1, cap) if _plain(p)]
-            split = len({bits for prof in model_profiles(approx.models, deeper, n)
-                         for bits in prof})
+        if lo:
+            cut = set(_enum(sig, n, d + 1, cap, g[lo - 1]))
+            mask = sum(1 << i for i, p in enumerate(g) if p in cut)
+            split = len({bits & mask for bits in profiles})
         out.append(split == len(approx.points[n]))
     return tuple(out)
 

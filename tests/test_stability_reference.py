@@ -5,17 +5,19 @@ the deeper half off its existentials: it profiles every formula of
 ``approx.formulas[n]`` over the models of size B+1, and every formula of
 ``enum_formulas(sig, n, d + 1, cap)`` over the models up to B.
 ``_stability`` profiles only the members of these lists that are no meet or
-join, and builds the depth-(d+1) list only when the cap cuts it before the
-formula that decides the verdict.  The two must agree on every arity of a
-corpus of eleven theories, bounds B of 1 to 3, depths 0 to 2 and caps from
-600 down to 1; at the small caps the full list is needed, and built.
+join, and runs the depth-(d+1) generation only up to the formula that
+decides the verdict; where the cap cuts the list before that formula, the
+run is the whole list.  The two must agree on every arity of a corpus of
+eleven theories, bounds B of 1 to 3, depths 0 to 2 and caps from 600 down
+to 1; at the small caps the cap does cut the list before that formula.
 
 The file also checks the two facts ``_stability``'s docstring rests on, on
 the corpus of ``tests/test_enum_reference.py``: every part of every meet
 and join of an ``enum_formulas`` list is in the list, and the generation
-cut at a formula's key (``syntax._enum``'s ceiling) holds the formula
-exactly when the full list does, for every level-0 formula and every
-existential of a body, up to the first one past the cap.
+cut at a formula (``syntax._enum``'s ceiling) holds the formula
+exactly when the full list does, and is the full list when it does not,
+for every level-0 formula and every existential of a body, up to the
+first one past the cap.
 """
 
 import pytest
@@ -72,16 +74,24 @@ SMALL = {"free", "edge", "serial"}
 CAPS = [600, 200, 40, 16, 5, 1]
 
 
+def _count_cuts(monkeypatch):
+    """Record, for each ceiling run of typespace, whether the cap cut the
+    list before its ceiling, so that the run is the whole list."""
+    cuts = []
+
+    def counted(sig, n, depth, cap, ceiling=None):
+        out = _enum(sig, n, depth, cap, ceiling)
+        cuts.append(ceiling not in out)
+        return out
+
+    monkeypatch.setattr(typespace, "_enum", counted)
+    return cuts
+
+
 @pytest.mark.parametrize("cap", CAPS)
 def test_stability_matches_reference(cap, monkeypatch):
-    depths = []  # the depth of every list _stability asked enum_formulas for
-
-    def counted(sig, n, depth, cap):
-        depths.append(depth)
-        return enum_formulas(sig, n, depth, cap)
-
-    monkeypatch.setattr(typespace, "enum_formulas", counted)
-    diffs, full_lists = [], 0
+    cuts = _count_cuts(monkeypatch)
+    diffs = []
     for name, t in THEORIES.items():
         for B in (1, 2) if name in SMALL else (1, 2, 3):
             every = enumerate_models(t, B + 1)
@@ -89,32 +99,24 @@ def test_stability_matches_reference(cap, monkeypatch):
                 a = compute_typespace(t, N=2, B=B, d=d, cap=cap,
                                       check_stability=False)
                 bigger = every[len(a.models):]
-                depths.clear()
                 got = typespace._stability(t, a, bigger)
-                full_lists += depths.count(d + 1)
                 if got != reference_stability(t, a, bigger):
                     diffs.append((name, B, d, got))
     assert not diffs
-    # the full depth-(d+1) list is built only where the cap cuts it before
-    # the deciding formula: never at the default cap on this corpus, and
-    # at the small caps it is, so both ways to the verdict are checked
+    # the cap cuts the depth-(d+1) list before the deciding formula never
+    # at the default cap on this corpus, and at the small caps it does, so
+    # both cases of the verdict are checked
     if cap == 600:
-        assert full_lists == 0
+        assert not any(cuts)
     if cap <= 40:
-        assert full_lists > 0
+        assert any(cuts)
 
 
 def test_default_typespace_builds_no_deeper_list(monkeypatch):
-    depths = []
-
-    def counted(sig, n, depth, cap):
-        depths.append(depth)
-        return enum_formulas(sig, n, depth, cap)
-
-    monkeypatch.setattr(typespace, "enum_formulas", counted)
+    cuts = _count_cuts(monkeypatch)
     a = compute_typespace(THEORIES["peq"])
     assert a.stable_arities == (True, True, True)
-    assert a.d + 1 not in depths
+    assert cuts and not any(cuts)
 
 
 @pytest.mark.parametrize("name,n,d,cap", CORPUS)
@@ -129,12 +131,16 @@ def test_lists_hold_the_parts_of_their_junctions(name, n, d, cap):
 @pytest.mark.parametrize("name,n,d,cap", [c for c in CORPUS if c[3]])
 def test_ceiling_run_decides_membership(name, n, d, cap):
     sig = THEORIES[name].signature
-    kept = set(enum_formulas(sig, n, d, cap))
+    full = tuple(enum_formulas(sig, n, d, cap))
+    kept = set(full)
     # one body past the cap: its existential is no candidate of the list
     bodies = enum_formulas(sig, n + 1, max(d - 1, 0), cap + 1)
     candidates = enum_formulas(sig, n, 0, cap) + [exists(b) for b in bodies]
     for phi in candidates:
-        member = phi in _enum(sig, n, d, cap, (phi.size, phi.key))
+        cut = _enum(sig, n, d, cap, phi)
+        member = phi in cut
         assert member == (phi in kept), phi
+        # a candidate the cut run lacks lies past the cap: the run is whole
+        assert member or cut == full, phi
         if isinstance(phi, Exists) and not member:
             break  # the first existential past the cap
