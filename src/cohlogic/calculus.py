@@ -53,6 +53,7 @@ from .syntax import (
     Or,
     Record,
     Sequent,
+    SyntaxError_,
     Top,
     all_maps,
     cached,
@@ -128,19 +129,23 @@ class Tally(Record):
     counts as proved when it agrees with the expectation and as refuted
     when it does not.  ``failures`` lists the witnesses of refuted checks
     and the failures a caller records itself, and ``first_failure`` is the
-    witness of the first check not counted as proved.  ``verdict`` decides
-    Fails, Unknown or Holds."""
+    witness of the first check not counted as proved.  ``unknowns`` lists
+    the witnesses of the Unknown checks.  ``verdict`` decides Fails, Unknown
+    or Holds."""
 
-    _fields = ("proved", "refuted", "unknown", "failures", "first_failure")
+    _fields = ("proved", "refuted", "unknown", "failures", "first_failure",
+               "unknowns")
 
     def __init__(self):
         self.proved = self.refuted = self.unknown = 0
         self.failures = []
         self.first_failure = None
+        self.unknowns = []
 
     def add(self, verdict, witness, expected=True):
         if isinstance(verdict, Unknown):
             self.unknown += 1
+            self.unknowns.append(witness)
         elif isinstance(verdict, Proved) == expected:
             self.proved += 1
             return
@@ -203,7 +208,7 @@ def check_derivation(t, d):
 def check_derivation_reason(t, d):
     """None if valid, else a string describing the first bad node."""
     try:
-        _check_node(t, d)
+        _check_tree(t, d)
     except _BadNode as e:
         return str(e)
     return None
@@ -217,11 +222,21 @@ def _bad(msg, d):
     raise _BadNode(f"{d.rule}: {msg}")
 
 
-def _check_node(t, d):
+def _check_tree(t, d):
     for c in d.children:
-        _check_node(t, c)
         if not isinstance(c, Derivation):
             _bad("child is not a derivation", d)
+        _check_tree(t, c)
+    try:
+        _check_node(t, d)
+    except SyntaxError_ as e:  # a formula outside the signature or context
+        _bad(str(e), d)
+    except (AttributeError, TypeError, ValueError):
+        _bad(f"malformed node (parameters {d.params!r})", d)
+
+
+def _check_node(t, d):
+    """Check d's rule instance, its children being valid derivations."""
     s = d.concl
     check_formula(t.signature, s.lhs, s.ctx)
     check_formula(t.signature, s.rhs, s.ctx)
@@ -294,7 +309,6 @@ def _check_node(t, d):
         if lhs != rhs and not (isinstance(lhs, And) and rhs in lhs.parts):
             _bad("rhs is not a conjunct of lhs", d)
     elif rule == "conj_rule":
-        need(len(kids))
         if not kids:
             _bad("needs at least one child", d)
         if any(k.lhs != lhs for k in kids):

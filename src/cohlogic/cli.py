@@ -427,6 +427,14 @@ def _cmd_roundtrip(args):
         verdicts.append(dict(verdict, direction="theory",
                              failures=out.failures[:10]))
         lines.append(f"theory round trip {line}")
+        unknowns = [{"theory": name, "sequent": syntax.Sequent(n, phi, psi),
+                     "reason": v.reason}
+                    for _, name, n, phi, psi, v in out.unknowns[:10]]
+        if unknowns:  # only then: a decided round trip reports as before
+            verdicts[-1]["unknowns"] = unknowns
+            lines += [f"unknown in {u['theory']}: "
+                      f"{syntax.print_sequent(u['sequent'])} ({u['reason']})"
+                      for u in unknowns]
     if args.mode in ("functor", "both"):
         out = internal_logic.roundtrip_functor(pres)
         verdict = "Holds" if out["ok"] else "Fails"

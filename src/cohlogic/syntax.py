@@ -562,7 +562,7 @@ def print_theory(t):
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<comment>#[^\n]*)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"
-    r"|(?P<punct>\|-|[()\[\]{},.&|=/])|(?P<num>[0-9]+))"
+    r"|(?P<punct>\|-|[()\[\]{},.&|=/])|(?P<num>[0-9]+)|(?P<bad>\S))"
 )
 
 # Parentheses and existentials nested deeper than this are rejected: the
@@ -571,58 +571,76 @@ MAX_NESTING = 200
 
 
 class _Tokens:
+    """The tokens of a text as (text, kind, line, column), the kind being a
+    group of ``_TOKEN`` or "end".  Each line ends in a newline token and the
+    text in a token whose text is None, both of kind "end"; ``take`` never
+    steps past that last token."""
+
     def __init__(self, text):
         self.toks = []
         for lineno, line in enumerate(text.splitlines(), start=1):
-            pos = 0
-            while pos < len(line):
-                m = _TOKEN.match(line, pos)
-                if not m or m.end() == pos:
-                    stripped = line[pos:].lstrip()
-                    if not stripped:
-                        break
-                    raise SyntaxError_(
-                        f"unexpected character {stripped[0]!r}", lineno, pos + 1
-                    )
-                if m.lastgroup != "comment":
-                    self.toks.append((m.group(m.lastgroup), lineno,
-                                      m.start(m.lastgroup) + 1))
-                pos = m.end()
-            self.toks.append(("\n", lineno, len(line) + 1))
+            for m in _TOKEN.finditer(line):
+                kind = m.lastgroup
+                if kind == "bad":
+                    raise SyntaxError_(f"unexpected character {m[kind]!r}",
+                                       lineno, m.start() + 1)
+                if kind != "comment":
+                    self.toks.append((m[kind], kind, lineno, m.start(kind) + 1))
+            self.toks.append(("\n", "end", lineno, len(line) + 1))
+        self.toks.append((None, "end", self.toks[-1][2] if self.toks else 1, 1))
         self.pos = 0
         self.nesting = 0
         self.skip_newlines()
 
     def peek(self):
-        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
+        return self.toks[self.pos][0]
+
+    def kind(self):
+        return self.toks[self.pos][1]
 
     def loc(self):
-        if self.pos < len(self.toks):
-            _, line, col = self.toks[self.pos]
-            return line, col
-        return self.toks[-1][1] if self.toks else 1, 1
+        return self.toks[self.pos][2:]
 
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
+    def take(self, kind=None, what=None):
+        """The current token's text, line and column, stepping past it; with
+        a kind, raise what at a token of another kind."""
+        text, got, line, col = self.toks[self.pos]
+        if kind is not None and got != kind:
+            raise SyntaxError_(what, line, col)
+        self.pos = min(self.pos + 1, len(self.toks) - 1)
+        return text, line, col
 
     def expect(self, tok):
-        line, col = self.loc()
-        got = self.next()
+        got, line, col = self.take()
         if got != tok:
             raise SyntaxError_(f"expected {tok!r}, got {got!r}", line, col)
 
     def skip_newlines(self):
         while self.peek() == "\n":
-            self.next()
+            self.take()
+
+    def listed(self, opening, closing, lines=False):
+        """Yield once per item of a comma list from opening to closing, for
+        the caller to read the item; with lines, newlines may stand around
+        the items and commas."""
+        self.expect(opening)
+        gap = self.skip_newlines if lines else lambda: None
+        gap()
+        if self.peek() != closing:
+            while True:
+                yield
+                gap()
+                if self.peek() != ",":
+                    break
+                self.take()
+                gap()
+        self.expect(closing)
 
     def finish(self, what):
         """Raise unless only newlines are left; what names a leftover."""
         self.skip_newlines()
         if self.peek() is not None:
-            line, col = self.loc()
-            raise SyntaxError_(f"{what} {self.peek()!r}", line, col)
+            raise SyntaxError_(f"{what} {self.peek()!r}", *self.loc())
 
     def enter(self, line, col):
         if self.nesting == MAX_NESTING:
@@ -642,31 +660,29 @@ def parse_formula(text, ctx_names, sig):
 
 
 def _parse_or(toks, names, sig):
-    parts = [_parse_and(toks, names, sig)]
-    while toks.peek() == "|":
-        toks.next()
-        parts.append(_parse_and(toks, names, sig))
-    return parts[0] if len(parts) == 1 else Or(tuple(parts))
+    """Atomic formulas joined by ``&`` and ``|``, ``&`` binding tighter."""
+    disjuncts = [[_parse_atomic(toks, names, sig)]]
+    while toks.peek() in ("|", "&"):
+        if toks.take()[0] == "|":
+            disjuncts.append([])
+        disjuncts[-1].append(_parse_atomic(toks, names, sig))
+    return _joined(Or, [_joined(And, parts) for parts in disjuncts])
 
 
-def _parse_and(toks, names, sig):
-    parts = [_parse_atomic(toks, names, sig)]
-    while toks.peek() == "&":
-        toks.next()
-        parts.append(_parse_atomic(toks, names, sig))
-    return parts[0] if len(parts) == 1 else And(tuple(parts))
+def _joined(junction, parts):
+    return parts[0] if len(parts) == 1 else junction(tuple(parts))
 
 
-def _var(name, names, loc):
+def _var(names, name, line, col):
     try:
         return names.index(name) + 1
     except ValueError:
-        raise SyntaxError_(f"variable {name!r} not in context", *loc) from None
+        raise SyntaxError_(f"variable {name!r} not in context", line, col) from None
 
 
 def _parse_atomic(toks, names, sig):
-    line, col = toks.loc()
-    tok = toks.next()
+    kind = toks.kind()
+    tok, line, col = toks.take()
     if tok == "(":
         toks.enter(line, col)
         phi = _parse_or(toks, names, sig)
@@ -678,10 +694,7 @@ def _parse_atomic(toks, names, sig):
     if tok == "false":
         return BOT
     if tok == "exists":
-        vline, vcol = toks.loc()
-        v = toks.next()
-        if v is None or not v[0].isalpha() and v[0] != "_":
-            raise SyntaxError_("expected variable name after 'exists'", vline, vcol)
+        v, vline, vcol = toks.take("name", "expected variable name after 'exists'")
         if v in names:
             raise SyntaxError_(f"variable {v!r} shadows the context", vline, vcol)
         toks.expect(".")
@@ -689,24 +702,13 @@ def _parse_atomic(toks, names, sig):
         body = _parse_or(toks, names + [v], sig)
         toks.leave()
         return Exists(body)
-    if tok is None or tok == "\n":
+    if kind == "end":
         raise SyntaxError_("unexpected end of formula", line, col)
-    if not (tok[0].isalpha() or tok[0] == "_"):
+    if kind != "name":
         raise SyntaxError_(f"unexpected token {tok!r}", line, col)
     # either an atom R(...), a 0-ary atom, or a variable in an equation
     if toks.peek() == "(":
-        toks.next()
-        args = []
-        if toks.peek() != ")":
-            while True:
-                aline, acol = toks.loc()
-                a = toks.next()
-                args.append(_var(a, names, (aline, acol)))
-                if toks.peek() == ",":
-                    toks.next()
-                    continue
-                break
-        toks.expect(")")
+        args = [_var(names, *toks.take()) for _ in toks.listed("(", ")")]
         arity = sig.arity(tok)  # raises on unknown symbol
         if arity != len(args):
             raise SyntaxError_(
@@ -714,11 +716,9 @@ def _parse_atomic(toks, names, sig):
             )
         return Atom(tok, tuple(args))
     if toks.peek() == "=":
-        toks.next()
-        i = _var(tok, names, (line, col))
-        jline, jcol = toks.loc()
-        j = _var(toks.next(), names, (jline, jcol))
-        return Eq(i, j)
+        toks.take()
+        i = _var(names, tok, line, col)
+        return Eq(i, _var(names, *toks.take()))
     if any(s == tok for s, _ in sig.relations):
         if sig.arity(tok) != 0:
             raise SyntaxError_(f"{tok} expects {sig.arity(tok)} arguments", line, col)
@@ -728,22 +728,12 @@ def _parse_atomic(toks, names, sig):
 
 def _parse_sequent(toks, sig):
     """The sequent ``[x,y] lhs |- rhs`` at the current token."""
-    toks.expect("[")
     names = []
-    if toks.peek() != "]":
-        while True:
-            vline, vcol = toks.loc()
-            v = toks.next()
-            if v is None or not (v[0].isalpha() or v[0] == "_"):
-                raise SyntaxError_("expected context variable", vline, vcol)
-            if v in names:
-                raise SyntaxError_(f"duplicate context variable {v!r}", vline, vcol)
-            names.append(v)
-            if toks.peek() == ",":
-                toks.next()
-                continue
-            break
-    toks.expect("]")
+    for _ in toks.listed("[", "]"):
+        v, line, col = toks.take("name", "expected context variable")
+        if v in names:
+            raise SyntaxError_(f"duplicate context variable {v!r}", line, col)
+        names.append(v)
     lhs = _parse_or(toks, names, sig)
     toks.expect("|-")
     rhs = _parse_or(toks, names, sig)
@@ -765,43 +755,23 @@ def parse_theory(text):
     """Parse theory source text; see the grammar in the README."""
     toks = _Tokens(text)
     toks.expect("theory")
-    line, col = toks.loc()
-    name = toks.next()
-    if name is None or name in ("\n",) or not (name[0].isalpha() or name[0] == "_"):
-        raise SyntaxError_("expected theory name", line, col)
+    name = toks.take("name", "expected theory name")[0]
     toks.skip_newlines()
     rels = []
     if toks.peek() == "sig":
-        toks.next()
-        toks.expect("{")
-        toks.skip_newlines()
-        if toks.peek() != "}":
-            while True:
-                sline, scol = toks.loc()
-                sym = toks.next()
-                if sym is None or not (sym[0].isalpha() or sym[0] == "_"):
-                    raise SyntaxError_("expected relation symbol", sline, scol)
-                if sym in _KEYWORDS:
-                    raise SyntaxError_(f"keyword {sym!r} is not a relation symbol",
-                                       sline, scol)
-                toks.expect("/")
-                aline, acol = toks.loc()
-                ar = toks.next()
-                if ar is None or not ar.isdigit():
-                    raise SyntaxError_("expected arity", aline, acol)
-                rels.append((sym, int(ar)))
-                toks.skip_newlines()
-                if toks.peek() == ",":
-                    toks.next()
-                    toks.skip_newlines()
-                    continue
-                break
-        toks.expect("}")
+        toks.take()
+        for _ in toks.listed("{", "}", lines=True):
+            sym, line, col = toks.take("name", "expected relation symbol")
+            if sym in _KEYWORDS:
+                raise SyntaxError_(f"keyword {sym!r} is not a relation symbol",
+                                   line, col)
+            toks.expect("/")
+            rels.append((sym, int(toks.take("num", "expected arity")[0])))
     sig = Signature(name, tuple(rels))
     axioms = []
     toks.skip_newlines()
     while toks.peek() == "axiom":
-        toks.next()
+        toks.take()
         axioms.append(_parse_sequent(toks, sig))
         toks.skip_newlines()
     toks.finish("unexpected token")

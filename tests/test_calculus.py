@@ -247,3 +247,146 @@ def test_conjunctive_consequent_matches_reference(text):
     got = search(_Prover(t, Budgets()), s)
     assert got[0] not in (None, "calls")
     assert got == search(ReferenceProver(t, Budgets()), s)
+
+
+# ---------------------------------------------------------------------------
+# every rejection of the derivation checker, on mutated prover derivations
+
+MIXED = parse_theory("theory mixed\nsig { P/1, Q/1, R/1, E/2 }\n")
+CORPUS = [
+    (PQR, "[x] P(x) & Q(x) |- R(x)"),
+    (MIXED, "[x] P(x) & (Q(x) | R(x)) |- P(x) & Q(x) | P(x) & R(x)"),
+    (MIXED, "[x] P(x) & exists y. E(x,y) |- exists y. P(x) & E(x,y)"),
+    (MIXED, "[x] exists y. P(x) & E(x,y) |- P(x) & exists y. E(x,y)"),
+    (PEQ, "[x,y] x = y & E(x,x) |- E(y,x)"),
+    (MIXED, "[x] false |- P(x)"),
+    (MIXED, "[x] P(x) |- true"),
+    (MIXED, "[x] P(x) |- P(x) | Q(x)"),
+    (MIXED, "[x] P(x) | Q(x) |- P(x) | Q(x) | R(x)"),
+]
+# the prover builds no eq_refl node: this one is checked as the others
+EQ_REFL = (MIXED, Derivation("eq_refl", Sequent(1, TOP, Eq(1, 1)), params=(1,)))
+
+
+def _first(d, rule):
+    """The first node of rule in d, in pre-order, or None."""
+    if d.rule == rule:
+        return d
+    for c in d.children:
+        found = _first(c, rule)
+        if found is not None:
+            return found
+    return None
+
+
+def _node(rule):
+    """A theory and the first node of rule in its corpus derivations."""
+    if rule == "eq_refl":
+        return EQ_REFL
+    for t, text in CORPUS:
+        found = _first(prove(t, parse_sequent(text, t.signature)), rule)
+        if found is not None:
+            return t, found
+    raise LookupError(rule)
+
+
+def _other(phi):
+    return BOT if phi != BOT else TOP
+
+
+def _with(d, **changes):
+    fields = dict(rule=d.rule, concl=d.concl, params=d.params, children=d.children)
+    return Derivation(**{**fields, **changes})
+
+
+def _side(d, **changes):
+    """d with its conclusion's sides or context changed."""
+    s = d.concl
+    return _with(d, concl=Sequent(**{**dict(ctx=s.ctx, lhs=s.lhs, rhs=s.rhs),
+                                     **changes}))
+
+
+def _other_rhs(d):
+    return _side(d, rhs=_other(d.concl.rhs))
+
+
+def _other_lhs(d):
+    return _side(d, lhs=_other(d.concl.lhs))
+
+
+def _identity(n):
+    return Derivation("identity", Sequent(n, TOP, TOP))
+
+
+REJECTIONS = [
+    ("cut", lambda d: _with(d, children=(d.children[0], "junk")),
+     "child is not a derivation"),
+    ("cut", lambda d: _with(d, children=(d.children[0], _identity(d.concl.ctx + 1))),
+     "child context mismatch"),
+    ("identity", lambda d: _with(d, children=(d,)), "expected 0 children, got 1"),
+    ("identity", _other_rhs, "sides differ"),
+    ("top_intro", lambda d: _side(d, rhs=d.concl.lhs), "rhs is not top"),
+    ("bot_elim", lambda d: _side(d, lhs=TOP), "lhs is not bottom"),
+    ("eq_refl", lambda d: _with(d, params=(2,)),
+     "not an equality-reflexivity instance"),
+    ("eq_subst", lambda d: _with(d, params=(d.concl.ctx + 1, *d.params[1:])),
+     "indices out of context"),
+    ("eq_subst", _other_rhs, "conclusion does not match the pattern instance"),
+    ("axiom", lambda d: _with(d, params=(1,)), "axiom index out of range"),
+    ("axiom", _other_rhs, "conclusion is not that axiom"),
+    ("subst", lambda d: _with(d, params=(d.params[0] + (1,),)),
+     "substitution length mismatch"),
+    ("subst", lambda d: _with(d, params=((d.concl.ctx + 1,) + d.params[0][1:],)),
+     "substitution image out of context"),
+    ("subst", _other_rhs, "conclusion is not the substituted child"),
+    ("cut", _other_rhs, "cut formula mismatch"),
+    ("conj_proj", _other_rhs, "rhs is not a conjunct of lhs"),
+    ("conj_rule", lambda d: _with(d, children=()), "needs at least one child"),
+    ("conj_rule", _other_lhs, "children lhs differ from conclusion lhs"),
+    ("conj_rule", _other_rhs, "rhs is not the conjunction of children rhs"),
+    ("disj_inj", _other_lhs, "lhs is not a disjunct of rhs"),
+    ("disj_rule", lambda d: _with(d, children=()), "needs at least one child"),
+    ("disj_rule", _other_rhs, "children rhs differ from conclusion rhs"),
+    ("disj_rule", _other_lhs, "lhs is not the disjunction of children lhs"),
+    ("exists_up", lambda d: _with(d, children=(_identity(d.concl.ctx),)),
+     "child context must extend conclusion context"),
+    ("exists_up", _other_lhs, "lhs is not the existential of the child lhs"),
+    ("exists_up", _other_rhs, "child rhs is not the shifted conclusion rhs"),
+    ("exists_down", lambda d: _side(d, ctx=d.concl.ctx + 1),
+     "conclusion context must extend child context"),
+    ("exists_down", lambda d: _with(d, children=(_identity(d.concl.ctx - 1),)),
+     "child lhs is not existential"),
+    ("exists_down", _other_lhs, "lhs is not the child existential body"),
+    ("exists_down", _other_rhs, "rhs is not the shifted child rhs"),
+    ("distributivity", _other_rhs, "not a distributivity instance"),
+    ("frobenius", _other_rhs, "not a Frobenius instance"),
+    ("identity", lambda d: _with(d, rule="weakening"), "unknown rule"),
+]
+
+
+@pytest.mark.parametrize("rule,mutate,reason", REJECTIONS,
+                         ids=[f"{r}-{why}" for r, _, why in REJECTIONS])
+def test_checker_rejection_reasons(rule, mutate, reason):
+    t, d = _node(rule)
+    assert check_derivation_reason(t, d) is None
+    bad = mutate(d)
+    assert check_derivation_reason(t, bad) == f"{bad.rule}: {reason}"
+
+
+P1 = Sequent(1, Atom("P", (1,)), Atom("P", (1,)))
+
+
+@pytest.mark.parametrize("d,reason", [
+    (Derivation("conj_rule", P1, children=(Derivation("identity", P1), "junk")),
+     "conj_rule: child is not a derivation"),
+    (Derivation("identity", Sequent(1, Atom("S", (1,)), Atom("S", (1,)))),
+     "identity: unknown relation symbol 'S'"),
+    (Derivation("axiom", P1, params=("0",)),
+     "axiom: malformed node (parameters ('0',))"),
+    (Derivation("eq_refl", Sequent(1, TOP, Eq(1, 1))),
+     "eq_refl: malformed node (parameters ())"),
+    (Derivation("distributivity", P1, params=(TOP,)),
+     "distributivity: malformed node (parameters (Top(),))"),
+], ids=["junk-child", "foreign-symbol", "string-index", "no-params", "one-param"])
+def test_malformed_nodes_get_a_reason(d, reason):
+    assert check_derivation_reason(PQR, d) == reason

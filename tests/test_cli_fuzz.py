@@ -1,11 +1,16 @@
-"""Property test of the exit-code contract on the subcommands that read
-JSON: whatever small JSON value an input file holds, ``cli.main`` run
-in-process exits with 0, 1, 2 or 3 and raises nothing.
+"""Property tests of the exit-code contract: whatever small input a run
+reads, ``cli.main`` run in-process exits with 0, 1, 2 or 3 and raises
+nothing.
 
-The values mix arbitrary JSON with valid objects of each kind, some of them
-changed in one place: models, posets of at most 6 points, lattices,
-monotone maps, presentations, interpretations and generators.  So both the
-shape checks and the mathematical checks behind them are reached.
+On the subcommands that read JSON, the values mix arbitrary JSON with valid
+objects of each kind, some of them changed in one place: models, posets of
+at most 6 points, lattices, monotone maps, presentations, interpretations
+and generators.  So both the shape checks and the mathematical checks
+behind them are reached.
+
+On the subcommands that read text, the theory files and sequents are valid
+ones, some of them changed in one place, and each bound flag is left out or
+drawn small, negative values included.
 """
 
 import contextlib
@@ -129,18 +134,91 @@ def runs(draw):
     return argv, draw(draw(st.sampled_from([values, values, values, any_json])))
 
 
+def _main(argv, text, *rest):
+    """The exit code of argv and rest, {f} in argv naming a file that holds
+    text and {d} the directory of the theory files, and what the run wrote
+    to stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for name, theory in THEORIES.items():
+            (d / name).write_text(theory)
+        f = d / "input"
+        f.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([a.format(d=d, f=f) for a in argv] + list(rest))
+    return code, err.getvalue()
+
+
 @settings(max_examples=200, deadline=None)
 @given(runs())
 def test_json_inputs_keep_the_exit_code_contract(run):
     argv, value = run
-    with tempfile.TemporaryDirectory() as tmp:
-        d = Path(tmp)
-        for name, text in THEORIES.items():
-            (d / name).write_text(text)
-        f = d / "input.json"
-        f.write_text(json.dumps(value))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([a.format(d=d, f=f) for a in argv])
+    code, err = _main(argv, json.dumps(value))
     assert code in (0, 1, 2, 3), (argv, value)
-    assert (code == 3) == err.getvalue().startswith("error:"), err.getvalue()
+    assert (code == 3) == err.startswith("error:"), err
+
+
+THEORY_TEXTS = [*THEORIES.values(), "theory e\n",
+                "theory peq\nsig { E/2 }\naxiom [x,y] E(x,y) |- E(y,x)\n",
+                "# serial\ntheory s\nsig {\n  E/2\n}\n"
+                "axiom [x] true |- exists y. E(x,y)  # every x\n"]
+SEQUENTS = ["[x] P(x) |- P(x)", "[x,y] P(x) & Q(y) |- R(x) | R(y)",
+            "[x] P(x) |- Q(x)", "[] true |- false", "[x,y] x = y |- y = x",
+            "[x] exists y. E(x,y) |- E(x,x)", "[x] P(x) & (Q(x) | R(x)) |- R(x)"]
+NOISE = list("()[]{},.&|=/-#$ \n019xPE_") + ["exists ", "|-", "axiom ", "sig "]
+
+
+@st.composite
+def changed_text(draw, texts):
+    """One of texts, as it is (one time in two) or with a character deleted
+    or inserted."""
+    text = draw(st.sampled_from(texts))
+    i = draw(st.integers(0, len(text)))
+    change = draw(st.sampled_from([None, None, "delete", "insert"]))
+    if change == "delete":
+        return text[:i] + text[i + 1:]
+    if change == "insert":
+        return text[:i] + draw(st.sampled_from(NOISE)) + text[i:]
+    return text
+
+
+# the largest value drawn for each bound flag.  A flag is left out or -1
+# one time in six each; --bound is never left out, as its default is slow.
+LARGEST = {"depth": 6, "model_size": 2, "bound": 2, "formula_depth": 1,
+           "cutoff": 1, "cap": 3}
+# subcommand -> (argv with {f} for the theory file, bound flags it takes)
+TEXT_CASES = {
+    "parse": (["parse", "{f}"], ()),
+    "prove": (["prove", "{f}"], ("depth", "model_size")),
+    "refute": (["refute", "{f}"], ("depth", "model_size")),
+    "models": (["models", "{f}", "--limit", "2"], ("bound",)),
+    "typespace": (["typespace", "{f}"], ("formula_depth", "cutoff", "bound")),
+    "roundtrip": (["roundtrip", "--theory", "{f}", "--bound", "1"],
+                  ("cap", "formula_depth", "cutoff")),
+}
+
+
+@st.composite
+def text_runs(draw):
+    name = draw(st.sampled_from(sorted(TEXT_CASES)))
+    argv, flags = TEXT_CASES[name]
+    argv = list(argv)
+    for flag in flags:
+        values = [*range(LARGEST[flag] + 1)] * 2
+        value = draw(st.sampled_from([-1, *values] if flag == "bound" else
+                                     [None, -1, *values]))
+        if value is not None:
+            argv += ["--" + flag.replace("_", "-"), str(value)]
+    sequent = [draw(changed_text(SEQUENTS))] if name in ("prove", "refute") else []
+    return argv, draw(changed_text(THEORY_TEXTS)), sequent
+
+
+@settings(max_examples=300, deadline=None)
+@given(text_runs())
+def test_text_inputs_keep_the_exit_code_contract(run):
+    argv, theory, sequent = run
+    code, err = _main(argv, theory, *sequent)
+    assert code in (0, 1, 2, 3), run
+    # a bad flag prints its usage line before the error
+    assert (code == 3) == ("\nerror:" in "\n" + err), err

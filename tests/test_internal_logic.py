@@ -1,11 +1,12 @@
 import functools
 import gc
 import itertools
+import json
 import weakref
 
 import pytest
 
-from cohlogic import calculus, internal_logic, typespace
+from cohlogic import calculus, cli, internal_logic, typespace
 from cohlogic.internal_logic import (
     BetaFamily,
     FunctorPresentation,
@@ -43,6 +44,8 @@ from cohlogic.syntax import (
     enum_formulas,
     normalize,
     parse_theory,
+    print_sequent,
+    print_theory,
     substitute,
 )
 from cohlogic.typespace import (
@@ -391,6 +394,33 @@ def test_roundtrip_theory_peq():
 def test_roundtrip_theory_empty():
     rep = roundtrip_theory(EMPTY, empty_pres(), cap=6)
     assert rep.refuted == 0 and not rep.failures
+
+
+def test_roundtrip_report_names_its_unknowns(monkeypatch, tmp_path, capsys):
+    """A pair the prover leaves Unknown is reported with its theory, sequent
+    and reason, in the --json report and in the text lines."""
+    decide, first = calculus.entails, []
+
+    def entails(t, s, budgets):  # the first pair asked stays Unknown
+        if not first:
+            first.append((t.name, s))
+        if (t.name, s) == first[0]:
+            return calculus.Unknown("patched")
+        return decide(t, s, budgets)
+
+    monkeypatch.setattr(calculus, "entails", entails)
+    path = tmp_path / "peq.thy"
+    path.write_text(print_theory(PEQ))
+    argv = ["roundtrip", "--theory", str(path), "--mode", "theory", "--cap", "3"]
+    assert cli.main(["--json", *argv]) == 2
+    (verdict,) = json.loads(capsys.readouterr().out)["verdicts"]
+    name, s = first[0]
+    assert verdict["unknown"] == 1
+    assert verdict["unknowns"] == [
+        {"theory": name, "sequent": print_sequent(s), "reason": "patched"}]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"unknown in {name}: {print_sequent(s)} (patched)")
 
 
 @pytest.mark.parametrize("which", ["pqr", "peq"])

@@ -184,7 +184,8 @@ def test_readable_repr():
     assert repr(calculus.Budgets()) == (
         "Budgets(depth=8, size=5000, model_size=3, model_pool=None)")
     assert repr(calculus.Tally()) == (
-        "Tally(proved=0, refuted=0, unknown=0, failures=[], first_failure=None)")
+        "Tally(proved=0, refuted=0, unknown=0, failures=[], first_failure=None, "
+        "unknowns=[])")
 
 
 def test_fresh_import_loads_no_code_generation_modules():
