@@ -207,6 +207,8 @@ def check_derivation(t, d):
 
 def check_derivation_reason(t, d):
     """None if valid, else a string describing the first bad node."""
+    if not isinstance(d, Derivation):
+        return "root is not a derivation"
     try:
         _check_tree(t, d)
     except _BadNode as e:
@@ -238,6 +240,8 @@ def _check_tree(t, d):
 def _check_node(t, d):
     """Check d's rule instance, its children being valid derivations."""
     s = d.concl
+    if not isinstance(s, Sequent):
+        _bad("conclusion is not a sequent", d)
     check_formula(t.signature, s.lhs, s.ctx)
     check_formula(t.signature, s.rhs, s.ctx)
     for c in d.children:

@@ -16,7 +16,7 @@ from heapq import nsmallest
 from itertools import combinations, product
 from operator import attrgetter
 from types import SimpleNamespace
-from weakref import finalize
+from weakref import KeyedRef, finalize
 
 
 class SyntaxError_(Exception):
@@ -72,65 +72,73 @@ class Frozen(Record):
 
 
 # ---------------------------------------------------------------------------
-# formula trees
+# formula trees, one live node per formula
+#
+# Each constructor looks its kind's fields up in the kind's table of live
+# nodes and returns the node it finds (hash-consing, Filliatre & Conchon,
+# ML 2006).  While a node is alive it is the one node of its kind and
+# fields, and its parts are such nodes too: so equal formulas are one
+# object, equality is identity and hashing is ``object``'s, in C.  The
+# tables hold their nodes weakly, so a node that nothing else holds is
+# freed and its entry dropped.
 #
 # Keys sort formulas by kind (top, bottom, atom, equality, and, or, exists),
 # then symbol, then arguments or the keys of the parts.  Every formula stores
-# its hash, size (node count) and depth (connective nesting) when it is made,
-# from its parts' stored values, and its key on first use.
+# its size (node count) and depth (connective nesting) when it is made, from
+# its parts' stored values, and its key on first use.
 
 
 _set = object.__setattr__  # fills a slot of a frozen formula
 
 
 class _Formula:
-    """Equality is structural: two formulas are equal when they are of one
-    kind with equal keys, as a key determines the formula, and their stored
-    hashes settle most unequal pairs.  A leaf has size 1 and depth 0."""
+    """``kind(*fields)`` is the live node of kind on those fields, made if
+    there is none, when ``_made`` fills in its key or its measures.  Its
+    equality and hash are ``object``'s.  A leaf has size 1 and depth 0."""
 
-    __slots__ = ("key", "_hash")
+    __slots__ = ("key", "__weakref__")
     _fields = ()
     size, depth = 1, 0
     # the record methods, not the record bases: a longer MRO on every formula
-    # kind measurably slowed the prover's loop of hashes and isinstance tests
+    # kind measurably slowed the prover's loop of isinstance tests
     __setattr__, __delattr__, __repr__ = (
         Frozen.__setattr__, Frozen.__delattr__, Record.__repr__)
 
-    def __init__(self):  # of top and bottom
-        self._leaf((_RANK[type(self)], "", ()))
+    def __new__(cls, *fields):
+        ref = cls._live.get(fields)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        if len(fields) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes the fields {cls._fields}")
+        node = object.__new__(cls)
+        for name, value in zip(cls._fields, fields):
+            _set(node, name, value)
+        node._made()
+        cls._live[fields] = KeyedRef(node, cls._drop, fields)
+        _MADE[cls] += 1
+        return node
 
-    def _leaf(self, key):  # a leaf's key is flat; it is hashed whole
-        _set(self, "key", key)
-        _set(self, "_hash", hash(key))
+    def _made(self):  # of top and bottom
+        _set(self, "key", (_RANK[type(self)], "", ()))
 
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other or (type(self) is type(other)
-                                 and self._hash == other._hash
-                                 and self.key == other.key)
-
-    def __reduce__(self):  # pickled and copied through __init__
+    def __reduce__(self):  # pickled and copied through the constructor
         return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
 class Atom(_Formula):
     __slots__ = _fields = ("sym", "args")
 
-    def __init__(self, sym, args):
-        _set(self, "sym", sym)
-        _set(self, "args", args)
-        self._leaf((2, sym, args))
+    def _made(self):
+        _set(self, "key", (2, self.sym, self.args))
 
 
 class Eq(_Formula):
     __slots__ = _fields = ("i", "j")
 
-    def __init__(self, i, j):
-        _set(self, "i", i)
-        _set(self, "j", j)
-        self._leaf((3, "", (i, j)))
+    def _made(self):
+        _set(self, "key", (3, "", (self.i, self.j)))
 
 
 class Top(_Formula):
@@ -142,9 +150,9 @@ class Bot(_Formula):
 
 
 class _Node(_Formula):
-    """A node stores its hash, size and depth when it is made, from its
-    parts' stored values, and its key on first use: most interned nodes are
-    never ordered or compared with an equal copy, and never build one."""
+    """A node stores its size and depth when it is made, from its parts'
+    stored values, and its key on first use: most nodes are never ordered
+    and never build one."""
 
     __slots__ = ("size", "depth")
 
@@ -154,7 +162,6 @@ class _Node(_Formula):
             size += p.size
             if p.depth > depth:
                 depth = p.depth
-        _set(self, "_hash", hash((_RANK[type(self)], kids)))
         _set(self, "size", size)
         _set(self, "depth", depth + 1)
 
@@ -169,9 +176,8 @@ class _Node(_Formula):
 class _Junction(_Node):
     __slots__ = _fields = ("parts",)
 
-    def __init__(self, parts):
-        _set(self, "parts", parts)
-        self._measure(parts)
+    def _made(self):
+        self._measure(self.parts)
 
     def _key(self):
         return (_RANK[type(self)], "", tuple([p.key for p in self.parts]))
@@ -188,9 +194,8 @@ class Or(_Junction):
 class Exists(_Node):
     __slots__ = _fields = ("body",)
 
-    def __init__(self, body):
-        _set(self, "body", body)
-        self._measure((body,))
+    def _made(self):
+        self._measure((self.body,))
 
     def _key(self):
         return (6, "", self.body.key)
@@ -199,6 +204,24 @@ class Exists(_Node):
 Formula = Atom | Eq | Top | Bot | And | Or | Exists
 
 _RANK = {Top: 0, Bot: 1, Atom: 2, Eq: 3, And: 4, Or: 5, Exists: 6}
+
+
+def _live_table():
+    """A table of live nodes, fields -> ``KeyedRef`` of the node, and the
+    callback that drops a freed node's entry: unless a new node of the same
+    fields took it already."""
+    live = {}
+
+    def drop(ref):
+        if live.get(ref.key) is ref:
+            del live[ref.key]
+
+    return live, drop
+
+
+for _kind in _RANK:
+    _kind._live, _kind._drop = _live_table()
+_MADE = dict.fromkeys(_RANK, 0)  # kind -> nodes made since clear_caches()
 
 TOP = Top()
 BOT = Bot()
@@ -218,22 +241,22 @@ class Signature(Frozen):
     _fields = ("name", "relations")
 
     def __init__(self, name, relations):  # (symbol, arity), symbols unique
-        seen = set()
+        arities = {}
         for sym, ar in relations:
-            if sym in seen:
+            if sym in arities:
                 raise SyntaxError_(f"duplicate relation symbol {sym!r}")
             if ar < 0:
                 raise SyntaxError_(f"negative arity for {sym!r}")
             if sym == "=":
                 raise SyntaxError_("equality is built in and cannot be declared")
-            seen.add(sym)
-        self.__dict__.update(name=name, relations=relations)
+            arities[sym] = ar
+        self.__dict__.update(name=name, relations=relations, arities=arities)
 
     def arity(self, sym):
-        for s, ar in self.relations:
-            if s == sym:
-                return ar
-        raise SyntaxError_(f"unknown relation symbol {sym!r}")
+        try:
+            return self.arities[sym]
+        except KeyError:
+            raise SyntaxError_(f"unknown relation symbol {sym!r}") from None
 
 
 class Sequent(Frozen):
@@ -373,36 +396,25 @@ def shift(phi, n):
 
 
 # ---------------------------------------------------------------------------
-# normal forms, interned
+# normal forms
 #
-# meet, join and exists build normal forms from normal forms and intern
-# them (hash-consing, Filliatre & Conchon, ML 2006): until clear_caches,
-# each normal form And, Or or Exists is one node, so equal normal forms are
-# nearly always the same object.  normalize takes any tree, such as a parsed
-# one, to its normal form through the same constructors, and reindex builds
-# the normal form of a substitution through them without a raw tree.  Raw
+# meet, join and exists build normal forms from normal forms through the
+# constructors, so equal normal forms are one live node.  normalize takes
+# any tree, such as a parsed one, to its normal form through them, and
+# reindex builds the normal form of a substitution without a raw tree.  Raw
 # trees are made only by the parser, build_lattice_theory and the derivation
 # checker (tests/test_normal_form_edge.py).
 
-_NODES = {And: {}, Or: {}, Exists: {}}  # interned nodes by parts or body
 _LAWS = {And: (TOP, BOT), Or: (BOT, TOP)}  # (unit, zero) of each junction
 
 
 def clear_caches():
-    """Empty the intern table and every table in ``_CACHED``.  Nodes
-    made before stay valid, and equal to those made after."""
-    for table in _NODES.values():
-        table.clear()
+    """Empty every table in ``_CACHED`` and reset the counts of nodes made.
+    A node that something still holds stays the one node of its fields."""
     for fn in _CACHED:
         fn.cache_clear()
-
-
-def _intern(cls, arg):
-    table = _NODES[cls]
-    node = table.get(arg)
-    if node is None:
-        node = table[arg] = cls(arg)
-    return node
+    for kind in _MADE:
+        _MADE[kind] = 0
 
 
 def meet(*items):
@@ -417,7 +429,7 @@ def join(*items):
 
 def exists(body):
     """The normal form of exists x. body, for a normal form body."""
-    return body if type(body) is Bot else _intern(Exists, body)
+    return body if type(body) is Bot else Exists(body)
 
 
 def _connect(cls, items):
@@ -443,7 +455,7 @@ def _connect(cls, items):
                 keys.insert(i, k)
                 parts.insert(i, p)
     if len(parts) > 1:
-        return _intern(cls, tuple(parts))
+        return cls(tuple(parts))
     return parts[0] if parts else unit
 
 
@@ -473,7 +485,7 @@ def normalize(phi):
 def reindex(phi, f, m):
     """normalize(substitute(phi, f, m)), built bottom-up through meet, join
     and exists, for an index map f whose images lie in 1..m.  Keyed by the
-    interned node of a normal form phi, the cache holds no raw tree."""
+    node of a normal form phi, the cache holds no raw tree."""
     t = type(phi)
     if t is Atom:
         return Atom(phi.sym, tuple([f[a - 1] for a in phi.args]))
@@ -709,7 +721,9 @@ def _parse_atomic(toks, names, sig):
     # either an atom R(...), a 0-ary atom, or a variable in an equation
     if toks.peek() == "(":
         args = [_var(names, *toks.take()) for _ in toks.listed("(", ")")]
-        arity = sig.arity(tok)  # raises on unknown symbol
+        if tok not in sig.arities:
+            raise SyntaxError_(f"unknown relation symbol {tok!r}", line, col)
+        arity = sig.arities[tok]
         if arity != len(args):
             raise SyntaxError_(
                 f"{tok} expects {arity} arguments, got {len(args)}", line, col
@@ -719,9 +733,9 @@ def _parse_atomic(toks, names, sig):
         toks.take()
         i = _var(names, tok, line, col)
         return Eq(i, _var(names, *toks.take()))
-    if any(s == tok for s, _ in sig.relations):
-        if sig.arity(tok) != 0:
-            raise SyntaxError_(f"{tok} expects {sig.arity(tok)} arguments", line, col)
+    if tok in sig.arities:
+        if sig.arities[tok] != 0:
+            raise SyntaxError_(f"{tok} expects {sig.arities[tok]} arguments", line, col)
         return Atom(tok, ())
     raise SyntaxError_(f"unknown symbol or lone variable {tok!r}", line, col)
 
@@ -839,14 +853,11 @@ def _enum(sig, n, depth, cap, ceiling=None):
     the start.  If ceiling is a candidate of the list (a level-0 formula or
     the existential of a body) and the cut list lacks it, the cap cut the
     list before ceiling, so the cut list is the whole list."""
-    level = {TOP, BOT}
+    level = [TOP, BOT]  # distinct, in a fixed order
     for sym, ar in sig.relations:
-        for args in all_maps(ar, n):
-            level.add(Atom(sym, args))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            level.add(Eq(i, j))
-    seen = set()
+        level += [Atom(sym, args) for args in all_maps(ar, n)]
+    level += [Eq(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    seen = set()  # read only in (size, key) order: it iterates in address order
 
     # best: the sorted keys of the cap smallest formulas of depth <= depth
     # in seen; top: the largest of them once there are cap (cap is >= 1),

@@ -387,6 +387,13 @@ P1 = Sequent(1, Atom("P", (1,)), Atom("P", (1,)))
      "eq_refl: malformed node (parameters ())"),
     (Derivation("distributivity", P1, params=(TOP,)),
      "distributivity: malformed node (parameters (Top(),))"),
-], ids=["junk-child", "foreign-symbol", "string-index", "no-params", "one-param"])
+    (Derivation("cut", "junk"), "cut: conclusion is not a sequent"),
+    (Derivation("conj_rule", P1, children=(Derivation("identity", None),)),
+     "identity: conclusion is not a sequent"),
+    ("junk", "root is not a derivation"),
+    (None, "root is not a derivation"),
+], ids=["junk-child", "foreign-symbol", "string-index", "no-params", "one-param",
+        "junk-conclusion", "child-without-conclusion", "junk-root", "no-root"])
 def test_malformed_nodes_get_a_reason(d, reason):
     assert check_derivation_reason(PQR, d) == reason
+    assert not check_derivation(PQR, d)

@@ -78,6 +78,14 @@ def test_parse_garbage(capsys, tmp_path):
     assert "error" in err
 
 
+def test_unknown_symbol_error_names_its_position(capsys, tmp_path):
+    p = tmp_path / "bad.thy"
+    p.write_text("theory x\nsig { P/1 }\naxiom [x] P(x) |- Q(x)\n")
+    code, _, err = run(capsys, "parse", str(p))
+    assert code == 3
+    assert err == "error: 3:19: unknown relation symbol 'Q'\n"
+
+
 def test_unknown_flag(capsys, pqr_file):
     code, _, err = run(capsys, "parse", pqr_file, "--nope")
     assert code == 3

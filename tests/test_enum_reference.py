@@ -15,8 +15,12 @@ the pruning relies on, and a deterministic count of the work it saves.
 """
 
 import math
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -34,7 +38,6 @@ from cohlogic.syntax import (
     Eq,
     Exists,
     Or,
-    _NODES,
     _candidates,
     all_maps,
     build_lattice_theory,
@@ -203,7 +206,7 @@ def _cap_size(counts, cap):
 @pytest.fixture(scope="module", autouse=True)
 def _drop_reference_caches():
     # the reference normalizes about a million formulas; without this the
-    # cache of normalize and the intern table keep them (some 600 MB) for
+    # caches of normalize and of the references keep them (some 600 MB) for
     # every later test module
     yield
     reference_enum.cache_clear()
@@ -344,8 +347,24 @@ def test_enumeration_work_is_bounded():
     assert normalize.cache_info().misses <= 5000
 
 
-def _interned():
-    return sum(len(table) for table in _NODES.values())
+# in a fresh interpreter, as a node that lives on is not made again: the
+# normalize misses, the meets, joins and existentials made, and the distinct
+# ones among them, keyed as made so that no node lives longer
+_STABILITY_WORK = """
+import sys
+from cohlogic import syntax
+kinds, keys = (syntax.And, syntax.Or, syntax.Exists), set()
+for kind in kinds:
+    def made(node, made=kind._made):
+        made(node)
+        keys.add(node.key)
+    kind._made = made
+sig = syntax.Signature("peq", (("E", 2),))
+syntax.enum_formulas(sig, int(sys.argv[1]), 3, 600)
+made = sum(syntax._MADE[kind] for kind in kinds)
+print(syntax.normalize.cache_info().misses, made, len(keys))
+"""
+STABILITY_MADE = {0: 7311, 1: 2638, 2: 6924}  # n -> nodes made, remakes too
 
 
 @pytest.mark.parametrize("n,nodes", [(0, 7311), (1, 2418), (2, 4077)])
@@ -353,12 +372,15 @@ def test_stability_enumeration_work(n, nodes):
     # deterministic work counts of the cold depth-3 calls of typespace peq.
     # When _enum normalized each candidate they made 8,764 / 3,721 / 9,602
     # normalize misses for n = 0 / 1 / 2; now every candidate is made by
-    # meet, join or exists, and the count is of the interned nodes built
-    sig = THEORIES["peq"].signature
-    clear_caches()
-    enum_formulas(sig, n, 3, 600)
-    assert normalize.cache_info().misses == 0
-    assert _interned() == nodes
+    # meet, join or exists, and the count is of the distinct nodes built.
+    # A meet that a level drops is freed, and made again if a later pair
+    # has it for meet: those remakes are the rest of the nodes made
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
+    out = subprocess.run([sys.executable, "-c", _STABILITY_WORK, str(n)],
+                         env=env, capture_output=True, text=True, timeout=60,
+                         check=True)
+    assert out.stdout.split() == ["0", str(STABILITY_MADE[n]), str(nodes)]
 
 
 PLAIN = {meet: And, join: Or}  # the plain node on a meet's or join's parts

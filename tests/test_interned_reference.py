@@ -8,14 +8,18 @@ once did.  ``reference_normalize`` flattens, dedupes and sorts by
 ``reference_key`` on plain nodes.  The corpus is the enumerated formulas of
 a few theories, their parsed axioms, and the enumerated formulas
 substituted along every index map into a context one larger.  The file also
-pins what ``clear_caches`` promises: the same lists afterwards, and old
-nodes equal to their rebuilt twins.  ``reindex``, the substitution into
+pins what ``clear_caches`` promises: the same lists afterwards, a node
+still held being the node its fields make again, and a node nothing holds
+leaving its table.  ``reindex``, the substitution into
 normal forms, is pinned to ``normalize`` of the raw ``substitute`` it
 replaces in the prover and the functor layers.  Last, ``clear_caches``
 empties every ``cached`` table, the prover's axiom instances and a
 presentation's adjoints and induced models among them, and the same
 sequents are decided as before.
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -33,6 +37,7 @@ from cohlogic.syntax import (
     Exists,
     Or,
     Sequent,
+    Signature,
     Top,
     all_maps,
     build_lattice_theory,
@@ -217,15 +222,26 @@ def test_clear_caches_keeps_lists_and_equality():
     for n in (0, 1, 2):
         new = enum_formulas(sig, n, 2, 200)
         assert new == old[n]
-        rebuilt = 0
-        for a, b in zip(old[n], new):
-            assert a == b and hash(a) == hash(b)
-            assert formula_key(a) == formula_key(b)
-            rebuilt += a is not b
-        assert rebuilt > 0  # composite nodes are made afresh
-    # an old node still builds with new ones, and equals the new result
+        # a node that something holds stays the one node of its fields
+        assert all(a is b for a, b in zip(old[n], new))
+    # an old node still builds with new ones, into the same node
     a, b = old[1][-1], enum_formulas(sig, 1, 2, 200)[-2]
-    assert meet(a, b) == meet(enum_formulas(sig, 1, 2, 200)[-1], b)
+    assert meet(a, b) is meet(enum_formulas(sig, 1, 2, 200)[-1], b)
+    # the nodes over a signature used nowhere else: once the test drops them
+    # and the caches are cleared, they are freed and leave their tables
+    fresh = Signature("fresh", (("U", 1), ("V", 2)))
+    lists = [enum_formulas(fresh, n, 2, 200) for n in (0, 1, 2)]
+    refs = {id(p): weakref.ref(p) for fs in lists for p in fs
+            if any(type(q) is Atom for q in subformulas(p))}.values()
+    live = {kind: len(kind._live) for kind in (And, Or, Exists, Atom, Eq)}
+    dropped = {kind: sum(type(r()) is kind for r in refs) for kind in live}
+    assert dropped[And] and dropped[Or] and dropped[Exists]
+    del lists
+    clear_caches()
+    gc.collect()
+    assert all(r() is None for r in refs)
+    for kind, count in live.items():
+        assert len(kind._live) <= count - dropped[kind]
 
 
 def presented_signature(name):
@@ -318,5 +334,8 @@ def test_clear_caches_empties_every_cached_table(monkeypatch):
     clear_caches()
     assert [fn.cache_info().currsize for fn in syntax._CACHED] == \
         [0] * len(syntax._CACHED)
-    assert not any(syntax._NODES.values())
+    assert not any(syntax._MADE.values())
+    gc.collect()  # a freed node leaves no entry in its table
+    assert all(ref() is not None for kind in syntax._MADE
+               for ref in list(kind._live.values()))
     assert decide() == first

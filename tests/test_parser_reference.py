@@ -1,9 +1,11 @@
 """Differential test: the text parser against the one it replaced.
 
 The reference below is the parser section of ``syntax.py`` as it was before
-the tokenizer decided identifiers and numbers, verbatim: it spelled the
-identifier rule out at each use, read each comma list with its own loop and
-parsed ``|`` and ``&`` in two functions.  On every draw the two parsers must
+the tokenizer decided identifiers and numbers, verbatim but for one edit:
+an atom over an undeclared symbol is reported at the symbol's line and
+column, as the parser reports it now.  It spelled the identifier rule out
+at each use, read each comma list with its own loop and parsed ``|`` and
+``&`` in two functions.  On every draw the two parsers must
 return equal results from ``parse_theory``, ``parse_sequent`` and
 ``parse_formula``, or raise ``SyntaxError_`` with the same message, line
 and column.  The draws are valid theories, sequents and formulas with
@@ -188,7 +190,9 @@ def _parse_atomic(toks, names, sig):
                     continue
                 break
         toks.expect(")")
-        arity = sig.arity(tok)  # raises on unknown symbol
+        if tok not in sig.arities:  # the one edit: the error's position
+            raise SyntaxError_(f"unknown relation symbol {tok!r}", line, col)
+        arity = sig.arity(tok)
         if arity != len(args):
             raise SyntaxError_(
                 f"{tok} expects {arity} arguments, got {len(args)}", line, col

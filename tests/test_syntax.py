@@ -228,13 +228,21 @@ def test_enum_formulas_small():
     assert fs1[0] == TOP or fs1[0] == BOT
 
 
+@pytest.mark.parametrize("make", [lambda: Atom("P"), lambda: Atom("P", (1,), 2),
+                                  lambda: Eq(1), lambda: And(), lambda: type(TOP)(1)])
+def test_a_formula_takes_exactly_its_fields(make):
+    with pytest.raises(TypeError):
+        make()
+
+
 def test_equality_is_structural_when_hashes_collide():
-    # hash(-1) == hash(-2) in CPython: these formulas differ with one hash
+    # hash(-1) == hash(-2) in CPython: the fields of these formulas collide
+    # in the table of live atoms, and still make two nodes
+    assert hash(("P", (-1,))) == hash(("P", (-2,)))
     a, b = Atom("P", (-1,)), Atom("P", (-2,))
-    assert hash(a) == hash(b) and a != b
+    assert a != b and a is Atom("P", (-1,)) and b is Atom("P", (-2,))
     for cls in (And, Or):
-        assert hash(cls((a, TOP))) == hash(cls((b, TOP)))
         assert cls((a, TOP)) != cls((b, TOP))
-        assert cls((a, TOP)) == cls((Atom("P", (-1,)), TOP))
-    assert hash(Exists(a)) == hash(Exists(b)) and Exists(a) != Exists(b)
-    assert Exists(a) == Exists(Atom("P", (-1,)))
+        assert cls((a, TOP)) is cls((Atom("P", (-1,)), TOP))
+    assert Exists(a) != Exists(b)
+    assert Exists(a) is Exists(Atom("P", (-1,)))
